@@ -4,14 +4,17 @@
 // killing their running copies, and come back after repair) and replays
 // the same workload at increasing failure rates under DollyMP, printing
 // the flowtime and re-execution cost at each level — plus an excerpt of
-// the event trace showing a crash and the resulting re-placements.
+// the flight recorder's stream showing a crash and the resulting
+// re-placements.
 //
 // Build & run:  ./build/examples/failure_drill
 #include <iostream>
+#include <vector>
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/table.h"
 #include "dollymp/metrics/report.h"
+#include "dollymp/obs/recorder.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sim/simulator.h"
 #include "dollymp/workload/apps.h"
@@ -33,7 +36,8 @@ int main() {
     SimConfig config;
     config.slot_seconds = 5.0;
     config.seed = 4;
-    config.record_events = true;
+    Recorder recorder;
+    config.recorder = &recorder;
     if (mtbf > 0.0) {
       config.failures.enabled = true;
       config.failures.mean_time_to_failure_seconds = mtbf;
@@ -41,9 +45,10 @@ int main() {
     }
     DollyMPScheduler scheduler;
     const SimResult result = simulate(cluster, config, jobs, scheduler);
+    const std::vector<TraceRecord> stream = recorder.snapshot();
     long long failures = 0;
-    for (const auto& e : result.events) {
-      failures += e.kind == SimEventKind::kServerFailed ? 1 : 0;
+    for (const TraceRecord& r : stream) {
+      failures += r.type == TraceEv::kServerFailed ? 1 : 0;
     }
     table.add_labeled_row(mtbf == 0.0 ? "off" : ConsoleTable::format_double(mtbf, 0),
                           {result.mean_flowtime(), result.makespan_seconds,
@@ -51,18 +56,18 @@ int main() {
                            static_cast<double>(failures)},
                           1);
 
-    // For the harshest level, show the first crash in the event trace.
+    // For the harshest level, show the first crash in the recorded stream:
+    // simulation events only (kinds up to kServerRepaired), skipping the
+    // scheduler-decision records interleaved with them.
     if (mtbf == 200.0) {
-      std::cout << "\nfirst crash in the event trace (mtbf=200s):\n";
+      std::cout << "\nfirst crash in the flight recorder (mtbf=200s):\n";
       bool crashed = false;
       int shown = 0;
-      for (const auto& e : result.events) {
-        if (e.kind == SimEventKind::kServerFailed) crashed = true;
+      for (const TraceRecord& r : stream) {
+        if (r.type > TraceEv::kServerRepaired) continue;
+        if (r.type == TraceEv::kServerFailed) crashed = true;
         if (!crashed) continue;
-        std::cout << "  t=" << e.seconds << "s  " << to_string(e.kind);
-        if (e.job >= 0) std::cout << "  job=" << e.job;
-        if (e.server >= 0) std::cout << "  server=" << e.server;
-        std::cout << "\n";
+        std::cout << "  " << decode(r) << "\n";
         if (++shown >= 10) break;
       }
       std::cout << "\n";

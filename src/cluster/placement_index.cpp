@@ -30,7 +30,8 @@ inline Resources group_free(const Resources& capacity, const Resources& used) {
 
 }  // namespace
 
-PlacementIndex::PlacementIndex(const Cluster& cluster) : cluster_(&cluster) {
+PlacementIndex::PlacementIndex(const Cluster& cluster)
+    : cluster_(&cluster), batch_(kBatchSlots) {
   const std::size_t n = cluster.size();
   class_of_.assign(n, -1);
   group_of_.assign(n, kNoGroup);
@@ -106,18 +107,6 @@ std::int32_t PlacementIndex::group_for(ResourceClass& cls, const Resources& used
   // walks have not captured; everything else only churns member lists.
   ++pool_generation_;
   return gid;
-}
-
-void PlacementIndex::set_batching(bool on) {
-  batching_ = on;
-  if (on) {
-    batch_.resize(kBatchSlots);
-  } else {
-    batch_.clear();
-    batch_.shrink_to_fit();
-  }
-  for (auto& cache : batch_) cache.valid = false;
-  batch_clock_ = 0;
 }
 
 const PlacementIndex::BatchCache& PlacementIndex::batched_walk(
@@ -255,36 +244,17 @@ ServerId PlacementIndex::best_fit(const Resources& demand) const {
   ++counters_.queries;
   ServerId best = kInvalidServer;
   double best_score = -1.0;
-  if (batching_) {
-    // Replay the cached walk: drained groups drop out via members.empty(),
-    // so the candidate set is exactly the active fitting groups and the
-    // precomputed scores are the unbatched expressions — same winner.
-    for (const BatchEntry& e : batched_walk(demand).entries) {
-      const Group& group =
-          classes_[static_cast<std::size_t>(e.cls)].groups[static_cast<std::size_t>(e.gid)];
-      if (group.members.empty()) continue;
-      ++counters_.servers_scanned;
-      const ServerId id = group.members.back();
-      if (beats(e.score, id, best_score, best)) {
-        best_score = e.score;
-        best = id;
-      }
-    }
-    return best;
-  }
-  for (const auto& cls : classes_) {
-    if (!demand.fits_within(cls.capacity)) continue;
-    for (std::int32_t gid = cls.active_head; gid != kNoGroup;
-         gid = cls.groups[static_cast<std::size_t>(gid)].next) {
-      const Group& group = cls.groups[static_cast<std::size_t>(gid)];
-      ++counters_.servers_scanned;
-      if (!group_fits(group.used, demand, cls.capacity)) continue;
-      const double score = demand.dot(group_free(cls.capacity, group.used));
-      const ServerId id = group.members.back();
-      if (beats(score, id, best_score, best)) {
-        best_score = score;
-        best = id;
-      }
+  // Replay the cached walk: drained groups drop out via members.empty(),
+  // so the candidate set is exactly the active fitting groups and the
+  // precomputed scores are the linear scan's expressions — same winner.
+  for (const BatchEntry& e : batched_walk(demand).entries) {
+    const Group& group = group_at(e);
+    if (group.members.empty()) continue;
+    ++counters_.servers_scanned;
+    const ServerId id = group.members.back();
+    if (beats(e.score, id, best_score, best)) {
+      best_score = e.score;
+      best = id;
     }
   }
   return best;
@@ -293,27 +263,12 @@ ServerId PlacementIndex::best_fit(const Resources& demand) const {
 ServerId PlacementIndex::first_fit(const Resources& demand) const {
   ++counters_.queries;
   ServerId best = kInvalidServer;
-  if (batching_) {
-    for (const BatchEntry& e : batched_walk(demand).entries) {
-      const Group& group =
-          classes_[static_cast<std::size_t>(e.cls)].groups[static_cast<std::size_t>(e.gid)];
-      if (group.members.empty()) continue;
-      ++counters_.servers_scanned;
-      const ServerId id = group.members.back();
-      if (best == kInvalidServer || id < best) best = id;
-    }
-    return best;
-  }
-  for (const auto& cls : classes_) {
-    if (!demand.fits_within(cls.capacity)) continue;
-    for (std::int32_t gid = cls.active_head; gid != kNoGroup;
-         gid = cls.groups[static_cast<std::size_t>(gid)].next) {
-      const Group& group = cls.groups[static_cast<std::size_t>(gid)];
-      ++counters_.servers_scanned;
-      if (!group_fits(group.used, demand, cls.capacity)) continue;
-      const ServerId id = group.members.back();
-      if (best == kInvalidServer || id < best) best = id;
-    }
+  for (const BatchEntry& e : batched_walk(demand).entries) {
+    const Group& group = group_at(e);
+    if (group.members.empty()) continue;
+    ++counters_.servers_scanned;
+    const ServerId id = group.members.back();
+    if (best == kInvalidServer || id < best) best = id;
   }
   return best;
 }
@@ -390,26 +345,11 @@ ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
     // maximum under `beats` equal to the full linear scan's winner.  (A
     // replica that is also a group representative appears twice, but its
     // boosted entry dominates its plain one, so the duplicate is inert.)
-    if (batching_) {
-      for (const BatchEntry& e : batched_walk(demand).entries) {
-        const Group& group = classes_[static_cast<std::size_t>(e.cls)]
-                                 .groups[static_cast<std::size_t>(e.gid)];
-        if (group.members.empty()) continue;
-        ++counters_.servers_scanned;
-        consider(group.members.back(), e.score);
-      }
-    } else {
-      for (const auto& cls : classes_) {
-        if (!demand.fits_within(cls.capacity)) continue;
-        for (std::int32_t gid = cls.active_head; gid != kNoGroup;
-             gid = cls.groups[static_cast<std::size_t>(gid)].next) {
-          const Group& group = cls.groups[static_cast<std::size_t>(gid)];
-          ++counters_.servers_scanned;
-          if (!group_fits(group.used, demand, cls.capacity)) continue;
-          consider(group.members.back(),
-                   demand.dot(group_free(cls.capacity, group.used)));
-        }
-      }
+    for (const BatchEntry& e : batched_walk(demand).entries) {
+      const Group& group = group_at(e);
+      if (group.members.empty()) continue;
+      ++counters_.servers_scanned;
+      consider(group.members.back(), e.score);
     }
     if (boost_block != nullptr) {
       for (const ServerId replica : boost_block->replicas) {

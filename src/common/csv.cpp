@@ -112,12 +112,17 @@ const std::string& CsvTable::cell(std::size_t row, std::string_view col_name) co
   return cell(row, *col);
 }
 
+std::string CsvTable::where(std::size_t row, std::string_view col_name) {
+  return "row " + std::to_string(row + 1) + ", field '" + std::string(col_name) + "'";
+}
+
 double CsvTable::cell_double(std::size_t row, std::string_view col_name) const {
   const std::string& s = cell(row, col_name);
   try {
     return std::stod(s);
   } catch (const std::exception&) {
-    throw std::runtime_error("CSV: cell '" + s + "' is not a number");
+    throw std::runtime_error("CSV: " + where(row, col_name) + ": cell '" + s +
+                             "' is not a number");
   }
 }
 
@@ -126,7 +131,8 @@ long long CsvTable::cell_int(std::size_t row, std::string_view col_name) const {
   long long value = 0;
   const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
   if (ec != std::errc{} || ptr != s.data() + s.size()) {
-    throw std::runtime_error("CSV: cell '" + s + "' is not an integer");
+    throw std::runtime_error("CSV: " + where(row, col_name) + ": cell '" + s +
+                             "' is not an integer");
   }
   return value;
 }

@@ -88,28 +88,25 @@ class PlacementIndex {
     shard_stats_ = stats;
   }
 
-  /// Batched placement: accumulate the capacity-group walk for a demand
-  /// into a cached candidate list and replay it for every same-demand query
-  /// until the group pool grows.  A Group's used vector — and therefore its
-  /// per-demand fit answer and score — is immutable for the lifetime of its
-  /// pool slot; only its member list churns.  So one pass over the pool per
-  /// (demand, pool generation) captures every group that can ever fit, with
-  /// its score precomputed, and a query is a flat scan of that list
-  /// skipping currently-drained groups: the candidate set equals the
-  /// unbatched walk's (active fitting groups), scores are the identical
-  /// float expressions, and `beats` is enumeration-order independent —
-  /// bit-identical decisions, one capacity-group walk per wakeup batch
-  /// instead of one per task.  Off by default; the simulator wires
-  /// SimConfig::batch_placement through here.
-  void set_batching(bool on);
-  [[nodiscard]] bool batching() const { return batching_; }
-
   /// Per-server score multiplier used by weighted_best_fit (DollyMP's
   /// straggler-aware placement weight).  Defaults to 1.0 for every server.
   void set_multiplier(ServerId id, double weight);
   [[nodiscard]] double multiplier(ServerId id) const;
 
   // ----- queries (bit-identical to the linear scans) -------------------------
+  //
+  // best_fit, first_fit and the neutral-multiplier weighted_best_fit answer
+  // from a batched walk: the capacity-group walk for a demand is captured
+  // once into a cached candidate list and replayed for every same-demand
+  // query until the group pool grows.  A Group's used vector — and
+  // therefore its per-demand fit answer and score — is immutable for the
+  // lifetime of its pool slot; only its member list churns.  So one pass
+  // over the pool per (demand, pool generation) captures every group that
+  // can ever fit, with its score precomputed, and a query is a flat scan of
+  // that list skipping currently-drained groups: the candidate set is the
+  // active fitting groups, scores are the identical float expressions, and
+  // `beats` is enumeration-order independent — bit-identical decisions,
+  // one capacity-group walk per wakeup batch instead of one per task.
 
   /// Equivalent of best_fit_server(cluster, demand).
   [[nodiscard]] ServerId best_fit(const Resources& demand) const;
@@ -193,6 +190,10 @@ class PlacementIndex {
   };
   /// The cached walk for `demand`, rebuilt on miss or stale generation.
   [[nodiscard]] const BatchCache& batched_walk(const Resources& demand) const;
+  [[nodiscard]] const Group& group_at(const BatchEntry& e) const {
+    const ResourceClass& cls = classes_[static_cast<std::size_t>(e.cls)];
+    return cls.groups[static_cast<std::size_t>(e.gid)];
+  }
 
   /// Pool slot for `used`, creating the group on first sight.
   [[nodiscard]] std::int32_t group_for(ResourceClass& cls, const Resources& used);
@@ -208,7 +209,6 @@ class PlacementIndex {
   std::vector<double> multiplier_;
   int nonneutral_ = 0;  // count of multipliers != 1.0 (0 => groups collapse)
 
-  bool batching_ = false;
   /// Bumped whenever any class's group pool grows — the sole event that can
   /// add a candidate a cached walk does not know about.
   std::uint64_t pool_generation_ = 0;

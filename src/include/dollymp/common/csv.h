@@ -35,8 +35,15 @@ class CsvTable {
 
   [[nodiscard]] const std::string& cell(std::size_t row, std::size_t col) const;
   [[nodiscard]] const std::string& cell(std::size_t row, std::string_view col_name) const;
+  /// Typed cells; a cell that does not parse throws std::runtime_error
+  /// naming the row and the field (see where()).
   [[nodiscard]] double cell_double(std::size_t row, std::string_view col_name) const;
   [[nodiscard]] long long cell_int(std::size_t row, std::string_view col_name) const;
+
+  /// "row N, field 'name'" for data row `row` (0-based), counting rows from
+  /// 1 at the first data row like parse()'s errors — the location prefix
+  /// of every cell error, for readers that reject a value they parsed.
+  [[nodiscard]] static std::string where(std::size_t row, std::string_view col_name);
 
   void add_row(std::vector<std::string> row);
 

@@ -137,7 +137,9 @@ class StateReader {
   }
   void bytes(void* out, std::size_t n) {
     need(n);
-    std::memcpy(out, data_ + pos_, n);
+    // An empty vector's data() may be null, and memcpy(nullptr, _, 0) is
+    // undefined behaviour.
+    if (n != 0) std::memcpy(out, data_ + pos_, n);
     pos_ += n;
   }
   [[nodiscard]] std::string str();

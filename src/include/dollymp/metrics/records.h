@@ -40,34 +40,6 @@ struct TaskRecord {
   int copies = 0;
 };
 
-/// Kinds of simulator events exposed through the optional event trace
-/// (SimConfig::record_events) — the debugging/audit channel: every
-/// placement, completion, kill and failure in time order.
-enum class SimEventKind : std::uint8_t {
-  kJobArrival,
-  kCopyPlaced,
-  kClonePlaced,
-  kSpeculativePlaced,
-  kCopyFinished,
-  kCopyKilled,
-  kTaskCompleted,
-  kPhaseCompleted,
-  kJobCompleted,
-  kServerFailed,
-  kServerRepaired,
-};
-
-[[nodiscard]] const char* to_string(SimEventKind kind);
-
-struct SimEventRecord {
-  double seconds = 0.0;
-  SimEventKind kind = SimEventKind::kJobArrival;
-  JobId job = -1;
-  PhaseIndex phase = -1;
-  int task = -1;
-  std::int32_t server = -1;  ///< server involved (placements, kills, failures)
-};
-
 struct UtilizationSample {
   double seconds = 0.0;
   double cpu = 0.0;   ///< fraction of total CPU allocated
@@ -115,10 +87,10 @@ struct SimStats {
   long long index_queries = 0;
   long long index_servers_scanned = 0;
   long long index_updates = 0;
-  // Batched placement (SimConfig::batch_placement; zero when off or the
-  // index is disabled): queries answered by replaying a cached
-  // capacity-group walk vs walks (re)built.  Deterministic and
-  // thread-count-independent, like the three counters above.
+  // Batched placement (zero when the index is disabled): queries answered
+  // by replaying a cached capacity-group walk vs walks (re)built.
+  // Deterministic and thread-count-independent, like the three counters
+  // above.
   long long index_batch_hits = 0;
   long long index_batch_rebuilds = 0;
 
@@ -232,7 +204,6 @@ struct SimResult {
   std::vector<JobRecord> jobs;
   std::vector<TaskRecord> tasks;          ///< only when SimConfig::record_tasks
   std::vector<UtilizationSample> utilization;
-  std::vector<SimEventRecord> events;     ///< only when SimConfig::record_events
 
   // Aggregates filled by the simulator.
   long long total_copies_launched = 0;

@@ -162,6 +162,10 @@ class DollyMPScheduler final : public Scheduler {
   /// schedule() refreshes priorities and clears it.
   bool priorities_dirty_ = false;
   std::optional<ServerScorer> scorer_;
+  /// Set by load_state when it restored scorer_: the placement index's
+  /// multiplier mirror is derived state the simulator rebuilt at 1.0, so
+  /// the next schedule() re-pushes every weight.  Not serialized.
+  bool index_weights_stale_ = false;
   /// Live only when config_.resilience.enabled; rebuilt on reset().
   std::optional<ResiliencePolicy> resilience_;
 };

@@ -33,15 +33,19 @@
 //     arrival source can still produce (the streaming session flips it to
 //     true when the source ends, restoring the batch stall semantics).
 //
+// Pending events live in one binary min-heap (a std::vector ordered by
+// std::push_heap/std::pop_heap with std::greater<>).  The event comparator
+// is a total order over every payload field, so the pop sequence is a pure
+// function of the pending set.
+//
 // Checkpoint/restore: save_state serializes the complete mutable state —
-// clock, RNG positions, cluster hot state, runtime store, pending event
-// set, fault masks, background-load processes, recorder stream position and
-// a length-prefixed scheduler blob — and load_state reproduces a run that
+// clock, RNG positions, cluster hot state, runtime store, the heap array,
+// fault masks, background-load processes, recorder stream position and a
+// length-prefixed scheduler blob — and load_state reproduces a run that
 // pops the same events in the same order and appends the same trace
-// records (docs/ALGORITHMS.md §19).  The pending events are re-pushed from
-// an unspecified enumeration: the event comparator is a total order over
-// all payload fields, so the pending *set* determines the pop sequence and
-// the shard layout is not semantic.
+// records (docs/ALGORITHMS.md §19).  Restore re-pushes the heap array in
+// stored order, which rebuilds the identical array, so a restored core
+// re-serializes to the same bytes.
 #pragma once
 
 #include <array>
@@ -60,7 +64,6 @@
 #include "dollymp/metrics/slo_window.h"
 #include "dollymp/obs/recorder.h"
 #include "dollymp/sched/scheduler.h"
-#include "dollymp/sim/event_heap.h"
 #include "dollymp/sim/faults.h"
 #include "dollymp/sim/runtime_store.h"
 #include "dollymp/sim/types.h"
@@ -292,6 +295,8 @@ class SimCore final : public SchedulerContext {
   }
 
   void push_event(const SimEvent& event);
+  /// Remove and return the heap's minimum (the caller checked non-empty).
+  SimEvent pop_event();
   void push_completion(SimTime slot, JobRuntime& job, PhaseIndex phase,
                        std::int32_t task, std::int32_t copy, std::uint32_t generation);
   bool place(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task, ServerId server,
@@ -311,8 +316,6 @@ class SimCore final : public SchedulerContext {
   void complete_job(JobRuntime& job);
   void maybe_recycle(JobRuntime& job);
   void sample_utilization();
-  void record_event(SimEventKind kind, JobId job = -1, PhaseIndex phase = -1,
-                    int task = -1, std::int32_t server = -1);
   void trace(TraceEv type, JobId job = -1, PhaseIndex phase = -1,
              std::int32_t task = -1, std::int32_t copy = -1,
              std::int32_t server = -1, std::int64_t aux = 0);
@@ -363,9 +366,9 @@ class SimCore final : public SchedulerContext {
   std::size_t next_arrival_ = 0;
   std::vector<JobRuntime*> active_;
   /// The event heap: completions, failures, repairs and timer wakeups in a
-  /// single deterministic total order, sharded by server/job range behind a
-  /// loser-tree merge frontier (sim/event_heap.h).
-  ShardedEventHeap<SimEvent> events_;
+  /// single deterministic total order (a min-heap under std::greater<>, so
+  /// front() is the next event due).
+  std::vector<SimEvent> events_;
   std::size_t pending_timer_count_ = 0;
   SimTime pending_timer_slot_ = kNever;  ///< dedupe: last timer slot still queued
 

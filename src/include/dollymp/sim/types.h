@@ -180,22 +180,6 @@ struct SimConfig {
   /// equivalence suite and the parallel fuzzer.
   int threads = 1;
 
-  /// Shard count of the sharded event heap (sim/event_heap.h): pending
-  /// events partition into this many per-shard binary min-heaps (machine
-  /// and fault events by server range, completions by job range) merged
-  /// through a loser-tree frontier.  Pop order is bit-identical for every
-  /// value — the golden flight-stream hashes pin the default against the
-  /// single-heap history — so this is purely a cache/latency knob.  Must be
-  /// in [1, 64]; 1 degenerates to one heap.
-  int event_shards = 8;
-
-  /// Accumulate placement queries into the PlacementIndex's pool-group
-  /// batch cache: repeated same-demand queries within one capacity-group
-  /// generation reuse one precomputed group walk instead of re-walking the
-  /// class lists per task.  Decision streams are bit-identical either way
-  /// (asserted by the equivalence matrix); off selects the unbatched walk.
-  bool batch_placement = true;
-
   /// Maintain an incremental PlacementIndex over the cluster and expose it
   /// through SchedulerContext::placement_index(), so the placement helpers
   /// stop scanning every server per copy placed.  Placement decisions are
@@ -210,9 +194,6 @@ struct SimConfig {
   bool record_tasks = false;
   /// Record (slot, utilization) samples at scheduler invocations.
   bool record_utilization = false;
-  /// Record the full event trace (every placement/completion/kill/failure)
-  /// in SimResult::events — debugging aid, memory heavy for big runs.
-  bool record_events = false;
 
   /// Optional flight recorder (obs/recorder.h): every simulation event and
   /// scheduler decision is appended as a compact TraceRecord.  Null by

@@ -4,23 +4,6 @@
 
 namespace dollymp {
 
-const char* to_string(SimEventKind kind) {
-  switch (kind) {
-    case SimEventKind::kJobArrival: return "job-arrival";
-    case SimEventKind::kCopyPlaced: return "copy-placed";
-    case SimEventKind::kClonePlaced: return "clone-placed";
-    case SimEventKind::kSpeculativePlaced: return "speculative-placed";
-    case SimEventKind::kCopyFinished: return "copy-finished";
-    case SimEventKind::kCopyKilled: return "copy-killed";
-    case SimEventKind::kTaskCompleted: return "task-completed";
-    case SimEventKind::kPhaseCompleted: return "phase-completed";
-    case SimEventKind::kJobCompleted: return "job-completed";
-    case SimEventKind::kServerFailed: return "server-failed";
-    case SimEventKind::kServerRepaired: return "server-repaired";
-  }
-  return "?";
-}
-
 double SimResult::total_flowtime() const {
   double total = 0.0;
   for (const auto& j : jobs) total += j.flowtime();

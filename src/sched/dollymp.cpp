@@ -28,6 +28,7 @@ void DollyMPScheduler::reset() {
   ++epoch_;
   priorities_dirty_ = false;
   scorer_.reset();
+  index_weights_stale_ = false;
   resilience_.reset();
 }
 
@@ -421,6 +422,20 @@ int DollyMPScheduler::place_clones(SchedulerContext& ctx, int clone_budget) {
 }
 
 void DollyMPScheduler::schedule(SchedulerContext& ctx) {
+  if (index_weights_stale_) {
+    // load_state restored the learned scores, but the simulator rebuilt its
+    // placement index from the cluster with every multiplier at 1.0.  Push
+    // the whole mirror before the first placement so the weighted query
+    // scores exactly as it did before the snapshot.
+    PlacementIndex* index = ctx.placement_index();
+    if (index != nullptr && scorer_ && scorer_->size() == ctx.cluster().size()) {
+      for (std::size_t id = 0; id < scorer_->size(); ++id) {
+        const auto server = static_cast<ServerId>(id);
+        index->set_multiplier(server, scorer_->placement_weight(server));
+      }
+    }
+    index_weights_stale_ = false;
+  }
   ResiliencePolicy* res = live_resilience(ctx);
   if (res != nullptr) res->begin_invocation(ctx);
   if (priorities_dirty_) {
@@ -500,6 +515,7 @@ void DollyMPScheduler::load_state(StateReader& r) {
     // placeholder is enough to restore into.
     if (!scorer_) scorer_.emplace(0);
     scorer_->load_state(r);
+    index_weights_stale_ = true;
   }
   if (r.b()) {
     if (!resilience_) resilience_.emplace(config_.resilience, 0);

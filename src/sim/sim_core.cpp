@@ -1,6 +1,7 @@
 #include "dollymp/sim/sim_core.h"
 
 #include <algorithm>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
@@ -106,11 +107,7 @@ SimCore::SimCore(Cluster cluster, const SimConfig& config)
     pool_.emplace(static_cast<std::size_t>(config_.threads));
     if (pool_->size() < 2) pool_.reset();
   }
-  if (index_) {
-    index_->set_parallelism(worker_pool(), &parallel_stats_);
-    index_->set_batching(config_.batch_placement);
-  }
-  events_.reset(static_cast<std::size_t>(config_.event_shards));
+  if (index_) index_->set_parallelism(worker_pool(), &parallel_stats_);
 }
 
 // ---- streaming driver ------------------------------------------------------
@@ -205,7 +202,7 @@ StepOutcome SimCore::step_until(SimTime horizon) {
         next = std::min(
             next, jobs_[static_cast<std::size_t>(arrival_order_[next_arrival_])].arrival);
       }
-      if (!events_.empty()) next = std::min(next, events_.top().slot);
+      if (!events_.empty()) next = std::min(next, events_.front().slot);
 
       if (streaming_ && jobs_remaining_ == 0 && events_.empty() &&
           next_arrival_ >= arrival_order_.size()) {
@@ -528,9 +525,15 @@ void SimCore::note_clone_budget_degraded(int effective, int configured) {
 // ---- event plumbing --------------------------------------------------------
 
 void SimCore::push_event(const SimEvent& event) {
-  events_.push(event, event_shard_for(event.server, event.job_index,
-                                      events_.shard_count(), cluster_.size(),
-                                      jobs_.size()));
+  events_.push_back(event);
+  std::push_heap(events_.begin(), events_.end(), std::greater<>{});
+}
+
+SimEvent SimCore::pop_event() {
+  std::pop_heap(events_.begin(), events_.end(), std::greater<>{});
+  const SimEvent e = events_.back();
+  events_.pop_back();
+  return e;
 }
 
 void SimCore::push_completion(SimTime slot, JobRuntime& job, PhaseIndex phase,
@@ -556,13 +559,6 @@ void SimCore::push_machine_event(SimTime delay, EvKind kind, std::int32_t target
   e.kind = kind;
   e.server = target;
   push_event(e);
-}
-
-void SimCore::record_event(SimEventKind kind, JobId job, PhaseIndex phase, int task,
-                           std::int32_t server) {
-  if (!config_.record_events) return;
-  result_.events.push_back(SimEventRecord{
-      static_cast<double>(now_) * config_.slot_seconds, kind, job, phase, task, server});
 }
 
 void SimCore::trace(TraceEv type, JobId job, PhaseIndex phase, std::int32_t task,
@@ -713,10 +709,6 @@ bool SimCore::place(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
       ++job.tasks_with_clones;
     }
   }
-  record_event(!had_active_sibling ? SimEventKind::kCopyPlaced
-               : speculative       ? SimEventKind::kSpeculativePlaced
-                                   : SimEventKind::kClonePlaced,
-               job.id, phase.index, task.ref.task, server_id);
   trace(!had_active_sibling ? TraceEv::kCopyPlaced
         : speculative       ? TraceEv::kSpeculativePlaced
                             : TraceEv::kClonePlaced,
@@ -737,8 +729,6 @@ void SimCore::end_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
   } else {
     ++result_.stats.copies_finished;
   }
-  record_event(killed ? SimEventKind::kCopyKilled : SimEventKind::kCopyFinished,
-               job.id, phase.index, task.ref.task, copy.server);
   trace(killed ? TraceEv::kCopyKilled : TraceEv::kCopyFinished, job.id, phase.index,
         task.ref.task, static_cast<std::int32_t>(&copy - task.copies.data()),
         copy.server, now_ - copy.start);
@@ -759,7 +749,6 @@ void SimCore::complete_task(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& t
   task.finish_slot = now_;
   job.invalidate_remaining_cache();  // remaining_tasks is about to change
   ++result_.total_tasks_completed;
-  record_event(SimEventKind::kTaskCompleted, job.id, phase.index, task.ref.task);
   trace(TraceEv::kTaskCompleted, job.id, phase.index, task.ref.task, -1, -1,
         task.total_copies());
 
@@ -797,7 +786,6 @@ void SimCore::complete_phase(JobRuntime& job, PhaseRuntime& phase) {
   phase.finished = true;
   phase.finish_slot = now_;
   job.invalidate_remaining_cache();
-  record_event(SimEventKind::kPhaseCompleted, job.id, phase.index);
   trace(TraceEv::kPhaseCompleted, job.id, phase.index);
   // Unlock children (Eq. 7).
   for (auto& other : job.phases) {
@@ -819,7 +807,6 @@ void SimCore::complete_phase(JobRuntime& job, PhaseRuntime& phase) {
 void SimCore::complete_job(JobRuntime& job) {
   job.finished = true;
   job.finish_slot = now_;
-  record_event(SimEventKind::kJobCompleted, job.id);
   trace(TraceEv::kJobCompleted, job.id);
   if (scheduler_ != nullptr) scheduler_->on_job_completed(*this, job);
   --jobs_remaining_;
@@ -945,7 +932,6 @@ void SimCore::apply_server_down(ServerId server_id) {
   // until the repair re-indexes from live state.  A quarantined server is
   // already out of the index; on_server_down is idempotent either way.
   if (index_) index_->on_server_down(server_id);
-  record_event(SimEventKind::kServerFailed, -1, -1, -1, server_id);
   trace(TraceEv::kServerFailed, -1, -1, -1, -1, server_id);
   fail_server(server_id);
   if (scheduler_ != nullptr) scheduler_->on_server_failed(*this, server_id);
@@ -957,7 +943,6 @@ void SimCore::apply_server_up(ServerId server_id) {
   // Candidacy invariant: indexed iff up && !quarantined — a server repaired
   // while still quarantined stays out until the policy releases it.
   if (index_ && !server.is_quarantined()) index_->on_server_up(server_id);
-  record_event(SimEventKind::kServerRepaired, -1, -1, -1, server_id);
   trace(TraceEv::kServerRepaired, -1, -1, -1, -1, server_id);
   if (scheduler_ != nullptr) scheduler_->on_server_repaired(*this, server_id);
 }
@@ -969,9 +954,9 @@ void SimCore::drain_failures() {
   // (server already down via another class, or a duplicate event) — so the
   // per-class timer chains stay self-sustaining and the failure stream's
   // draw order is a pure function of heap pop order.
-  while (!events_.empty() && events_.top().slot <= now_ && events_.top().group() == 0) {
-    const SimEvent e = events_.top();
-    events_.pop();
+  while (!events_.empty() && events_.front().slot <= now_ &&
+         events_.front().group() == 0) {
+    const SimEvent e = pop_event();
     switch (e.kind) {
       case EvKind::kServerRepair: {
         ++result_.stats.events_server_repair;
@@ -1101,7 +1086,6 @@ void SimCore::process_arrivals() {
     if (job.arrival > now_) break;
     job.arrived = true;
     active_.push_back(&job);
-    record_event(SimEventKind::kJobArrival, job.id);
     trace(TraceEv::kJobArrival, job.id);
     ++result_.stats.events_job_arrival;
     ++next_arrival_;
@@ -1110,9 +1094,8 @@ void SimCore::process_arrivals() {
 }
 
 void SimCore::drain_completions() {
-  while (!events_.empty() && events_.top().slot <= now_) {
-    const SimEvent e = events_.top();
-    events_.pop();
+  while (!events_.empty() && events_.front().slot <= now_) {
+    const SimEvent e = pop_event();
     if (e.kind == EvKind::kTimer) {
       ++result_.stats.events_timer;
       --pending_timer_count_;
@@ -1217,12 +1200,13 @@ void SimCore::save_state(StateWriter& w) const {
     w.i32(static_cast<std::int32_t>(j - jobs_.data()));
   }
 
-  // The pending event *set*: the comparator is a total order over every
-  // payload field, so re-pushing in any enumeration order reproduces the
-  // exact pop sequence (docs/ALGORITHMS.md §19).
+  // The heap array as it stands: re-pushing it in this order rebuilds the
+  // identical array (every element already sits below its parent), and the
+  // comparator is a total order over every payload field, so the pop
+  // sequence is the uninterrupted run's (docs/ALGORITHMS.md §19).
   w.section(kTagHeap);
   w.u64(events_.size());
-  events_.for_each([&w](const SimEvent& e) { w.pod(e); });
+  for (const SimEvent& e : events_) w.pod(e);
 
   w.b(rec_ != nullptr);
   if (rec_) {
@@ -1320,7 +1304,7 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   }
 
   r.section(kTagHeap);
-  events_.reset(static_cast<std::size_t>(config_.event_shards));
+  events_.clear();
   const std::size_t event_count = static_cast<std::size_t>(r.u64());
   for (std::size_t i = 0; i < event_count; ++i) {
     SimEvent e;
@@ -1357,7 +1341,6 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   if (config_.use_placement_index) {
     index_.emplace(cluster_);
     index_->set_parallelism(worker_pool(), &parallel_stats_);
-    index_->set_batching(config_.batch_placement);
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
       const Server& server = cluster_.server(s);
       if (!server.is_down() && server.is_quarantined()) {

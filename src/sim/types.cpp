@@ -61,8 +61,6 @@ void SimConfig::validate() const {
   // (e.g. threads=1000 for threads=10), not a tuning choice — each worker
   // pins a stack and an OS thread for the whole run.
   require(threads <= 512, "SimConfig: threads must be <= 512");
-  require(event_shards >= 1 && event_shards <= 64,
-          "SimConfig: event_shards must be in [1, 64]");
   require(resource_dims >= 2 &&
               resource_dims <= static_cast<int>(Resources::kMaxDims),
           "SimConfig: resource_dims must be in [2, Resources::kMaxDims]");
@@ -72,10 +70,6 @@ void SimConfig::validate() const {
   // sigma factor turns every derived time into NaN soup downstream.
   require(std::isfinite(slot_seconds), "SimConfig: slot_seconds must be finite");
   require(std::isfinite(sigma_factor), "SimConfig: sigma_factor must be finite");
-  // batch_placement with use_placement_index=false is deliberately legal:
-  // batching lives inside the index, so without one the knob is inert (the
-  // sweep toggles them independently).  The placement knobs therefore need
-  // no cross-check — but the modulation processes they feed do:
   if (background.enabled) {
     require(background.mean_interval_seconds > 0.0,
             "SimConfig: background.mean_interval_seconds must be > 0");

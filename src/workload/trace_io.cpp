@@ -1,5 +1,6 @@
 #include "dollymp/workload/trace_io.h"
 
+#include <charconv>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -20,12 +21,20 @@ std::string join_parents(const std::vector<PhaseIndex>& parents) {
   return out;
 }
 
-std::vector<PhaseIndex> split_parents(const std::string& text) {
+std::vector<PhaseIndex> split_parents(const CsvTable& table, std::size_t row) {
   std::vector<PhaseIndex> parents;
-  std::stringstream ss(text);
+  std::stringstream ss(table.cell(row, "parents"));
   std::string token;
   while (std::getline(ss, token, ';')) {
-    if (!token.empty()) parents.push_back(static_cast<PhaseIndex>(std::stoi(token)));
+    if (token.empty()) continue;
+    PhaseIndex parent = 0;
+    const char* end = token.data() + token.size();
+    const auto [ptr, ec] = std::from_chars(token.data(), end, parent);
+    if (ec != std::errc{} || ptr != end) {
+      throw std::runtime_error("trace: " + CsvTable::where(row, "parents") + ": '" +
+                               token + "' is not a phase index");
+    }
+    parents.push_back(parent);
   }
   return parents;
 }
@@ -74,7 +83,15 @@ std::vector<JobSpec> trace_from_csv(const std::string& csv_text) {
       jobs.push_back(std::move(job));
     }
     JobSpec& job = jobs[it->second];
-    const auto phase_idx = static_cast<std::size_t>(table.cell_int(r, "phase"));
+    // Each row holds one phase, so a valid index is below the row count.
+    // Checking before the resize bounds memory by the input size.
+    const long long phase_cell = table.cell_int(r, "phase");
+    if (phase_cell < 0 || static_cast<unsigned long long>(phase_cell) >= table.rows()) {
+      throw std::runtime_error("trace: " + CsvTable::where(r, "phase") + ": index " +
+                               std::to_string(phase_cell) + " is outside [0, " +
+                               std::to_string(table.rows()) + ")");
+    }
+    const auto phase_idx = static_cast<std::size_t>(phase_cell);
     if (job.phases.size() <= phase_idx) job.phases.resize(phase_idx + 1);
     PhaseSpec& phase = job.phases[phase_idx];
     phase.name = table.cell(r, "phase_name");
@@ -85,7 +102,7 @@ std::vector<JobSpec> trace_from_csv(const std::string& csv_text) {
     phase.theta_seconds = table.cell_double(r, "theta_s");
     phase.sigma_seconds = table.cell_double(r, "sigma_s");
     phase.gang = table.column("gang").has_value() && table.cell_int(r, "gang") != 0;
-    phase.parents = split_parents(table.cell(r, "parents"));
+    phase.parents = split_parents(table, r);
   }
   for (const auto& job : jobs) job.validate();
   return jobs;

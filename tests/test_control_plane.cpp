@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "dollymp/metrics/report.h"
+#include "dollymp/obs/replay.h"
 #include "dollymp/sched/capacity.h"
 #include "dollymp/sched/carbyne.h"
 #include "dollymp/sched/drf.h"
@@ -21,6 +22,7 @@
 #include "dollymp/sched/tetris.h"
 #include "dollymp/sim/simulator.h"
 #include "dollymp/workload/arrivals.h"
+#include "recorded_run.h"
 
 namespace dollymp {
 namespace {
@@ -108,18 +110,23 @@ void expect_identical_outcomes(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.total_tasks_completed, b.total_tasks_completed);
 }
 
-void expect_identical_event_traces(const SimResult& a, const SimResult& b) {
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const SimEventRecord& ea = a.events[i];
-    const SimEventRecord& eb = b.events[i];
-    EXPECT_EQ(ea.seconds, eb.seconds) << "event " << i;
-    EXPECT_EQ(ea.kind, eb.kind) << "event " << i;
-    EXPECT_EQ(ea.job, eb.job) << "event " << i;
-    EXPECT_EQ(ea.phase, eb.phase) << "event " << i;
-    EXPECT_EQ(ea.task, eb.task) << "event " << i;
-    EXPECT_EQ(ea.server, eb.server) << "event " << i;
-  }
+/// Run the event-driven policy and its every-slot polled twin and require
+/// identical job records and identical simulation events (every arrival,
+/// placement, kill, completion, crash and repair at the same slot on the
+/// same server).  The polled run adds invocation, wakeup and timer records,
+/// so only the simulation-event kinds are compared.  Returns the
+/// event-driven run's result.
+SimResult expect_polling_equivalent(const Cluster& cluster, const SimConfig& config,
+                                    const std::vector<JobSpec>& jobs,
+                                    Scheduler& event_driven, Scheduler& polled) {
+  const auto fast = test_support::simulate_recorded(cluster, config, jobs, event_driven);
+  const auto slow = test_support::simulate_recorded(cluster, config, jobs, polled);
+  expect_identical_outcomes(fast.result, slow.result);
+  const DivergenceReport report =
+      compare_streams(test_support::simulation_events(fast.stream),
+                      test_support::simulation_events(slow.stream));
+  EXPECT_TRUE(report.identical) << report.to_string();
+  return fast.result;
 }
 
 std::vector<JobSpec> straggler_workload(std::uint64_t seed, int count = 8) {
@@ -211,8 +218,7 @@ TEST(ControlPlane, SpeculationIdenticalToEverySlotPolling) {
   bool any_speculation = false;
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const std::vector<JobSpec> jobs = straggler_workload(seed);
-    SimConfig config = base_config(seed);
-    config.record_events = true;
+    const SimConfig config = base_config(seed);
 
     CapacityConfig cc;
     cc.speculation.min_finished_fraction = 0.1;
@@ -220,10 +226,8 @@ TEST(ControlPlane, SpeculationIdenticalToEverySlotPolling) {
     CapacityScheduler event_driven(cc);
     EverySlotAdapter polled(std::make_unique<CapacityScheduler>(cc));
 
-    const SimResult fast = simulate(cluster, config, jobs, event_driven);
-    const SimResult slow = simulate(cluster, config, jobs, polled);
-    expect_identical_outcomes(fast, slow);
-    expect_identical_event_traces(fast, slow);
+    const SimResult fast =
+        expect_polling_equivalent(cluster, config, jobs, event_driven, polled);
     for (const auto& j : fast.jobs) any_speculation |= j.speculative_launched > 0;
   }
   EXPECT_TRUE(any_speculation) << "test must actually exercise the speculation path";
@@ -233,15 +237,9 @@ TEST(ControlPlane, HopperIdenticalToEverySlotPolling) {
   const Cluster cluster = Cluster::uniform(8, {4, 8});
   for (std::uint64_t seed = 1; seed <= 3; ++seed) {
     const std::vector<JobSpec> jobs = straggler_workload(seed);
-    SimConfig config = base_config(seed);
-    config.record_events = true;
-
     HopperScheduler event_driven;
     EverySlotAdapter polled(std::make_unique<HopperScheduler>());
-    const SimResult fast = simulate(cluster, config, jobs, event_driven);
-    const SimResult slow = simulate(cluster, config, jobs, polled);
-    expect_identical_outcomes(fast, slow);
-    expect_identical_event_traces(fast, slow);
+    expect_polling_equivalent(cluster, base_config(seed), jobs, event_driven, polled);
   }
 }
 
@@ -251,7 +249,6 @@ TEST(ControlPlane, SpeculationIdenticalUnderFailures) {
   const Cluster cluster = Cluster::uniform(8, {4, 8});
   const std::vector<JobSpec> jobs = straggler_workload(7);
   SimConfig config = base_config(7);
-  config.record_events = true;
   config.failures.enabled = true;
   config.failures.mean_time_to_failure_seconds = 400.0;
   config.failures.mean_repair_seconds = 60.0;
@@ -261,10 +258,8 @@ TEST(ControlPlane, SpeculationIdenticalUnderFailures) {
   cc.speculation.slow_factor = 1.5;
   CapacityScheduler event_driven(cc);
   EverySlotAdapter polled(std::make_unique<CapacityScheduler>(cc));
-  const SimResult fast = simulate(cluster, config, jobs, event_driven);
-  const SimResult slow = simulate(cluster, config, jobs, polled);
-  expect_identical_outcomes(fast, slow);
-  expect_identical_event_traces(fast, slow);
+  const SimResult fast =
+      expect_polling_equivalent(cluster, config, jobs, event_driven, polled);
   EXPECT_GT(fast.stats.events_server_failure, 0) << "failures must actually occur";
 }
 
@@ -288,14 +283,9 @@ TEST(ControlPlane, TimeInvariantPoliciesUnaffectedByExtraWakeups) {
     }
   };
   for (int which = 0; which < 5; ++which) {
-    SimConfig config = base_config(3);
-    config.record_events = true;
     auto bare = make(which);
     EverySlotAdapter polled(make(which));
-    const SimResult fast = simulate(cluster, config, jobs, *bare);
-    const SimResult slow = simulate(cluster, config, jobs, polled);
-    expect_identical_outcomes(fast, slow);
-    expect_identical_event_traces(fast, slow);
+    expect_polling_equivalent(cluster, base_config(3), jobs, *bare, polled);
   }
 }
 

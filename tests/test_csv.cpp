@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 
 namespace dollymp {
 namespace {
@@ -67,6 +68,22 @@ TEST(Csv, TypedAccess) {
   EXPECT_DOUBLE_EQ(t.cell_double(0, "d"), 2.5);
   EXPECT_EQ(t.cell_int(0, "i"), 42);
   EXPECT_THROW(t.cell_int(0, "d"), std::runtime_error);
+}
+
+TEST(Csv, TypedAccessErrorsNameRowAndField) {
+  const auto t = CsvTable::parse("d,i\n2.5,42\nabc,x\n");
+  try {
+    (void)t.cell_int(1, "i");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "CSV: row 2, field 'i': cell 'x' is not an integer");
+  }
+  try {
+    (void)t.cell_double(1, "d");
+    FAIL() << "expected std::runtime_error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "CSV: row 2, field 'd': cell 'abc' is not a number");
+  }
 }
 
 TEST(Csv, WriterQuotesWhenNeeded) {

@@ -6,6 +6,7 @@
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sched/scheduler.h"
 #include "dollymp/sim/simulator.h"
+#include "recorded_run.h"
 
 namespace dollymp {
 namespace {
@@ -30,21 +31,17 @@ TEST(FailureAccounting, ReexecutionsAreNotClones) {
   config.failures.enabled = true;
   config.failures.mean_time_to_failure_seconds = 200.0;
   config.failures.mean_repair_seconds = 60.0;
-  config.record_events = true;
 
   std::vector<JobSpec> jobs;
   for (int i = 0; i < 20; ++i) {
     jobs.push_back(JobSpec::single_phase(i, 4, {2, 4}, 60.0, 0.0, i * 20.0));
   }
   FifoScheduler fifo;
-  const SimResult result = simulate(cluster, config, jobs, fifo);
+  const auto run = test_support::simulate_recorded(cluster, config, jobs, fifo);
+  const SimResult& result = run.result;
 
-  long long failures = 0;
-  long long kills = 0;
-  for (const auto& e : result.events) {
-    failures += e.kind == SimEventKind::kServerFailed ? 1 : 0;
-    kills += e.kind == SimEventKind::kCopyKilled ? 1 : 0;
-  }
+  const long long failures = test_support::count_kind(run.stream, TraceEv::kServerFailed);
+  const long long kills = test_support::count_kind(run.stream, TraceEv::kCopyKilled);
   ASSERT_GT(failures, 0) << "test needs at least one crash to be meaningful";
   ASSERT_GT(kills, 0);
   for (const auto& j : result.jobs) {
@@ -65,22 +62,17 @@ TEST(FailureAccounting, ReexecutionAppearsAsCopyPlacedEvent) {
   config.failures.enabled = true;
   config.failures.mean_time_to_failure_seconds = 150.0;
   config.failures.mean_repair_seconds = 50.0;
-  config.record_events = true;
 
   std::vector<JobSpec> jobs;
   for (int i = 0; i < 15; ++i) {
     jobs.push_back(JobSpec::single_phase(i, 4, {2, 4}, 80.0, 0.0, i * 25.0));
   }
   FifoScheduler fifo;
-  const SimResult result = simulate(cluster, config, jobs, fifo);
-  long long placed = 0;
-  long long clone_events = 0;
-  for (const auto& e : result.events) {
-    placed += e.kind == SimEventKind::kCopyPlaced ? 1 : 0;
-    clone_events += e.kind == SimEventKind::kClonePlaced ? 1 : 0;
-  }
-  EXPECT_EQ(clone_events, 0) << "FIFO re-executions must be plain placements";
-  EXPECT_EQ(placed, result.total_copies_launched);
+  const auto run = test_support::simulate_recorded(cluster, config, jobs, fifo);
+  EXPECT_EQ(test_support::count_kind(run.stream, TraceEv::kClonePlaced), 0)
+      << "FIFO re-executions must be plain placements";
+  EXPECT_EQ(test_support::count_kind(run.stream, TraceEv::kCopyPlaced),
+            run.result.total_copies_launched);
 }
 
 TEST(FailureAccounting, ClonesStillCountedWithFailures) {

@@ -2,9 +2,10 @@
 //
 // The tentpole contract: with config.use_placement_index flipped and
 // nothing else changed, every policy must make bit-identical decisions —
-// same job records, same event trace — because the index answers every
-// placement query with exactly the server the linear scan would have
-// picked (same float score expression, same lowest-id tie-break).  These
+// same job records, same flight-recorder stream — because the index
+// answers every placement query with exactly the server the linear scan
+// would have picked (same float score expression, same lowest-id
+// tie-break).  These
 // tests mirror the control-plane refactor's paired-polling pattern: run
 // the same seed twice, indexed vs linear, and diff everything.
 #include <gtest/gtest.h>
@@ -13,6 +14,7 @@
 #include <memory>
 #include <vector>
 
+#include "dollymp/obs/replay.h"
 #include "dollymp/sched/capacity.h"
 #include "dollymp/sched/carbyne.h"
 #include "dollymp/sched/dollymp.h"
@@ -24,6 +26,7 @@
 #include "dollymp/sim/simulator.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
+#include "recorded_run.h"
 
 namespace dollymp {
 namespace {
@@ -55,20 +58,6 @@ void expect_identical_outcomes(const SimResult& a, const SimResult& b) {
   EXPECT_EQ(a.total_tasks_completed, b.total_tasks_completed);
 }
 
-void expect_identical_event_traces(const SimResult& a, const SimResult& b) {
-  ASSERT_EQ(a.events.size(), b.events.size());
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    const SimEventRecord& ea = a.events[i];
-    const SimEventRecord& eb = b.events[i];
-    EXPECT_EQ(ea.seconds, eb.seconds) << "event " << i;
-    EXPECT_EQ(ea.kind, eb.kind) << "event " << i;
-    EXPECT_EQ(ea.job, eb.job) << "event " << i;
-    EXPECT_EQ(ea.phase, eb.phase) << "event " << i;
-    EXPECT_EQ(ea.task, eb.task) << "event " << i;
-    EXPECT_EQ(ea.server, eb.server) << "event " << i;
-  }
-}
-
 std::vector<JobSpec> straggler_workload(std::uint64_t seed, int count = 8) {
   std::vector<JobSpec> jobs;
   jobs.reserve(static_cast<std::size_t>(count));
@@ -97,22 +86,25 @@ void expect_index_equivalence(const Cluster& cluster, const SimConfig& config,
                               bool expect_queries = true) {
   SimConfig fast_config = config;
   fast_config.use_placement_index = true;
-  fast_config.record_events = true;
   SimConfig slow_config = config;
   slow_config.use_placement_index = false;
-  slow_config.record_events = true;
 
   const auto fast_sched = make();
   const auto slow_sched = make();
-  const SimResult fast = simulate(cluster, fast_config, jobs, *fast_sched);
-  const SimResult slow = simulate(cluster, slow_config, jobs, *slow_sched);
+  const auto fast =
+      test_support::simulate_recorded(cluster, fast_config, jobs, *fast_sched);
+  const auto slow =
+      test_support::simulate_recorded(cluster, slow_config, jobs, *slow_sched);
 
-  expect_identical_outcomes(fast, slow);
-  expect_identical_event_traces(fast, slow);
+  expect_identical_outcomes(fast.result, slow.result);
+  const DivergenceReport report = compare_streams(fast.stream, slow.stream);
+  EXPECT_TRUE(report.identical) << report.to_string();
   if (expect_queries) {
-    EXPECT_GT(fast.stats.index_queries, 0) << "indexed run never queried the index";
+    EXPECT_GT(fast.result.stats.index_queries, 0)
+        << "indexed run never queried the index";
   }
-  EXPECT_EQ(slow.stats.index_queries, 0) << "linear run must not touch the index";
+  EXPECT_EQ(slow.result.stats.index_queries, 0)
+      << "linear run must not touch the index";
 }
 
 std::function<std::unique_ptr<Scheduler>()> dollymp_factory(DollyMPConfig config) {

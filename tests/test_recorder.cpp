@@ -1,6 +1,7 @@
 // Flight recorder unit tests: ring semantics, incremental stream hashing,
-// binary log round-trips, and the recorder counters surfaced through
-// SimStats after an instrumented simulation run.
+// binary log round-trips, the recorder counters surfaced through SimStats
+// after an instrumented simulation run, and the simulation-event records
+// checked against the run's aggregates.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -14,6 +15,7 @@
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sim/simulator.h"
 #include "dollymp/workload/arrivals.h"
+#include "recorded_run.h"
 
 namespace dollymp {
 namespace {
@@ -281,6 +283,133 @@ TEST(RecorderSim, RingRunMatchesUnboundedHashAndResult) {
   EXPECT_EQ(full.records_written(), ring.records_written());
   EXPECT_GT(ring.evictions(), 0u);
   EXPECT_EQ(rb.stats.recorder_evictions, static_cast<long long>(ring.evictions()));
+}
+
+// ---- the simulation-event stream --------------------------------------------
+//
+// Kinds kJobArrival..kServerRepaired are the simulator's own events; these
+// checks pin that they account for every aggregate the run reports.
+
+SimConfig traced_config(std::uint64_t seed) {
+  SimConfig config;
+  config.slot_seconds = 1.0;
+  config.seed = seed;
+  config.background.enabled = false;
+  config.locality.enabled = false;
+  return config;
+}
+
+TEST(EventTrace, DisabledByDefault) {
+  const Cluster cluster = Cluster::single({4, 4});
+  const SimConfig config = traced_config(1);
+  ASSERT_EQ(config.recorder, nullptr);
+  const std::vector<JobSpec> jobs = {JobSpec::single_task(0, {1, 1}, 5.0)};
+  DollyMPScheduler a;
+  const SimResult result = simulate(cluster, config, jobs, a);
+  EXPECT_EQ(result.stats.recorder_records, 0);
+  EXPECT_EQ(result.stats.recorder_hash, 0u);
+
+  // The same run with a recorder attached does emit the event stream.
+  DollyMPScheduler b;
+  const auto run = test_support::simulate_recorded(cluster, config, jobs, b);
+  EXPECT_EQ(test_support::count_kind(run.stream, TraceEv::kJobCompleted), 1);
+  EXPECT_EQ(run.result.makespan_seconds, result.makespan_seconds);
+}
+
+TEST(EventTrace, CountsMatchAggregates) {
+  const Cluster cluster = Cluster::uniform(6, {8, 16});
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 5; ++i) {
+    jobs.push_back(JobSpec::single_phase(i, 4, {1, 2}, 20.0, 15.0, i * 10.0));
+  }
+  DollyMPScheduler scheduler;
+  const auto run =
+      test_support::simulate_recorded(cluster, traced_config(3), jobs, scheduler);
+  const auto count = [&run](TraceEv type) {
+    return test_support::count_kind(run.stream, type);
+  };
+
+  EXPECT_EQ(count(TraceEv::kJobArrival), 5);
+  EXPECT_EQ(count(TraceEv::kJobCompleted), 5);
+  EXPECT_EQ(count(TraceEv::kPhaseCompleted), 5);
+  EXPECT_EQ(count(TraceEv::kTaskCompleted), run.result.total_tasks_completed);
+  // Every launched copy appears exactly once as a placement...
+  const long long placements = count(TraceEv::kCopyPlaced) +
+                               count(TraceEv::kClonePlaced) +
+                               count(TraceEv::kSpeculativePlaced);
+  EXPECT_EQ(placements, run.result.total_copies_launched);
+  // ...and exactly once as finished or killed.
+  EXPECT_EQ(count(TraceEv::kCopyFinished) + count(TraceEv::kCopyKilled),
+            run.result.total_copies_launched);
+}
+
+TEST(EventTrace, TimeOrdered) {
+  const Cluster cluster = Cluster::paper30();
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 6; ++i) {
+    jobs.push_back(JobSpec::single_phase(i, 5, {1, 2}, 25.0, 20.0, i * 7.0));
+  }
+  DollyMPScheduler scheduler;
+  SimConfig config = traced_config(5);
+  config.slot_seconds = 5.0;
+  const auto run = test_support::simulate_recorded(cluster, config, jobs, scheduler);
+  ASSERT_FALSE(run.stream.empty());
+  for (std::size_t i = 1; i < run.stream.size(); ++i) {
+    ASSERT_GE(run.stream[i].slot, run.stream[i - 1].slot) << decode(run.stream[i]);
+  }
+}
+
+TEST(EventTrace, CausalOrderPerTask) {
+  const Cluster cluster = Cluster::single({2, 2});
+  DollyMPScheduler scheduler;
+  const auto run = test_support::simulate_recorded(
+      cluster, traced_config(7), {JobSpec::single_task(0, {1, 1}, 8.0)}, scheduler);
+  SimTime placed = -1;
+  SimTime finished = -1;
+  SimTime completed = -1;
+  for (const TraceRecord& r : run.stream) {
+    if (r.type == TraceEv::kCopyPlaced) placed = r.slot;
+    if (r.type == TraceEv::kCopyFinished) finished = r.slot;
+    if (r.type == TraceEv::kTaskCompleted) completed = r.slot;
+  }
+  ASSERT_GE(placed, 0);
+  EXPECT_GT(finished, placed);
+  EXPECT_EQ(completed, finished);
+}
+
+TEST(EventTrace, ClonesAppearAsCloneEvents) {
+  const Cluster cluster = Cluster::uniform(4, {4, 4});
+  DollyMPScheduler scheduler;  // budget 2, idle cluster -> launch-time clones
+  const auto run = test_support::simulate_recorded(
+      cluster, traced_config(9), {JobSpec::single_task(0, {1, 1}, 20.0, 15.0)},
+      scheduler);
+  EXPECT_EQ(test_support::count_kind(run.stream, TraceEv::kClonePlaced), 2);
+  EXPECT_EQ(test_support::count_kind(run.stream, TraceEv::kCopyKilled), 2)
+      << "both clones are killed when the first copy finishes";
+}
+
+TEST(EventTrace, FailureEventsRecorded) {
+  const Cluster cluster = Cluster::uniform(4, {8, 16});
+  SimConfig config = traced_config(11);
+  config.slot_seconds = 5.0;
+  config.failures.enabled = true;
+  config.failures.mean_time_to_failure_seconds = 120.0;
+  config.failures.mean_repair_seconds = 60.0;
+  std::vector<JobSpec> jobs;
+  for (int i = 0; i < 8; ++i) {
+    jobs.push_back(JobSpec::single_phase(i, 4, {1, 2}, 40.0, 10.0, i * 30.0));
+  }
+  DollyMPScheduler scheduler;
+  const auto run = test_support::simulate_recorded(cluster, config, jobs, scheduler);
+  EXPECT_GT(test_support::count_kind(run.stream, TraceEv::kServerFailed), 0);
+  EXPECT_GT(test_support::count_kind(run.stream, TraceEv::kServerRepaired), 0);
+}
+
+TEST(EventTrace, KindNames) {
+  EXPECT_STREQ(to_string(TraceEv::kJobArrival), "job-arrival");
+  EXPECT_STREQ(to_string(TraceEv::kClonePlaced), "clone-placed");
+  EXPECT_STREQ(to_string(TraceEv::kServerFailed), "server-failed");
+  EXPECT_STREQ(to_string(TraceEv::kJobCompleted), "job-completed");
 }
 
 }  // namespace

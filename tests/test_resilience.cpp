@@ -8,11 +8,13 @@
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
+#include "dollymp/obs/replay.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sched/resilience.h"
 #include "dollymp/sim/simulator.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
+#include "recorded_run.h"
 
 namespace dollymp {
 namespace {
@@ -299,22 +301,19 @@ TEST(ResilienceEndToEnd, DeterministicGivenSeed) {
 
 // ---- index-vs-linear fuzz under quarantine churn ----------------------------
 
-void expect_identical_outcomes(const SimResult& a, const SimResult& b,
-                               std::uint64_t seed) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size()) << "seed " << seed;
-  for (std::size_t i = 0; i < a.jobs.size(); ++i) {
-    EXPECT_EQ(a.jobs[i].finish_seconds, b.jobs[i].finish_seconds)
-        << "seed " << seed << " job " << a.jobs[i].id;
-    EXPECT_EQ(a.jobs[i].clones_launched, b.jobs[i].clones_launched)
-        << "seed " << seed << " job " << a.jobs[i].id;
+void expect_identical_outcomes(const test_support::RecordedRun& a,
+                               const test_support::RecordedRun& b, std::uint64_t seed) {
+  ASSERT_EQ(a.result.jobs.size(), b.result.jobs.size()) << "seed " << seed;
+  for (std::size_t i = 0; i < a.result.jobs.size(); ++i) {
+    EXPECT_EQ(a.result.jobs[i].finish_seconds, b.result.jobs[i].finish_seconds)
+        << "seed " << seed << " job " << a.result.jobs[i].id;
+    EXPECT_EQ(a.result.jobs[i].clones_launched, b.result.jobs[i].clones_launched)
+        << "seed " << seed << " job " << a.result.jobs[i].id;
   }
-  EXPECT_EQ(a.total_copies_launched, b.total_copies_launched) << "seed " << seed;
-  ASSERT_EQ(a.events.size(), b.events.size()) << "seed " << seed;
-  for (std::size_t i = 0; i < a.events.size(); ++i) {
-    EXPECT_EQ(a.events[i].seconds, b.events[i].seconds) << "seed " << seed << " ev " << i;
-    EXPECT_EQ(a.events[i].kind, b.events[i].kind) << "seed " << seed << " ev " << i;
-    EXPECT_EQ(a.events[i].server, b.events[i].server) << "seed " << seed << " ev " << i;
-  }
+  EXPECT_EQ(a.result.total_copies_launched, b.result.total_copies_launched)
+      << "seed " << seed;
+  const DivergenceReport report = compare_streams(a.stream, b.stream);
+  EXPECT_TRUE(report.identical) << "seed " << seed << "\n" << report.to_string();
 }
 
 TEST(ResilienceFuzz, IndexMatchesLinearWhileQuarantineChurns) {
@@ -338,7 +337,6 @@ TEST(ResilienceFuzz, IndexMatchesLinearWhileQuarantineChurns) {
     config.seed = seed;
     config.background.enabled = false;
     config.locality.enabled = false;
-    config.record_events = true;
     config.failures.enabled = true;
     config.failures.mean_time_to_failure_seconds =
         400.0 + static_cast<double>(fuzz.below(400));
@@ -361,10 +359,10 @@ TEST(ResilienceFuzz, IndexMatchesLinearWhileQuarantineChurns) {
 
     DollyMPScheduler s1(sched_config);
     DollyMPScheduler s2(sched_config);
-    const SimResult fast = simulate(cluster, indexed, jobs, s1);
-    const SimResult slow = simulate(cluster, linear, jobs, s2);
+    const auto fast = test_support::simulate_recorded(cluster, indexed, jobs, s1);
+    const auto slow = test_support::simulate_recorded(cluster, linear, jobs, s2);
     expect_identical_outcomes(fast, slow, seed);
-    EXPECT_EQ(slow.stats.index_queries, 0) << "seed " << seed;
+    EXPECT_EQ(slow.result.stats.index_queries, 0) << "seed " << seed;
   }
 }
 

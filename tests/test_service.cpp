@@ -211,16 +211,6 @@ TEST(ServiceValidation, UnknownPolicyMessageListsKnownNames) {
 TEST(ServiceValidation, SimConfigCoversModulationKnobs) {
   {
     SimConfig config;
-    config.event_shards = 0;
-    EXPECT_THROW(config.validate(), std::invalid_argument);
-  }
-  {
-    SimConfig config;
-    config.event_shards = 65;
-    EXPECT_THROW(config.validate(), std::invalid_argument);
-  }
-  {
-    SimConfig config;
     config.slot_seconds = std::numeric_limits<double>::infinity();
     EXPECT_THROW(config.validate(), std::invalid_argument);
   }
@@ -235,13 +225,6 @@ TEST(ServiceValidation, SimConfigCoversModulationKnobs) {
     config.locality.enabled = true;
     config.locality.replicas = 0;
     EXPECT_THROW(config.validate(), std::invalid_argument);
-  }
-  {
-    // batch_placement without the index is deliberately legal (inert knob).
-    SimConfig config;
-    config.batch_placement = true;
-    config.use_placement_index = false;
-    EXPECT_NO_THROW(config.validate());
   }
 }
 

@@ -3,6 +3,9 @@
 // and understandably rather than produce corrupt workloads.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "dollymp/workload/trace_io.h"
 
 namespace dollymp {
@@ -42,6 +45,60 @@ TEST(TraceIoErrors, NonNumericCellThrows) {
                std::runtime_error);
   EXPECT_THROW((void)trace_from_csv(with_rows("0,j,app,zero,0,map,4,1,2,30,10,\n")),
                std::runtime_error);
+}
+
+/// The message of the std::runtime_error `text` raises, or "" if it
+/// returns or throws anything else.
+std::string runtime_error_of(const std::string& text) {
+  try {
+    (void)trace_from_csv(text);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  } catch (...) {
+  }
+  return "";
+}
+
+TEST(TraceIoErrors, CellErrorsNameRowAndField) {
+  const std::string tasks = runtime_error_of(with_rows(
+      "0,j,app,0,0,map,4,1,2,30,10,\n"
+      "0,j,app,0,1,red,four,1,2,30,10,0\n"));
+  EXPECT_NE(tasks.find("row 2"), std::string::npos) << tasks;
+  EXPECT_NE(tasks.find("'tasks'"), std::string::npos) << tasks;
+  EXPECT_NE(tasks.find("'four'"), std::string::npos) << tasks;
+
+  const std::string arrival =
+      runtime_error_of(with_rows("0,j,app,zero,0,map,4,1,2,30,10,\n"));
+  EXPECT_NE(arrival.find("row 1"), std::string::npos) << arrival;
+  EXPECT_NE(arrival.find("'arrival_s'"), std::string::npos) << arrival;
+
+  const std::string parents =
+      runtime_error_of(with_rows("0,j,app,0,0,map,4,1,2,30,10,x\n"));
+  EXPECT_NE(parents.find("row 1"), std::string::npos) << parents;
+  EXPECT_NE(parents.find("'parents'"), std::string::npos) << parents;
+}
+
+// phase=-1 used to resize the job to zero phases and then index SIZE_MAX.
+TEST(TraceIoErrors, NegativePhaseIndexIsRejected) {
+  const std::string what = runtime_error_of(with_rows("0,j,app,0,-1,map,4,1,2,30,10,\n"));
+  EXPECT_NE(what.find("row 1"), std::string::npos) << what;
+  EXPECT_NE(what.find("'phase'"), std::string::npos) << what;
+}
+
+// phase=2000000000 used to allocate two billion PhaseSpecs (bad_alloc): an
+// index must be below the file's row count, so memory stays bounded by the
+// input size.
+TEST(TraceIoErrors, PhaseIndexBeyondRowCountIsRejected) {
+  const std::string huge =
+      runtime_error_of(with_rows("0,j,app,0,2000000000,map,4,1,2,30,10,\n"));
+  EXPECT_NE(huge.find("row 1"), std::string::npos) << huge;
+  EXPECT_NE(huge.find("'phase'"), std::string::npos) << huge;
+  // The bound is exact: index 1 is legal in a two-row file, 2 is not.
+  EXPECT_NO_THROW((void)trace_from_csv(with_rows("0,j,app,0,0,map,4,1,2,30,10,\n"
+                                                 "0,j,app,0,1,red,1,1,2,30,10,0\n")));
+  const std::string past = runtime_error_of(with_rows("0,j,app,0,0,map,4,1,2,30,10,\n"
+                                                      "0,j,app,0,2,red,1,1,2,30,10,0\n"));
+  EXPECT_NE(past.find("row 2"), std::string::npos) << past;
 }
 
 TEST(TraceIoErrors, InvalidJobRejectedByValidation) {
