@@ -10,7 +10,7 @@
 //   * BM_ParallelSimulate/30000/T — a full simulate() of a small workload
 //     over the same fleet with the placement index and speculation passes
 //     engaged, so every sharded site (priority recompute, round filter,
-//     weighted walk, straggler scan) contributes.
+//     straggler scan) contributes.
 //
 // Thread counts above the host's hardware concurrency are skipped at
 // registration (oversubscribed runs measure scheduler-induced context

@@ -1,9 +1,9 @@
 #include "dollymp/cluster/placement_index.h"
 
 #include <algorithm>
-#include <functional>
-
-#include "dollymp/common/thread_pool.h"
+#include <bit>
+#include <stdexcept>
+#include <string>
 
 namespace dollymp {
 
@@ -28,14 +28,67 @@ inline Resources group_free(const Resources& capacity, const Resources& used) {
   return (capacity - used).clamped();
 }
 
+constexpr std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << (i & 63); }
+
 }  // namespace
+
+// ---- RankSet ----------------------------------------------------------------
+
+void PlacementIndex::RankSet::reset(std::size_t ranks) {
+  leaves_ = (ranks + 63) / 64;
+  words_.assign(leaves_ + (leaves_ + 63) / 64, 0);
+  count_ = 0;
+  lowest_ = kNoRank;
+}
+
+void PlacementIndex::RankSet::insert(std::uint32_t rank) {
+  const std::size_t w = rank >> 6;
+  if (words_[w] == 0) words_[leaves_ + (w >> 6)] |= bit(w);
+  words_[w] |= bit(rank);
+  ++count_;
+  lowest_ = std::min(lowest_, rank);
+}
+
+void PlacementIndex::RankSet::erase(std::uint32_t rank) {
+  const std::size_t w = rank >> 6;
+  words_[w] &= ~bit(rank);
+  if (words_[w] == 0) words_[leaves_ + (w >> 6)] &= ~bit(w);
+  --count_;
+  if (rank == lowest_) lowest_ = count_ == 0 ? kNoRank : next(rank + 1);
+}
+
+std::uint32_t PlacementIndex::RankSet::next(std::uint32_t from) const {
+  std::size_t w = from >> 6;
+  if (w >= leaves_) return kNoRank;
+  const std::uint64_t here = words_[w] & (~std::uint64_t{0} << (from & 63));
+  if (here != 0) return static_cast<std::uint32_t>((w << 6) | std::countr_zero(here));
+  // The first non-empty leaf word after w, found through the summary.
+  ++w;
+  std::size_t s = leaves_ + (w >> 6);
+  if (s >= words_.size()) return kNoRank;
+  std::uint64_t nonempty = words_[s] & (~std::uint64_t{0} << (w & 63));
+  while (nonempty == 0) {
+    if (++s == words_.size()) return kNoRank;
+    nonempty = words_[s];
+  }
+  w = ((s - leaves_) << 6) | static_cast<std::size_t>(std::countr_zero(nonempty));
+  return static_cast<std::uint32_t>((w << 6) | std::countr_zero(words_[w]));
+}
+
+// ---- PlacementIndex ---------------------------------------------------------
 
 PlacementIndex::PlacementIndex(const Cluster& cluster)
     : cluster_(&cluster), batch_(kBatchSlots) {
   const std::size_t n = cluster.size();
   class_of_.assign(n, -1);
+  rank_of_.assign(n, 0);
   group_of_.assign(n, kNoGroup);
   multiplier_.assign(n, 1.0);
+  nonneutral_pos_.assign(n, -1);
+  is_dirty_.assign(n, 0);
+  // Each server is listed at most once, so the dirty list never outgrows
+  // the fleet: reserving it here keeps maintenance free of reallocation.
+  dirty_.reserve(n);
 
   int max_rack = -1;
   for (const auto& server : cluster.servers()) max_rack = std::max(max_rack, server.rack());
@@ -57,6 +110,10 @@ PlacementIndex::PlacementIndex(const Cluster& cluster)
       classes_.push_back(std::move(rc));
     }
     class_of_[id] = cls;
+    // Servers arrive in ascending id order, so ranks ascend with ids.
+    ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
+    rank_of_[id] = static_cast<std::uint32_t>(rc.ids.size());
+    rc.ids.push_back(server.id());
     // Hierarchical level: bucket by (rack, class), first-seen class order
     // within each rack.  Ascending server ids keep each bucket sorted.
     auto& buckets = rack_classes_[static_cast<std::size_t>(server.rack())];
@@ -73,10 +130,9 @@ PlacementIndex::PlacementIndex(const Cluster& cluster)
     }
     bucket->members.push_back(server.id());
   }
-  // Index descending so each insert appends at the tail of its group's
-  // descending member vector — O(1) instead of a full-vector shift.
-  for (std::size_t i = cluster.size(); i-- > 0;) {
-    const Server& server = cluster.server(i);
+  // Index only now that every class's rank range — the size of its groups'
+  // bitsets — is known.
+  for (const auto& server : cluster.servers()) {
     if (!server.is_down()) index_server(server.id());
   }
 }
@@ -101,16 +157,16 @@ std::int32_t PlacementIndex::group_for(ResourceClass& cls, const Resources& used
   const auto gid = static_cast<std::int32_t>(cls.groups.size());
   Group group;
   group.used = used;
+  group.members.reset(cls.ids.size());
   cls.groups.push_back(std::move(group));
   cls.lookup.emplace(key, gid);
   // A new pool slot is the one event that can add a candidate the batched
-  // walks have not captured; everything else only churns member lists.
+  // walks have not captured; everything else only churns member sets.
   ++pool_generation_;
   return gid;
 }
 
-const PlacementIndex::BatchCache& PlacementIndex::batched_walk(
-    const Resources& demand) const {
+const PlacementIndex::BatchCache& PlacementIndex::batched_walk(const Resources& demand) {
   BatchCache* slot = nullptr;
   for (auto& cache : batch_) {
     if (cache.valid && cache.demand == demand) {
@@ -147,7 +203,7 @@ const PlacementIndex::BatchCache& PlacementIndex::batched_walk(
   return *slot;
 }
 
-void PlacementIndex::add_member(ResourceClass& cls, std::int32_t gid, ServerId id) {
+void PlacementIndex::add_member(ResourceClass& cls, std::int32_t gid, std::uint32_t rank) {
   Group& group = cls.groups[static_cast<std::size_t>(gid)];
   if (group.members.empty()) {
     group.prev = kNoGroup;
@@ -157,23 +213,15 @@ void PlacementIndex::add_member(ResourceClass& cls, std::int32_t gid, ServerId i
     }
     cls.active_head = gid;
   }
-  // Members are sorted DESCENDING: the tie-break winner (lowest id) is
-  // back(), and — because queries prefer low ids — allocation churn
-  // concentrates at low ids, whose insert/erase shifts only the short
-  // low-id suffix.  Ascending order would memmove the entire million-entry
-  // idle group on every touch of its front.
-  group.members.insert(std::lower_bound(group.members.begin(), group.members.end(), id,
-                                        std::greater<ServerId>()),
-                       id);
+  group.members.insert(rank);
 }
 
-void PlacementIndex::remove_member(ResourceClass& cls, std::int32_t gid, ServerId id) {
+void PlacementIndex::remove_member(ResourceClass& cls, std::int32_t gid, std::uint32_t rank) {
   Group& group = cls.groups[static_cast<std::size_t>(gid)];
-  group.members.erase(std::lower_bound(group.members.begin(), group.members.end(), id,
-                                       std::greater<ServerId>()));
+  group.members.erase(rank);
   if (group.members.empty()) {
-    // Unlink from the active list but keep the pool slot and the vector's
-    // capacity: churn revisits the same used vectors, so steady-state
+    // Unlink from the active list but keep the pool slot and the bitset
+    // words: churn revisits the same used vectors, so steady-state
     // maintenance never allocates.
     if (group.prev != kNoGroup) {
       cls.groups[static_cast<std::size_t>(group.prev)].next = group.next;
@@ -191,7 +239,7 @@ void PlacementIndex::index_server(ServerId id) {
   const auto i = static_cast<std::size_t>(id);
   ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
   const std::int32_t gid = group_for(cls, cluster_->server(i).used());
-  add_member(cls, gid, id);
+  add_member(cls, gid, rank_of_[i]);
   group_of_[i] = gid;
   ++bucket_of(id).up_count;
 }
@@ -199,7 +247,7 @@ void PlacementIndex::index_server(ServerId id) {
 void PlacementIndex::deindex_server(ServerId id) {
   const auto i = static_cast<std::size_t>(id);
   ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
-  remove_member(cls, group_of_[i], id);
+  remove_member(cls, group_of_[i], rank_of_[i]);
   group_of_[i] = kNoGroup;
   --bucket_of(id).up_count;
 }
@@ -207,15 +255,27 @@ void PlacementIndex::deindex_server(ServerId id) {
 void PlacementIndex::on_allocation_changed(ServerId id) {
   ++counters_.updates;
   const auto i = static_cast<std::size_t>(id);
-  const std::int32_t old_gid = group_of_[i];
-  if (old_gid == kNoGroup) return;  // down: re-indexed on repair
-  ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
-  const Resources& used = cluster_->server(i).used();
-  if (cls.groups[static_cast<std::size_t>(old_gid)].used == used) return;
-  remove_member(cls, old_gid, id);
-  const std::int32_t gid = group_for(cls, used);
-  add_member(cls, gid, id);
-  group_of_[i] = gid;
+  if (group_of_[i] == kNoGroup) return;  // down: re-indexed on repair
+  if (is_dirty_[i] != 0) return;
+  is_dirty_[i] = 1;
+  dirty_.push_back(id);
+}
+
+void PlacementIndex::flush() {
+  for (const ServerId id : dirty_) {
+    const auto i = static_cast<std::size_t>(id);
+    is_dirty_[i] = 0;
+    const std::int32_t old_gid = group_of_[i];
+    if (old_gid == kNoGroup) continue;  // went down since; re-indexed on repair
+    ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
+    const Resources& used = cluster_->server(i).used();
+    if (cls.groups[static_cast<std::size_t>(old_gid)].used == used) continue;
+    remove_member(cls, old_gid, rank_of_[i]);
+    const std::int32_t gid = group_for(cls, used);
+    add_member(cls, gid, rank_of_[i]);
+    group_of_[i] = gid;
+  }
+  dirty_.clear();
 }
 
 void PlacementIndex::on_server_down(ServerId id) {
@@ -231,27 +291,43 @@ void PlacementIndex::on_server_up(ServerId id) {
 }
 
 void PlacementIndex::set_multiplier(ServerId id, double weight) {
-  double& slot = multiplier_[static_cast<std::size_t>(id)];
-  nonneutral_ += static_cast<int>(weight != 1.0) - static_cast<int>(slot != 1.0);
-  slot = weight;
+  if (weight < 0.0) {
+    throw std::invalid_argument("PlacementIndex: negative multiplier for server " +
+                                std::to_string(id));
+  }
+  const auto i = static_cast<std::size_t>(id);
+  std::int32_t& pos = nonneutral_pos_[i];
+  if (weight != 1.0 && pos < 0) {
+    pos = static_cast<std::int32_t>(nonneutral_.size());
+    nonneutral_.push_back(id);
+  } else if (weight == 1.0 && pos >= 0) {
+    const ServerId last = nonneutral_.back();
+    nonneutral_[static_cast<std::size_t>(pos)] = last;
+    nonneutral_pos_[static_cast<std::size_t>(last)] = pos;
+    nonneutral_.pop_back();
+    pos = -1;
+  }
+  multiplier_[i] = weight;
 }
 
 double PlacementIndex::multiplier(ServerId id) const {
   return multiplier_[static_cast<std::size_t>(id)];
 }
 
-ServerId PlacementIndex::best_fit(const Resources& demand) const {
+ServerId PlacementIndex::best_fit(const Resources& demand) {
   ++counters_.queries;
+  flush();
   ServerId best = kInvalidServer;
   double best_score = -1.0;
   // Replay the cached walk: drained groups drop out via members.empty(),
   // so the candidate set is exactly the active fitting groups and the
   // precomputed scores are the linear scan's expressions — same winner.
   for (const BatchEntry& e : batched_walk(demand).entries) {
-    const Group& group = group_at(e);
+    const ResourceClass& cls = classes_[static_cast<std::size_t>(e.cls)];
+    const Group& group = cls.groups[static_cast<std::size_t>(e.gid)];
     if (group.members.empty()) continue;
     ++counters_.servers_scanned;
-    const ServerId id = group.members.back();
+    const ServerId id = cls.ids[group.members.lowest()];
     if (beats(e.score, id, best_score, best)) {
       best_score = e.score;
       best = id;
@@ -260,22 +336,23 @@ ServerId PlacementIndex::best_fit(const Resources& demand) const {
   return best;
 }
 
-ServerId PlacementIndex::first_fit(const Resources& demand) const {
+ServerId PlacementIndex::first_fit(const Resources& demand) {
   ++counters_.queries;
+  flush();
   ServerId best = kInvalidServer;
   for (const BatchEntry& e : batched_walk(demand).entries) {
-    const Group& group = group_at(e);
+    const ResourceClass& cls = classes_[static_cast<std::size_t>(e.cls)];
+    const Group& group = cls.groups[static_cast<std::size_t>(e.gid)];
     if (group.members.empty()) continue;
     ++counters_.servers_scanned;
-    const ServerId id = group.members.back();
+    const ServerId id = cls.ids[group.members.lowest()];
     if (best == kInvalidServer || id < best) best = id;
   }
   return best;
 }
 
 ServerId PlacementIndex::locality_aware(const LocalityModel& locality,
-                                        const BlockPlacement& block,
-                                        const Resources& demand) const {
+                                        const BlockPlacement& block, const Resources& demand) {
   ++counters_.queries;
   // Node-local replica first, in replica order — same as the linear helper.
   for (const ServerId replica : block.replicas) {
@@ -327,8 +404,9 @@ ServerId PlacementIndex::locality_aware(const LocalityModel& locality,
 }
 
 ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
-                                           const BlockPlacement* boost_block) const {
+                                           const BlockPlacement* boost_block) {
   ++counters_.queries;
+  flush();
   ServerId best = kInvalidServer;
   double best_score = -1.0;
   const auto consider = [&](ServerId id, double score) {
@@ -337,114 +415,54 @@ ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
       best = id;
     }
   };
-  if (nonneutral_ == 0) {
-    // Every multiplier is exactly 1.0, so non-replica members of a group are
-    // score-tied and the lowest id stands in for all of them.  A replica's
-    // 1.25 boost can only raise its score above its group's, so overlaying
-    // each fitting replica as its own candidate keeps the candidate set's
-    // maximum under `beats` equal to the full linear scan's winner.  (A
-    // replica that is also a group representative appears twice, but its
-    // boosted entry dominates its plain one, so the duplicate is inert.)
-    for (const BatchEntry& e : batched_walk(demand).entries) {
-      const Group& group = group_at(e);
-      if (group.members.empty()) continue;
+  // Three candidate sets, each scored with the linear scan's expressions:
+  //   (i)   per active fitting group, its lowest-id member whose multiplier
+  //         is exactly 1.0, at the group score (base x 1.0 == base);
+  //   (ii)  every up server whose multiplier is not 1.0 and whose group
+  //         fits, at base x multiplier;
+  //   (iii) every fitting replica of boost_block, at base x multiplier x
+  //         1.25.
+  // Every fitting server's true score is matched by a candidate (its own
+  // from (ii) or (iii), or its group's (i) representative, which has the
+  // same score and a lower-or-equal id), and no candidate scores above its
+  // own server's true score (base and multipliers are non-negative, so the
+  // boost only raises a score).  Under `beats` the best candidate is
+  // therefore the linear scan's winner.
+  for (const BatchEntry& e : batched_walk(demand).entries) {
+    const ResourceClass& cls = classes_[static_cast<std::size_t>(e.cls)];
+    const Group& group = cls.groups[static_cast<std::size_t>(e.gid)];
+    std::uint32_t rank = group.members.lowest();
+    while (rank != kNoRank && multiplier_[static_cast<std::size_t>(cls.ids[rank])] != 1.0) {
+      rank = group.members.next(rank + 1);
+    }
+    if (rank == kNoRank) continue;
+    ++counters_.servers_scanned;
+    consider(cls.ids[rank], e.score);
+  }
+  for (const ServerId id : nonneutral_) {
+    ++counters_.servers_scanned;
+    const auto i = static_cast<std::size_t>(id);
+    const std::int32_t gid = group_of_[i];
+    if (gid == kNoGroup) continue;  // down or quarantined
+    const ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
+    const Group& group = cls.groups[static_cast<std::size_t>(gid)];
+    if (!group_fits(group.used, demand, cls.capacity)) continue;
+    consider(id, demand.dot(group_free(cls.capacity, group.used)) * multiplier_[i]);
+  }
+  if (boost_block != nullptr) {
+    for (const ServerId replica : boost_block->replicas) {
       ++counters_.servers_scanned;
-      consider(group.members.back(), e.score);
-    }
-    if (boost_block != nullptr) {
-      for (const ServerId replica : boost_block->replicas) {
-        ++counters_.servers_scanned;
-        const Server& server = cluster_->server(static_cast<std::size_t>(replica));
-        if (!server.can_fit(demand)) continue;
-        consider(replica, demand.dot(server.free()) * 1.25);
-      }
-    }
-    return best;
-  }
-  // Straggler-aware multipliers are per server, so members must be scored
-  // individually — but the fit test and the base score still collapse to
-  // one evaluation per group.  The fitting groups are gathered into spans
-  // first (same class/active-list/member order as the direct nested walk),
-  // then the flattened member range is scored — serially, or sharded
-  // across the worker pool.  Per-member scores are pure (no accumulation),
-  // and `beats` is a strict total order over (score, id), so the maximum
-  // of per-shard maxima equals the serial walk's winner bit for bit
-  // regardless of shard count.
-  scratch_spans_.clear();
-  scratch_offsets_.clear();
-  std::size_t total_members = 0;
-  for (const auto& cls : classes_) {
-    if (!demand.fits_within(cls.capacity)) continue;
-    for (std::int32_t gid = cls.active_head; gid != kNoGroup;
-         gid = cls.groups[static_cast<std::size_t>(gid)].next) {
-      const Group& group = cls.groups[static_cast<std::size_t>(gid)];
-      if (!group_fits(group.used, demand, cls.capacity)) continue;
-      scratch_spans_.push_back({&group, demand.dot(group_free(cls.capacity, group.used))});
-      scratch_offsets_.push_back(total_members);
-      total_members += group.members.size();
+      const Server& server = cluster_->server(static_cast<std::size_t>(replica));
+      if (!server.can_fit(demand)) continue;
+      consider(replica, demand.dot(server.free()) *
+                            multiplier_[static_cast<std::size_t>(replica)] * 1.25);
     }
   }
-  counters_.servers_scanned += total_members;
-
-  // Score members [begin, end) of the flattened span range into a local
-  // winner — the shared body of the serial and sharded paths.
-  const auto scan_range = [&](std::size_t begin, std::size_t end, ServerId& out_best,
-                              double& out_score) {
-    ServerId local_best = kInvalidServer;
-    double local_score = -1.0;
-    std::size_t span = static_cast<std::size_t>(
-        std::upper_bound(scratch_offsets_.begin(), scratch_offsets_.end(), begin) -
-        scratch_offsets_.begin() - 1);
-    std::size_t i = begin;
-    while (i < end) {
-      const WeightedSpan& ws = scratch_spans_[span];
-      const std::size_t span_begin = scratch_offsets_[span];
-      const std::size_t span_end = span_begin + ws.group->members.size();
-      const std::size_t stop = std::min(end, span_end);
-      for (; i < stop; ++i) {
-        const ServerId id = ws.group->members[i - span_begin];
-        double score = ws.base * multiplier_[static_cast<std::size_t>(id)];
-        if (boost_block != nullptr) {
-          for (const ServerId replica : boost_block->replicas) {
-            if (replica == id) {
-              score *= 1.25;
-              break;
-            }
-          }
-        }
-        if (beats(score, id, local_score, local_best)) {
-          local_score = score;
-          local_best = id;
-        }
-      }
-      ++span;
-    }
-    out_best = local_best;
-    out_score = local_score;
-  };
-
-  const std::size_t shards = shard_count(pool_, total_members);
-  if (shards < 2) {
-    ServerId serial_best = kInvalidServer;
-    double serial_score = -1.0;
-    if (total_members > 0) scan_range(0, total_members, serial_best, serial_score);
-    if (serial_best != kInvalidServer) consider(serial_best, serial_score);
-    return best;
-  }
-  scratch_best_.assign(shards, kInvalidServer);
-  scratch_score_.assign(shards, -1.0);
-  run_shards(pool_, shards, total_members,
-             [&](std::size_t s, std::size_t begin, std::size_t end) {
-               scan_range(begin, end, scratch_best_[s], scratch_score_[s]);
-             });
-  for (std::size_t s = 0; s < shards; ++s) {
-    if (scratch_best_[s] != kInvalidServer) consider(scratch_best_[s], scratch_score_[s]);
-  }
-  if (shard_stats_ != nullptr) shard_stats_->note(shards, total_members);
   return best;
 }
 
-std::vector<ServerId> PlacementIndex::fitting_candidates(const Resources& demand) const {
+std::vector<ServerId> PlacementIndex::fitting_candidates(const Resources& demand) {
+  flush();
   std::vector<ServerId> out;
   for (const auto& cls : classes_) {
     if (!demand.fits_within(cls.capacity)) continue;
@@ -452,7 +470,10 @@ std::vector<ServerId> PlacementIndex::fitting_candidates(const Resources& demand
          gid = cls.groups[static_cast<std::size_t>(gid)].next) {
       const Group& group = cls.groups[static_cast<std::size_t>(gid)];
       if (!group_fits(group.used, demand, cls.capacity)) continue;
-      out.insert(out.end(), group.members.begin(), group.members.end());
+      for (std::uint32_t rank = group.members.lowest(); rank != kNoRank;
+           rank = group.members.next(rank + 1)) {
+        out.push_back(cls.ids[rank]);
+      }
     }
   }
   std::sort(out.begin(), out.end());

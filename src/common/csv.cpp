@@ -1,6 +1,7 @@
 #include "dollymp/common/csv.h"
 
 #include <charconv>
+#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -118,12 +119,19 @@ std::string CsvTable::where(std::size_t row, std::string_view col_name) {
 
 double CsvTable::cell_double(std::size_t row, std::string_view col_name) const {
   const std::string& s = cell(row, col_name);
-  try {
-    return std::stod(s);
-  } catch (const std::exception&) {
+  double value = 0.0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec == std::errc::invalid_argument || ptr != s.data() + s.size()) {
     throw std::runtime_error("CSV: " + where(row, col_name) + ": cell '" + s +
                              "' is not a number");
   }
+  // Out of range (1e400) and the spelled-out non-finite values (nan, inf)
+  // parse, but no field of a trace can hold them.
+  if (ec == std::errc::result_out_of_range || !std::isfinite(value)) {
+    throw std::runtime_error("CSV: " + where(row, col_name) + ": cell '" + s +
+                             "' is not a finite number");
+  }
+  return value;
 }
 
 long long CsvTable::cell_int(std::size_t row, std::string_view col_name) const {

@@ -3,29 +3,40 @@
 // The linear placement helpers (best_fit_server & friends) scan every server
 // per copy placed, which makes a scheduler invocation O(placements x servers)
 // — fine at the paper's 30-node inventory, hopeless at the 30K-server trace
-// scale of Section 6.3.  PlacementIndex maintains, incrementally on every
-// allocation / release / failure / repair, a two-level grouping that answers
-// placement queries in time proportional to the number of *distinct
-// allocation states*, not the number of servers:
+// scale of Section 6.3.  PlacementIndex maintains a two-level grouping that
+// answers placement queries in time proportional to the number of *distinct
+// allocation states* (plus the servers with a learned weight), not the
+// number of servers; no maintenance hook and no query does work that grows
+// with a group's size:
 //
 //   * Servers are partitioned into *resource classes* (exact capacity
 //     equality).  Trace inventories have a handful of machine shapes, so a
-//     demand that exceeds a class capacity skips the whole class.
+//     demand that exceeds a class capacity skips the whole class.  Each
+//     class numbers its servers with dense *ranks* that ascend with the
+//     server id.
 //   * Within a class, up servers are grouped by their exact used() vector.
 //     Every demand in the system lives on the trace model's grid (integral
 //     cores, 0.5 GB memory steps), so used vectors are sums of a small
-//     palette and the number of distinct values stays in the dozens even
-//     with 30,000 servers under churn.  All members of a group expose
+//     palette: a benchmark run over 30K-1M servers peaks at 23 to about
+//     1,200 groups.  All members of a group expose
 //     value-identical free vectors, hence identical fit answers and
 //     identical best-fit scores: one evaluation per group decides every
-//     member at once, and the group's lowest id (members.back() — members are
-//     kept sorted descending, so low-id churn shifts only a short suffix)
-//     is the tie-break winner for the whole group.
+//     member at once, and the group's lowest set rank — its lowest id — is
+//     the tie-break winner for the whole group.
+//   * A group's members are a two-level bitset over the class's ranks (leaf
+//     words plus a summary word per 64 leaf words), with a member count and
+//     a cached lowest rank: insert and erase are O(1), and the lowest rank
+//     is recomputed with a forward scan only when the lowest member leaves.
 //   * Groups are pooled per class and found through an insert-only map from
 //     used vector to pool slot.  A drained group is unlinked from the
-//     active list but keeps its slot and its members vector's capacity, so
-//     steady-state maintenance — allocation churn revisiting the same used
-//     vectors — performs no heap allocation.
+//     active list but keeps its slot and its bitset words, so steady-state
+//     maintenance — allocation churn revisiting the same used vectors —
+//     performs no heap allocation.
+//   * Allocation changes are applied lazily: on_allocation_changed only
+//     marks the server dirty, and the next query first moves every dirty
+//     up server to the group of its current used().  An allocate/release
+//     pair with no query in between costs two flag writes.  Failure and
+//     repair (on_server_down / on_server_up) stay eager.
 //   * A hierarchical rack -> capacity-class level serves the rack-local
 //     pass of locality_aware_server: each rack holds one member bucket per
 //     resource class present in it, with an up-count.  A demand that
@@ -43,11 +54,13 @@
 // group-level evaluation equals every member's.  The winner is selected
 // with the explicit comparator (score > best) || (score == best && id <
 // best_id) — exactly the result of the ascending-id scan with a strict `>`.
+// Because that comparator is a total order, no decision depends on the
+// order in which groups were created or are visited.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <utility>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
@@ -55,9 +68,6 @@
 #include "dollymp/common/resources.h"
 
 namespace dollymp {
-
-class ThreadPool;
-struct ShardStats;
 
 class PlacementIndex {
  public:
@@ -68,73 +78,64 @@ class PlacementIndex {
 
   // ----- maintenance hooks ---------------------------------------------------
 
-  /// Server `id`'s allocation changed (allocate or release): move it to the
-  /// group matching its new used vector.  O(log #groups + log group size).
+  /// Server `id`'s allocation changed (allocate or release): mark it dirty.
+  /// O(1); the next query moves it to the group matching its used vector.
   void on_allocation_changed(ServerId id);
   /// Server `id` went down: remove it from all candidate structures.
   void on_server_down(ServerId id);
   /// Server `id` came back up: re-index it from its current allocation.
   void on_server_up(ServerId id);
 
-  /// Attach the deterministic parallel core's worker pool (and the
-  /// shard-stats accumulator its dispatches note into).  With a pool, the
-  /// non-neutral weighted_best_fit walk — the one query that visits every
-  /// member individually — shards its member scan across the pool; the
-  /// per-shard winners merge under the same total-order comparator the
-  /// serial walk maximizes, so the answer is bit-identical for any thread
-  /// count.  Null (the default) keeps every query serial.
-  void set_parallelism(ThreadPool* pool, ShardStats* stats) {
-    pool_ = pool;
-    shard_stats_ = stats;
-  }
-
   /// Per-server score multiplier used by weighted_best_fit (DollyMP's
   /// straggler-aware placement weight).  Defaults to 1.0 for every server.
+  /// Must not be negative (the scorer's weights are reciprocals of positive
+  /// slowdown estimates); a negative weight throws std::invalid_argument.
   void set_multiplier(ServerId id, double weight);
   [[nodiscard]] double multiplier(ServerId id) const;
 
   // ----- queries (bit-identical to the linear scans) -------------------------
   //
-  // best_fit, first_fit and the neutral-multiplier weighted_best_fit answer
-  // from a batched walk: the capacity-group walk for a demand is captured
-  // once into a cached candidate list and replayed for every same-demand
-  // query until the group pool grows.  A Group's used vector — and
-  // therefore its per-demand fit answer and score — is immutable for the
-  // lifetime of its pool slot; only its member list churns.  So one pass
-  // over the pool per (demand, pool generation) captures every group that
-  // can ever fit, with its score precomputed, and a query is a flat scan of
-  // that list skipping currently-drained groups: the candidate set is the
-  // active fitting groups, scores are the identical float expressions, and
-  // `beats` is enumeration-order independent — bit-identical decisions,
-  // one capacity-group walk per wakeup batch instead of one per task.
+  // Every query first applies the pending allocation changes (see
+  // on_allocation_changed), so queries are non-const.  best_fit, first_fit
+  // and weighted_best_fit answer from a batched walk: the capacity-group
+  // walk for a demand is captured once into a cached candidate list and
+  // replayed for every same-demand query until the group pool grows.  A
+  // Group's used vector — and therefore its per-demand fit answer and
+  // score — is immutable for the lifetime of its pool slot; only its
+  // members churn.  So one pass over the pool per (demand, pool generation)
+  // captures every group that can ever fit, with its score precomputed, and
+  // a query is a flat scan of that list skipping currently-drained groups:
+  // the candidate set is the active fitting groups, scores are the
+  // identical float expressions, and `beats` is enumeration-order
+  // independent — bit-identical decisions, one capacity-group walk per
+  // wakeup batch instead of one per task.
 
   /// Equivalent of best_fit_server(cluster, demand).
-  [[nodiscard]] ServerId best_fit(const Resources& demand) const;
+  [[nodiscard]] ServerId best_fit(const Resources& demand);
 
   /// Equivalent of first_fit_server(cluster, demand).
-  [[nodiscard]] ServerId first_fit(const Resources& demand) const;
+  [[nodiscard]] ServerId first_fit(const Resources& demand);
 
   /// Equivalent of locality_aware_server(cluster, locality, task) given the
   /// task's block placement and demand.
   [[nodiscard]] ServerId locality_aware(const LocalityModel& locality,
-                                        const BlockPlacement& block,
-                                        const Resources& demand) const;
+                                        const BlockPlacement& block, const Resources& demand);
 
   /// Equivalent of DollyMP's straggler-aware pick: maximize
   /// demand.dot(free) * multiplier(id), boosted by 1.25 when the server
   /// holds a replica of `boost_block` (pass nullptr for no boost), ties to
-  /// the lowest id.  While every multiplier is exactly 1.0 (the scorer's
-  /// cold prior) groups collapse as in best_fit, with each fitting replica
-  /// overlaid as its own boosted candidate; once any multiplier deviates
-  /// the scan walks group members individually (still skipping non-fitting
-  /// classes and groups, and sharing the group's base score).
+  /// the lowest id.  Three candidate sets cover every server: per active
+  /// fitting group, its lowest-id member with multiplier exactly 1.0 at the
+  /// group score; every server whose multiplier is not 1.0, individually;
+  /// and every fitting replica of `boost_block`, boosted.  A query costs
+  /// O(fitting groups + non-neutral servers + replicas).
   [[nodiscard]] ServerId weighted_best_fit(const Resources& demand,
-                                           const BlockPlacement* boost_block) const;
+                                           const BlockPlacement* boost_block);
 
   /// All up servers that can_fit(demand), ascending id — test/debug utility
   /// for validating candidate enumeration against a brute-force scan (not
   /// used on the hot path; allocates).
-  [[nodiscard]] std::vector<ServerId> fitting_candidates(const Resources& demand) const;
+  [[nodiscard]] std::vector<ServerId> fitting_candidates(const Resources& demand);
 
   // ----- observability -------------------------------------------------------
 
@@ -154,17 +155,41 @@ class PlacementIndex {
 
  private:
   static constexpr std::int32_t kNoGroup = -1;
+  static constexpr std::uint32_t kNoRank = UINT32_MAX;
+
+  /// A set of class-local ranks: leaf words hold one bit per rank, summary
+  /// words one bit per non-empty leaf word.  Both live in one vector (the
+  /// summary after the leaves), sized once by reset and never reallocated
+  /// afterwards, so a group costs a single allocation.
+  class RankSet {
+   public:
+    void reset(std::size_t ranks);
+    void insert(std::uint32_t rank);
+    void erase(std::uint32_t rank);
+    [[nodiscard]] bool empty() const { return count_ == 0; }
+    /// Lowest member, kNoRank when empty (cached, O(1)).
+    [[nodiscard]] std::uint32_t lowest() const { return lowest_; }
+    /// Lowest member >= `from`, kNoRank when there is none.
+    [[nodiscard]] std::uint32_t next(std::uint32_t from) const;
+
+   private:
+    std::vector<std::uint64_t> words_;  ///< leaves_ leaf words, then summary
+    std::size_t leaves_ = 0;
+    std::uint32_t count_ = 0;
+    std::uint32_t lowest_ = kNoRank;
+  };
 
   /// Up servers of one class whose used() vectors are value-identical.
   struct Group {
     Resources used;
-    std::vector<ServerId> members;  ///< descending; capacity kept when drained
-    std::int32_t prev = kNoGroup;   ///< active-list links (empty => unlinked)
+    RankSet members;               ///< words kept when drained
+    std::int32_t prev = kNoGroup;  ///< active-list links (empty => unlinked)
     std::int32_t next = kNoGroup;
   };
 
   struct ResourceClass {
     Resources capacity;
+    std::vector<ServerId> ids;  ///< rank -> server, ascending
     std::vector<Group> groups;  ///< pool; slots are never reclaimed
     /// used -> pool slot.  Insert-only: churn revisits the same used
     /// vectors, so in steady state every lookup hits.
@@ -189,25 +214,30 @@ class PlacementIndex {
     std::vector<BatchEntry> entries;  ///< capacity kept across rebuilds
   };
   /// The cached walk for `demand`, rebuilt on miss or stale generation.
-  [[nodiscard]] const BatchCache& batched_walk(const Resources& demand) const;
-  [[nodiscard]] const Group& group_at(const BatchEntry& e) const {
-    const ResourceClass& cls = classes_[static_cast<std::size_t>(e.cls)];
-    return cls.groups[static_cast<std::size_t>(e.gid)];
-  }
+  [[nodiscard]] const BatchCache& batched_walk(const Resources& demand);
 
+  /// Move every dirty up server to the group of its current used().
+  void flush();
   /// Pool slot for `used`, creating the group on first sight.
   [[nodiscard]] std::int32_t group_for(ResourceClass& cls, const Resources& used);
-  void add_member(ResourceClass& cls, std::int32_t gid, ServerId id);
-  void remove_member(ResourceClass& cls, std::int32_t gid, ServerId id);
+  void add_member(ResourceClass& cls, std::int32_t gid, std::uint32_t rank);
+  void remove_member(ResourceClass& cls, std::int32_t gid, std::uint32_t rank);
   void index_server(ServerId id);
   void deindex_server(ServerId id);
 
   const Cluster* cluster_;
   std::vector<ResourceClass> classes_;
   std::vector<std::int32_t> class_of_;  // server -> class index
+  std::vector<std::uint32_t> rank_of_;  // server -> rank within its class
   std::vector<std::int32_t> group_of_;  // server -> pool slot; kNoGroup = down
   std::vector<double> multiplier_;
-  int nonneutral_ = 0;  // count of multipliers != 1.0 (0 => groups collapse)
+  /// Servers whose multiplier is not 1.0, in no particular order, and each
+  /// server's position in it (-1 = absent) for O(1) swap-remove.
+  std::vector<ServerId> nonneutral_;
+  std::vector<std::int32_t> nonneutral_pos_;
+  /// Servers whose allocation changed since the last flush (each once).
+  std::vector<ServerId> dirty_;
+  std::vector<std::uint8_t> is_dirty_;
 
   /// Bumped whenever any class's group pool grows — the sole event that can
   /// add a candidate a cached walk does not know about.
@@ -216,8 +246,8 @@ class PlacementIndex {
   /// demands in flight per wakeup come from a small palette (the trace
   /// model's grid), so this stays effectively fully associative.
   static constexpr std::size_t kBatchSlots = 8;
-  mutable std::vector<BatchCache> batch_;
-  mutable std::size_t batch_clock_ = 0;  ///< next slot to evict
+  std::vector<BatchCache> batch_;
+  std::size_t batch_clock_ = 0;  ///< next slot to evict
 
   /// One capacity class's members within one rack: the hierarchical
   /// rack -> class level.  Member lists are static (built once, ascending);
@@ -230,24 +260,7 @@ class PlacementIndex {
   std::vector<std::vector<RackClassBucket>> rack_classes_;  // rack -> buckets
   /// The (rack, class) bucket holding `id` (built at construction).
   [[nodiscard]] RackClassBucket& bucket_of(ServerId id);
-  mutable Counters counters_;
-
-  /// One fitting group of the weighted member walk: the group plus its
-  /// shared base score (evaluated once, exactly as the serial walk does).
-  struct WeightedSpan {
-    const Group* group;
-    double base;
-  };
-
-  ThreadPool* pool_ = nullptr;        ///< parallel core's pool; null = serial
-  ShardStats* shard_stats_ = nullptr;
-  // Scratch for the sharded weighted walk, reused across queries (cleared,
-  // never shrunk).  Queries run on the scheduling thread only; shard bodies
-  // touch disjoint slots of scratch_best_/scratch_score_.
-  mutable std::vector<WeightedSpan> scratch_spans_;
-  mutable std::vector<std::size_t> scratch_offsets_;  // span -> first member index
-  mutable std::vector<ServerId> scratch_best_;
-  mutable std::vector<double> scratch_score_;
+  Counters counters_;
 };
 
 }  // namespace dollymp

@@ -35,8 +35,9 @@ class CsvTable {
 
   [[nodiscard]] const std::string& cell(std::size_t row, std::size_t col) const;
   [[nodiscard]] const std::string& cell(std::size_t row, std::string_view col_name) const;
-  /// Typed cells; a cell that does not parse throws std::runtime_error
-  /// naming the row and the field (see where()).
+  /// Typed cells; a cell that does not parse in full (trailing characters
+  /// included) throws std::runtime_error naming the row and the field (see
+  /// where()), and so does a double cell that is not finite.
   [[nodiscard]] double cell_double(std::size_t row, std::string_view col_name) const;
   [[nodiscard]] long long cell_int(std::size_t row, std::string_view col_name) const;
 

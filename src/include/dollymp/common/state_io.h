@@ -109,6 +109,9 @@ class StateReader {
   StateReader(const std::uint8_t* data, std::size_t size);
   explicit StateReader(const std::vector<std::uint8_t>& data)
       : StateReader(data.data(), data.size()) {}
+  /// A temporary buffer would be destroyed while the reader still points
+  /// into it: hold the bytes in a named variable instead.
+  explicit StateReader(std::vector<std::uint8_t>&&) = delete;
 
   [[nodiscard]] std::uint8_t u8() {
     need(1);

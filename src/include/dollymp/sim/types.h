@@ -171,13 +171,13 @@ struct SimConfig {
   double gang_spread_penalty = 0.15;
 
   /// Worker threads for the deterministic parallel scheduling core: the
-  /// per-job priority recompute, the weighted placement scan and the
-  /// speculation sweep shard across a pool of this many threads, each with
-  /// a fixed-shard-order reduction so the decision stream (and the
-  /// flight-recorder hash) is bit-identical to the sequential run.  1 (the
-  /// default) keeps today's exact single-threaded path with no pool at all;
-  /// 0 selects hardware_concurrency.  Asserted by the paired-seed
-  /// equivalence suite and the parallel fuzzer.
+  /// per-job priority recompute and the speculation sweep shard across a
+  /// pool of this many threads, each with a fixed-shard-order reduction so
+  /// the decision stream (and the flight-recorder hash) is bit-identical
+  /// to the sequential run.  1 (the default) keeps today's exact
+  /// single-threaded path with no pool at all; 0 selects
+  /// hardware_concurrency.  Asserted by the paired-seed equivalence suite
+  /// and the parallel fuzzer.
   int threads = 1;
 
   /// Maintain an incremental PlacementIndex over the cluster and expose it

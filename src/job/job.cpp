@@ -1,5 +1,7 @@
 #include "dollymp/job/job.h"
 
+#include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace dollymp {
@@ -12,13 +14,23 @@ int JobSpec::total_tasks() const {
 
 void JobSpec::validate() const {
   if (phases.empty()) throw std::invalid_argument("JobSpec: job must have >= 1 phase");
+  // Every check below also rejects NaN, which compares false both ways.
+  if (!std::isfinite(arrival_seconds)) {
+    throw std::invalid_argument("JobSpec: arrival must be finite");
+  }
   for (std::size_t k = 0; k < phases.size(); ++k) {
     const auto& p = phases[k];
     if (p.task_count < 1) throw std::invalid_argument("JobSpec: phase needs >= 1 task");
-    if (!(p.theta_seconds > 0.0)) {
-      throw std::invalid_argument("JobSpec: theta must be > 0");
+    if (!(p.theta_seconds > 0.0) || !std::isfinite(p.theta_seconds)) {
+      throw std::invalid_argument("JobSpec: theta must be finite and > 0");
     }
-    if (p.sigma_seconds < 0.0) throw std::invalid_argument("JobSpec: sigma must be >= 0");
+    if (!(p.sigma_seconds >= 0.0) || !std::isfinite(p.sigma_seconds)) {
+      throw std::invalid_argument("JobSpec: sigma must be finite and >= 0");
+    }
+    const auto& dims = p.demand.dims;
+    if (!std::all_of(dims.begin(), dims.end(), [](double d) { return std::isfinite(d); })) {
+      throw std::invalid_argument("JobSpec: per-task demand must be finite");
+    }
     if (!p.demand.non_negative() || p.demand.is_zero()) {
       throw std::invalid_argument("JobSpec: per-task demand must be positive");
     }

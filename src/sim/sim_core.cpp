@@ -107,7 +107,6 @@ SimCore::SimCore(Cluster cluster, const SimConfig& config)
     pool_.emplace(static_cast<std::size_t>(config_.threads));
     if (pool_->size() < 2) pool_.reset();
   }
-  if (index_) index_->set_parallelism(worker_pool(), &parallel_stats_);
 }
 
 // ---- streaming driver ------------------------------------------------------
@@ -1340,7 +1339,6 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   // quarantined servers explicitly.
   if (config_.use_placement_index) {
     index_.emplace(cluster_);
-    index_->set_parallelism(worker_pool(), &parallel_stats_);
     for (std::size_t s = 0; s < cluster_.size(); ++s) {
       const Server& server = cluster_.server(s);
       if (!server.is_down() && server.is_quarantined()) {

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -95,7 +96,13 @@ std::vector<JobSpec> trace_from_csv(const std::string& csv_text) {
     if (job.phases.size() <= phase_idx) job.phases.resize(phase_idx + 1);
     PhaseSpec& phase = job.phases[phase_idx];
     phase.name = table.cell(r, "phase_name");
-    phase.task_count = static_cast<int>(table.cell_int(r, "tasks"));
+    // Range-check before narrowing: 4294967297 would wrap to one task.
+    const long long tasks = table.cell_int(r, "tasks");
+    if (tasks < std::numeric_limits<int>::min() || tasks > std::numeric_limits<int>::max()) {
+      throw std::runtime_error("trace: " + CsvTable::where(r, "tasks") + ": " +
+                               std::to_string(tasks) + " does not fit a task count");
+    }
+    phase.task_count = static_cast<int>(tasks);
     const double gpus =
         table.column("gpu").has_value() ? table.cell_double(r, "gpu") : 0.0;
     phase.demand = {table.cell_double(r, "cpu"), table.cell_double(r, "mem_gb"), gpus};

@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace dollymp {
 namespace {
@@ -84,6 +85,25 @@ TEST(Csv, TypedAccessErrorsNameRowAndField) {
   } catch (const std::runtime_error& e) {
     EXPECT_STREQ(e.what(), "CSV: row 2, field 'd': cell 'abc' is not a number");
   }
+}
+
+TEST(Csv, CellDoubleRejectsTrailingCharactersAndNonFinite) {
+  const auto t = CsvTable::parse("d\n2.5abc\nnan\ninf\n-inf\n1e400\n\n1e3\n");
+  const auto error_of = [&](std::size_t row) -> std::string {
+    try {
+      (void)t.cell_double(row, "d");
+    } catch (const std::runtime_error& e) {
+      return e.what();
+    }
+    return "";
+  };
+  EXPECT_EQ(error_of(0), "CSV: row 1, field 'd': cell '2.5abc' is not a number");
+  EXPECT_EQ(error_of(1), "CSV: row 2, field 'd': cell 'nan' is not a finite number");
+  EXPECT_EQ(error_of(2), "CSV: row 3, field 'd': cell 'inf' is not a finite number");
+  EXPECT_EQ(error_of(3), "CSV: row 4, field 'd': cell '-inf' is not a finite number");
+  EXPECT_EQ(error_of(4), "CSV: row 5, field 'd': cell '1e400' is not a finite number");
+  EXPECT_EQ(error_of(5), "CSV: row 6, field 'd': cell '' is not a number");
+  EXPECT_EQ(t.cell_double(6, "d"), 1000.0);
 }
 
 TEST(Csv, WriterQuotesWhenNeeded) {

@@ -29,18 +29,30 @@ std::atomic<std::uint64_t> g_alloc_count{0};
 std::atomic<bool> g_counting{false};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Every form the binary allocates through is replaced, the nothrow ones
+// included (std::stable_sort's temporary buffer uses them), so each
+// allocation is counted and no pointer from a library allocator reaches
+// the replaced operator delete.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
   if (g_counting.load(std::memory_order_relaxed)) {
     g_alloc_count.fetch_add(1, std::memory_order_relaxed);
   }
-  if (void* p = std::malloc(size ? size : 1)) return p;
+  return std::malloc(size ? size : 1);
+}
+void* operator new(std::size_t size) {
+  if (void* p = operator new(size, std::nothrow)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return operator new(size); }
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  return operator new(size, std::nothrow);
+}
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace dollymp {
 namespace {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dollymp/job/dag.h"
 #include "dollymp/job/effective.h"
 #include "dollymp/job/job.h"
@@ -46,6 +48,27 @@ TEST(JobSpec, ValidateRejectsBadPhase) {
 
   job = JobSpec::single_task(1, {0, 0}, 10.0);
   EXPECT_THROW(job.validate(), std::invalid_argument);
+}
+
+TEST(JobSpec, ValidateRejectsNonFiniteFields) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double bad : {nan, inf, -inf}) {
+    JobSpec job = JobSpec::single_task(1, {1, 1}, 10.0, 1.0);
+    job.arrival_seconds = bad;
+    EXPECT_THROW(job.validate(), std::invalid_argument) << "arrival " << bad;
+
+    job = JobSpec::single_task(1, {1, 1}, 10.0, 1.0);
+    job.phases[0].theta_seconds = bad;
+    EXPECT_THROW(job.validate(), std::invalid_argument) << "theta " << bad;
+
+    job = JobSpec::single_task(1, {1, 1}, 10.0, 1.0);
+    job.phases[0].sigma_seconds = bad;
+    EXPECT_THROW(job.validate(), std::invalid_argument) << "sigma " << bad;
+
+    job = JobSpec::single_task(1, {1, bad}, 10.0, 1.0);
+    EXPECT_THROW(job.validate(), std::invalid_argument) << "demand " << bad;
+  }
 }
 
 TEST(JobSpec, ValidateRejectsBadParents) {

@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "dollymp/cluster/placement_index.h"
 #include "dollymp/common/thread_pool.h"
 #include "dollymp/obs/replay.h"
 #include "dollymp/sched/capacity.h"
@@ -202,15 +201,16 @@ TEST(ParallelEquivalence, Paper30EveryPolicyEveryThreadCount) {
 }
 
 // Same matrix at trace scale: the 3K-server google-trace machine mix,
-// where the placement index and its sharded weighted walk actually engage.
+// where the placement index actually engages.
 TEST(ParallelEquivalence, GoogleTrace3KEveryPolicyEveryThreadCount) {
   run_matrix(Cluster::google_trace(3000), matrix_workload(11, 6), "google3k");
 }
 
-// The weighted placement walk only departs from the collapsed group scan
-// once per-server multipliers deviate from 1.0 — which requires DollyMP's
+// The weighted placement walk only scores servers individually once
+// per-server multipliers deviate from 1.0 — which requires DollyMP's
 // straggler-aware scorer.  None of the matrix policies enables it, so pin
-// the non-neutral sharded path with a dedicated differential.
+// the learned-weight path across thread counts with a dedicated
+// differential.
 TEST(ParallelEquivalence, StragglerAwareWeightedWalkMatchesSequential) {
   const Cluster cluster = Cluster::google_trace(3000);
   const auto jobs = matrix_workload(5, 8);
@@ -230,42 +230,10 @@ TEST(ParallelEquivalence, StragglerAwareWeightedWalkMatchesSequential) {
     EXPECT_TRUE(report.identical) << "threads=" << threads << "\n" << report.to_string();
     expect_stats_equal(reference.stats, parallel.stats,
                        "straggler/threads=" + std::to_string(threads));
-    // The parallel run must actually have exercised the sharded walk —
-    // otherwise this test proves nothing.
+    // The parallel run must actually have exercised the sharded priority
+    // and speculation passes — otherwise this test proves nothing.
     EXPECT_GT(parallel.stats.parallel_sections, 0) << "threads=" << threads;
   }
-}
-
-// Unit-level differential for PlacementIndex::weighted_best_fit: identical
-// winners with and without a pool attached, across varied multipliers and
-// replica boosts.
-TEST(ParallelEquivalence, WeightedBestFitUnitSerialVsSharded) {
-  const Cluster cluster = Cluster::google_trace(500);
-  PlacementIndex serial(cluster);
-  PlacementIndex sharded(cluster);
-  ThreadPool pool(4);
-  ShardStats stats;
-  sharded.set_parallelism(&pool, &stats);
-  // Deterministic non-uniform multipliers so groups cannot collapse.
-  for (ServerId id = 0; id < static_cast<ServerId>(cluster.size()); ++id) {
-    const double w = 0.5 + 0.001 * static_cast<double>((id * 37) % 997);
-    serial.set_multiplier(id, w);
-    sharded.set_multiplier(id, w);
-  }
-  BlockPlacement block;
-  block.replicas = {3, 250, 499};
-  for (const Resources demand :
-       {Resources{1.0, 1.0}, Resources{2.0, 4.0}, Resources{0.5, 8.0}, Resources{16.0, 1.0}}) {
-    const BlockPlacement* const boosts[] = {nullptr, &block};
-    for (const BlockPlacement* boost : boosts) {
-      const ServerId a = serial.weighted_best_fit(demand, boost);
-      const ServerId b = sharded.weighted_best_fit(demand, boost);
-      EXPECT_EQ(a, b) << "demand=(" << demand.cpu() << "," << demand.mem() << ")"
-                      << " boost=" << (boost != nullptr);
-    }
-  }
-  EXPECT_GT(stats.sections, 0);
-  EXPECT_EQ(serial.counters().servers_scanned, sharded.counters().servers_scanned);
 }
 
 // The priority oracle's scratch arena reaches steady state: after the first

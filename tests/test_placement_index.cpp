@@ -1,15 +1,16 @@
 // Invariant tests for the incremental free-capacity placement index.
 //
 // Strategy: drive a heterogeneous cluster through a long randomized
-// sequence of place / release / fail / repair events, maintaining the
-// index exactly as the simulator does, and after EVERY mutation check all
-// four query kinds against brute-force linear references over the live
-// cluster state — candidate sets, best-fit winners (including the
-// lowest-id tie-break), first-fit, locality- and weight-aware picks.
+// sequence of place / release / fail / repair / reweight events,
+// maintaining the index exactly as the simulator does, and after EVERY
+// mutation check all query kinds against brute-force linear references
+// over the live cluster state — candidate sets, best-fit winners (including
+// the lowest-id tie-break), first-fit, locality- and weight-aware picks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <deque>
+#include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
@@ -72,29 +73,28 @@ struct LiveCopy {
 
 class IndexFuzzHarness {
  public:
-  IndexFuzzHarness(Cluster cluster, std::uint64_t seed)
+  /// With `scatter`, half the placements go to a uniformly random server
+  /// instead of the best-fit winner — the way locality-replica placement
+  /// lands — so group members spread over the whole id range.
+  IndexFuzzHarness(Cluster cluster, std::uint64_t seed, bool scatter = false)
       : cluster_(std::move(cluster)),
         locality_({}, cluster_),
         index_(cluster_),
         rng_(seed),
+        scatter_(scatter),
         multipliers_(cluster_.size(), 1.0) {}
 
   void check_all_queries() {
-    for (const Resources& demand : kPalette) {
-      EXPECT_EQ(index_.fitting_candidates(demand),
-                brute_force_candidates(cluster_, demand));
-      EXPECT_EQ(index_.best_fit(demand), best_fit_server(cluster_, demand));
-      EXPECT_EQ(index_.first_fit(demand), first_fit_server(cluster_, demand));
-
-      TaskRuntime task;
-      task.demand = demand;
-      task.block = block_;
-      EXPECT_EQ(index_.locality_aware(locality_, task.block, demand),
-                locality_aware_server(cluster_, locality_, task));
-      EXPECT_EQ(index_.weighted_best_fit(demand, &block_),
-                weighted_reference(cluster_, demand, multipliers_, &block_));
-      EXPECT_EQ(index_.weighted_best_fit(demand, nullptr),
-                weighted_reference(cluster_, demand, multipliers_, nullptr));
+    // The index applies allocation changes at the next query, so each
+    // query kind answers from its own copy of the index as the last
+    // mutation left it and must apply them itself.  The first demand
+    // rotates from check to check.
+    const std::size_t start = checks_++ % kPalette.size();
+    for (std::size_t kind = 0; kind < kQueryKinds; ++kind) {
+      PlacementIndex pending = index_;
+      for (std::size_t k = 0; k < kPalette.size(); ++k) {
+        check_query(pending, kind, kPalette[(start + k) % kPalette.size()]);
+      }
     }
   }
 
@@ -114,16 +114,85 @@ class IndexFuzzHarness {
     if (rng_.chance(0.2)) block_ = locality_.place_block(rng_);
   }
 
+  /// Place a copy on a random server, then fail that server before any
+  /// query has seen the allocation: its pending regroup must be dropped.
+  void place_then_fail() {
+    const ServerId sid = place_on_random_server();
+    if (sid != kInvalidServer) fail(sid);
+  }
+
+  /// Place a copy on a random server, fail it, repair it and place on it
+  /// again, all before any query: the server is still marked dirty when
+  /// on_server_up re-indexes it, and its next allocation change must not
+  /// be lost.
+  void place_fail_repair() {
+    const ServerId sid = place_on_random_server();
+    if (sid == kInvalidServer) return;
+    fail(sid);
+    repair(sid);
+    (void)place_on(sid, kPalette[rng_() % kPalette.size()]);
+  }
+
   [[nodiscard]] std::size_t live_copies() const { return live_.size(); }
 
  private:
+  static constexpr std::size_t kQueryKinds = 6;
+
+  void check_query(PlacementIndex& index, std::size_t kind, const Resources& demand) {
+    switch (kind) {
+      case 0:
+        EXPECT_EQ(index.fitting_candidates(demand), brute_force_candidates(cluster_, demand));
+        break;
+      case 1:
+        EXPECT_EQ(index.best_fit(demand), best_fit_server(cluster_, demand));
+        break;
+      case 2:
+        EXPECT_EQ(index.first_fit(demand), first_fit_server(cluster_, demand));
+        break;
+      case 3: {
+        TaskRuntime task;
+        task.demand = demand;
+        task.block = block_;
+        EXPECT_EQ(index.locality_aware(locality_, task.block, demand),
+                  locality_aware_server(cluster_, locality_, task));
+        break;
+      }
+      case 4:
+        EXPECT_EQ(index.weighted_best_fit(demand, &block_),
+                  weighted_reference(cluster_, demand, multipliers_, &block_));
+        break;
+      default:
+        EXPECT_EQ(index.weighted_best_fit(demand, nullptr),
+                  weighted_reference(cluster_, demand, multipliers_, nullptr));
+        break;
+    }
+  }
+
+  /// Allocate `demand` on `sid` if it fits; returns whether it did.
+  bool place_on(ServerId sid, const Resources& demand) {
+    Server& server = cluster_.server(static_cast<std::size_t>(sid));
+    if (!server.can_fit(demand)) return false;
+    EXPECT_TRUE(server.allocate(demand));
+    index_.on_allocation_changed(sid);
+    live_.push_back({sid, demand});
+    return true;
+  }
+
+  ServerId place_on_random_server() {
+    const Resources& demand = kPalette[rng_() % kPalette.size()];
+    const auto sid = static_cast<ServerId>(rng_() % cluster_.size());
+    return place_on(sid, demand) ? sid : kInvalidServer;
+  }
+
   void place_one() {
+    if (scatter_ && rng_.chance(0.5)) {
+      (void)place_on_random_server();
+      return;
+    }
     const Resources& demand = kPalette[rng_() % kPalette.size()];
     const ServerId sid = index_.best_fit(demand);
     if (sid == kInvalidServer) return;
-    ASSERT_TRUE(cluster_.server(static_cast<std::size_t>(sid)).allocate(demand));
-    index_.on_allocation_changed(sid);
-    live_.push_back({sid, demand});
+    ASSERT_TRUE(place_on(sid, demand));
   }
 
   void release_one() {
@@ -135,8 +204,9 @@ class IndexFuzzHarness {
     index_.on_allocation_changed(copy.server);
   }
 
-  void fail_one() {
-    const auto sid = static_cast<ServerId>(rng_() % cluster_.size());
+  void fail_one() { fail(static_cast<ServerId>(rng_() % cluster_.size())); }
+
+  void fail(ServerId sid) {
     auto& server = cluster_.server(static_cast<std::size_t>(sid));
     if (server.is_down()) return;
     // Simulator order: mark down, retire from the index, then kill the
@@ -151,8 +221,9 @@ class IndexFuzzHarness {
     }
   }
 
-  void repair_one() {
-    const auto sid = static_cast<ServerId>(rng_() % cluster_.size());
+  void repair_one() { repair(static_cast<ServerId>(rng_() % cluster_.size())); }
+
+  void repair(ServerId sid) {
     auto& server = cluster_.server(static_cast<std::size_t>(sid));
     if (!server.is_down()) return;
     server.set_down(false);
@@ -160,8 +231,23 @@ class IndexFuzzHarness {
   }
 
   void reweight_one() {
-    const auto sid = static_cast<ServerId>(rng_() % cluster_.size());
-    const double weight = rng_.uniform(1.0 / 16.0, 2.0);
+    const std::size_t n = cluster_.size();
+    // A quarter of the reweights hit the lowest ids, which represent their
+    // groups in the weighted walk: a learned weight there makes a group's
+    // lowest member non-neutral.
+    const std::size_t range = rng_.chance(0.25) ? std::min<std::size_t>(n, 8) : n;
+    const auto sid = static_cast<ServerId>(rng_() % range);
+    double weight = rng_.uniform(1.0 / 16.0, 2.0);
+    const auto kind = rng_() % 4;
+    if (kind == 0) {
+      weight = 1.0;  // back to neutral: the server leaves the learned list
+    } else if (kind == 1) {
+      // One ulp from another server's weight, so base x multiplier products
+      // of two servers can tie and fall to the lowest-id tie-break.
+      const double other = multipliers_[rng_() % n];
+      const bool down = rng_.chance(0.5);
+      weight = std::nextafter(other, down ? 0.0 : 4.0);
+    }
     multipliers_[static_cast<std::size_t>(sid)] = weight;
     index_.set_multiplier(sid, weight);
   }
@@ -170,9 +256,11 @@ class IndexFuzzHarness {
   LocalityModel locality_;
   PlacementIndex index_;
   Rng rng_;
+  bool scatter_;
   std::vector<double> multipliers_;
   std::vector<LiveCopy> live_;
   BlockPlacement block_;
+  std::size_t checks_ = 0;
 };
 
 TEST(PlacementIndex, RandomizedChurnMatchesBruteForce) {
@@ -191,6 +279,68 @@ TEST(PlacementIndex, RandomizedChurnHeterogeneousTraceInventory) {
     harness.random_op();
     harness.check_all_queries();
   }
+}
+
+// A class far larger than one summary word's reach (64 x 64 = 4,096
+// ranks): scattered placements leave groups whose members sit leaf and
+// summary words apart, so erasing a group's lowest member and enumerating
+// its members both walk the bitset's second level.
+TEST(PlacementIndex, LargeClassScatteredChurnMatchesBruteForce) {
+  IndexFuzzHarness harness(Cluster::uniform(10000, {16, 64}), 29, /*scatter=*/true);
+  for (int op = 0; op < 200; ++op) {
+    harness.random_op();
+    harness.check_all_queries();
+  }
+  // Servers that fail, or fail and recover, while an allocation change on
+  // them is still pending.
+  for (int round = 0; round < 20; ++round) {
+    harness.place_then_fail();
+    harness.check_all_queries();
+    harness.place_fail_repair();
+    harness.check_all_queries();
+  }
+  EXPECT_GT(harness.live_copies(), 0u);
+}
+
+// Every multiplier learned and the boost block's replicas overlaid: the
+// weighted walk's group representatives drop out and the winner comes from
+// the individually scored servers, through every placement until the
+// cluster fills.
+TEST(PlacementIndex, WeightedBestFitAllLearnedWeightsWithBoostedReplicas) {
+  Cluster cluster = Cluster::google_trace(500);
+  PlacementIndex index(cluster);
+  std::vector<double> multipliers(cluster.size());
+  for (ServerId id = 0; id < static_cast<ServerId>(cluster.size()); ++id) {
+    const double w = 0.5 + 0.001 * static_cast<double>((id * 37) % 997);
+    multipliers[static_cast<std::size_t>(id)] = w;
+    index.set_multiplier(id, w);
+  }
+  BlockPlacement block;
+  block.replicas = {3, 250, 499};
+  const std::vector<Resources> demands = {{1.0, 1.0}, {2.0, 4.0}, {0.5, 8.0}, {16.0, 1.0}};
+  int placed = 0;
+  for (int round = 0; round < 400; ++round) {
+    const Resources& demand = demands[static_cast<std::size_t>(round) % demands.size()];
+    const BlockPlacement* const boosts[] = {nullptr, &block};
+    for (const BlockPlacement* boost : boosts) {
+      EXPECT_EQ(index.weighted_best_fit(demand, boost),
+                weighted_reference(cluster, demand, multipliers, boost))
+          << "round " << round << " boost=" << (boost != nullptr);
+    }
+    const ServerId sid = index.weighted_best_fit(demand, &block);
+    if (sid == kInvalidServer) continue;
+    ASSERT_TRUE(cluster.server(static_cast<std::size_t>(sid)).allocate(demand));
+    index.on_allocation_changed(sid);
+    ++placed;
+  }
+  EXPECT_GT(placed, 100);
+}
+
+TEST(PlacementIndex, NegativeMultiplierIsRejected) {
+  const Cluster cluster = Cluster::uniform(4, {4, 4});
+  PlacementIndex index(cluster);
+  EXPECT_THROW(index.set_multiplier(1, -0.5), std::invalid_argument);
+  EXPECT_EQ(index.multiplier(1), 1.0);
 }
 
 TEST(PlacementIndex, EmptyClusterAnswersInvalid) {

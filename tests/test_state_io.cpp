@@ -198,7 +198,8 @@ TEST(StateIo, AtomicWriteLeavesNoTempFile) {
   w.u32(99);
   write_state_file(path, w.finish());
   EXPECT_FALSE(file_exists(path + ".tmp"));
-  StateReader r(read_state_file(path));
+  const std::vector<std::uint8_t> bytes = read_state_file(path);
+  StateReader r(bytes);
   EXPECT_EQ(r.u32(), 99u);
   std::remove(path.c_str());
 }
@@ -231,9 +232,11 @@ TEST(StateIo, RotationKeepsTwoGenerationsAndPicksLatest) {
   StateWriter w2;
   w2.u32(2);
   rotation.write(w2.finish());
-  StateReader latest(read_state_file(rotation.latest_path()));
+  const std::vector<std::uint8_t> latest_bytes = read_state_file(rotation.latest_path());
+  StateReader latest(latest_bytes);
   EXPECT_EQ(latest.u32(), 2u);
-  StateReader prev(read_state_file(rotation.previous_path()));
+  const std::vector<std::uint8_t> prev_bytes = read_state_file(rotation.previous_path());
+  StateReader prev(prev_bytes);
   EXPECT_EQ(prev.u32(), 1u);
   EXPECT_EQ(rotation.newest_valid(), rotation.latest_path());
   EXPECT_EQ(rotation.quarantined_count(), 0);

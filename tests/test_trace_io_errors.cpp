@@ -101,6 +101,42 @@ TEST(TraceIoErrors, PhaseIndexBeyondRowCountIsRejected) {
   EXPECT_NE(past.find("row 2"), std::string::npos) << past;
 }
 
+/// Expect `row` (a single data row) to fail with a std::runtime_error that
+/// names row 1 and `field`.
+void expect_row_rejected(const std::string& row, const std::string& field) {
+  const std::string what = runtime_error_of(with_rows(row));
+  EXPECT_NE(what.find("row 1"), std::string::npos) << row << " -> '" << what << "'";
+  EXPECT_NE(what.find("'" + field + "'"), std::string::npos) << row << " -> '" << what << "'";
+}
+
+// std::stod stopped at the first non-digit, so cpu=2.5abc loaded as 2.5.
+TEST(TraceIoErrors, TrailingCharactersInNumberAreRejected) {
+  expect_row_rejected("0,j,app,0,0,map,4,2.5abc,2,30,10,\n", "cpu");
+}
+
+// static_cast<int>(4294967297) wrapped to a one-task phase.
+TEST(TraceIoErrors, TaskCountBeyondIntIsRejected) {
+  expect_row_rejected("0,j,app,0,0,map,4294967297,1,2,30,10,\n", "tasks");
+  expect_row_rejected("0,j,app,0,0,map,-4294967297,1,2,30,10,\n", "tasks");
+}
+
+// arrival_s=nan loaded, and llround(NaN) put the job's arrival at INT64_MIN,
+// so flowtime arithmetic overflowed in the simulator.
+TEST(TraceIoErrors, NanArrivalIsRejected) {
+  expect_row_rejected("0,j,app,nan,0,map,4,1,2,30,10,\n", "arrival_s");
+}
+
+// sigma_s=nan passed validation (NaN < 0 is false) and threw deep in the
+// simulator without naming the row.
+TEST(TraceIoErrors, NanSigmaIsRejected) {
+  expect_row_rejected("0,j,app,0,0,map,4,1,2,30,nan,\n", "sigma_s");
+}
+
+// theta_s=inf passed validation and threw deep in the simulator.
+TEST(TraceIoErrors, InfiniteThetaIsRejected) {
+  expect_row_rejected("0,j,app,0,0,map,4,1,2,inf,10,\n", "theta_s");
+}
+
 TEST(TraceIoErrors, InvalidJobRejectedByValidation) {
   // Zero tasks.
   EXPECT_THROW((void)trace_from_csv(with_rows("0,j,app,0,0,map,0,1,2,30,10,\n")),
