@@ -8,13 +8,11 @@
 #pragma once
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/stats.h"
-#include "dollymp/common/thread_pool.h"
 #include "dollymp/metrics/report.h"
 #include "dollymp/sched/scheduler.h"
 #include "dollymp/sim/runtime_store.h"
@@ -91,12 +89,6 @@ class DryRunContext final : public SchedulerContext {
   /// Time never advances in a dry run; wakeup requests are meaningless.
   void request_wakeup(SimTime /*slot*/) override {}
 
-  /// Deterministic parallel core, honoring SimConfig::threads exactly as
-  /// the simulator does (1 = sequential, 0 = hardware concurrency; a pool
-  /// that resolves to fewer than two workers is dropped).
-  [[nodiscard]] ThreadPool* worker_pool() override { return pool_ ? &*pool_ : nullptr; }
-  [[nodiscard]] ShardStats* shard_stats() override { return &shard_stats_; }
-
   /// Undo all placements so the next measured round starts from scratch.
   void reset_placements();
 
@@ -115,8 +107,6 @@ class DryRunContext final : public SchedulerContext {
   RuntimeStore store_;
   std::vector<JobRuntime>& jobs_ = store_.jobs();
   std::vector<JobRuntime*> active_;
-  std::optional<ThreadPool> pool_;
-  ShardStats shard_stats_;
   int placements_ = 0;
 };
 

@@ -1,12 +1,12 @@
 // Replication throughput of the experiment sweep driver
-// (common/experiment.h): whole-run parallelism, the inter-run complement of
-// parallel_step.cpp's intra-run series.  Emitted as BENCH_sweep.json.
+// (common/experiment.h): whole-run parallelism, the only place this project
+// uses more than one core.  Emitted as BENCH_sweep.json.
 //
 // BM_SweepReplications/T runs a small but representative grid — 3 policies
 // × {healthy, crash} × 3 seeds = 18 replications of a 60-job paper30
 // workload — through run_sweep() with a T-worker pool.  items_per_second IS
-// replications/sec (SetItemsProcessed counts replications), the figure the
-// CI speedup-smoke job and EXPERIMENTS.md track.  Thread counts above the
+// replications/sec (SetItemsProcessed counts replications), the figure
+// EXPERIMENTS.md tracks.  Thread counts above the
 // host's hardware concurrency are skipped at registration; threads=1 always
 // runs as the serial baseline.  Wall-clock (real_time) and process CPU time
 // (cpu_time) are both recorded, with the detected core count in `cores`.

@@ -41,9 +41,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void parallel_for(ThreadPool& pool, std::size_t n,
-                  const std::function<void(std::size_t)>& fn) {
-  parallel_for(&pool, n, fn);
-}
-
 }  // namespace dollymp

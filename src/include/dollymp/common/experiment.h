@@ -1,13 +1,13 @@
 // Experiment sweep driver: whole-replication parallelism.
 //
-// PR 5's deterministic parallel core shards *inside* one simulation; this
-// driver attacks the other axis of the paper's §6 evaluation, the figure
-// grid itself: seeds × policies × fault matrices are independent
-// replications, so they fan across the owned thread pool with no shared
-// mutable state at all (each replication copies the cluster prototype and
-// builds a fresh scheduler from its factory).  Aggregation happens on the
-// calling thread in fixed grid order, so the aggregate — including the
-// rendered JSON, byte for byte — is identical for every thread count.
+// One simulation runs on one core.  This driver parallelizes the figure
+// grid of the paper's §6 evaluation instead: seeds × policies × fault
+// matrices are independent replications, so they fan across the owned
+// thread pool with no shared mutable state at all (each replication copies
+// the cluster prototype and builds a fresh scheduler from its factory).
+// Aggregation happens on the calling thread in fixed grid order, so the
+// aggregate — including the rendered JSON, byte for byte — is identical
+// for every thread count.
 // That invariant is what test_sweep.cpp pins and what lets the chaos and
 // comparison matrices run as one command (tools/dollymp_sweep.cpp).
 #pragma once

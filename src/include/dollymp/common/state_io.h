@@ -21,6 +21,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
@@ -157,7 +158,11 @@ class StateReader {
     static_assert(std::is_trivially_copyable_v<T>);
     check_record_size(u32(), sizeof(T));
     const std::uint64_t n = u64();
-    need(n * sizeof(T));
+    // Bound the count before multiplying: a crafted n could wrap
+    // n * sizeof(T) past the overrun check.
+    if (n > remaining() / sizeof(T)) {
+      throw std::runtime_error("snapshot: vector length overruns the envelope");
+    }
     v.resize(n);
     bytes(v.data(), n * sizeof(T));
   }

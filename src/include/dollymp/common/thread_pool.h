@@ -1,34 +1,20 @@
-// Fixed-size thread pool with chunked parallel_for / sharded-scan helpers.
+// Fixed-size thread pool for independent replications.
 //
-// Two consumers with different shapes share this pool:
-//
-//   * The bench harness fans independent replications (different seeds /
-//     schedulers / load points) across cores through submit()/parallel_map —
-//     tasks share no mutable state and join through futures.
-//   * The deterministic parallel scheduling core (SimConfig::threads) shards
-//     hot scheduler scans — priority recompute, weighted placement scoring,
-//     the speculation sweep — through run_shards()/parallel_for.  Those
-//     call sites own the determinism story: each shard computes into its own
-//     pre-sized slot and the caller reduces in fixed shard order, so the
-//     result is bit-identical to the sequential run (DESIGN.md section 4.5).
-//
-// Dispatch is chunked: a parallel_for over n items enqueues at most
-// pool-size closures (one per contiguous chunk), never one per item, so the
-// per-item cost is a plain indirect call with no allocation.  Exceptions
-// propagate: the lowest-shard-index exception is rethrown on the calling
-// thread after every shard has finished (deterministic — completion order
-// never picks the winner).  A null pool (or a single-shard split) runs the
-// whole range inline on the calling thread.
+// The experiment layer fans independent runs (different seeds, schedulers,
+// load points or sweep cells) across cores through submit()/parallel_map:
+// the tasks share no mutable state and join through futures, so results
+// are collected in index order whatever the completion order.  A single
+// simulation run never uses the pool; it is sequential by design.
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
-#include <exception>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -48,8 +34,7 @@ class ThreadPool {
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
   /// Drain the queue, join every worker and reject all later submissions.
-  /// Idempotent; the destructor calls it.  After shutdown() size() is 0,
-  /// so sharded helpers fed this pool fall back to inline execution.
+  /// Idempotent; the destructor calls it.  After shutdown() size() is 0.
   void shutdown();
 
   /// Enqueue a callable; returns a future for its result.
@@ -67,19 +52,6 @@ class ThreadPool {
     return future;
   }
 
-  /// Fire-and-forget enqueue: no packaged_task, no future — the one
-  /// allocation is the queue's own std::function.  The callable must not
-  /// throw (run_shards wraps shard bodies in a catch-all before posting).
-  template <typename F>
-  void post(F&& fn) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      if (stopping_) throw std::runtime_error("ThreadPool: post after shutdown");
-      queue_.emplace_back(std::forward<F>(fn));
-    }
-    cv_.notify_one();
-  }
-
  private:
   void worker_loop();
 
@@ -89,144 +61,6 @@ class ThreadPool {
   std::condition_variable cv_;
   bool stopping_ = false;
 };
-
-/// Number of shards a deterministic sharded scan over n items uses: one per
-/// pool worker, never more than n, 1 when there is no pool (inline).  The
-/// *reduction* order never depends on this value — only dispatch does — so
-/// every thread count produces the same bits.
-[[nodiscard]] inline std::size_t shard_count(const ThreadPool* pool, std::size_t n) {
-  if (n == 0) return 0;
-  if (pool == nullptr || pool->size() < 2) return 1;
-  return std::min(pool->size(), n);
-}
-
-/// Contiguous [begin, end) range of shard s out of `shards` over [0, n).
-/// Pure in (s, shards, n): boundaries cover every index exactly once and
-/// never depend on runtime interleaving.
-[[nodiscard]] constexpr std::pair<std::size_t, std::size_t> shard_range(
-    std::size_t shard, std::size_t shards, std::size_t n) {
-  return {shard * n / shards, (shard + 1) * n / shards};
-}
-
-/// Shard-count / imbalance counters for the parallel scheduling core,
-/// surfaced as SimStats::parallel_* and the control-plane table.  note() is
-/// called by the dispatching thread after its section joined, so the struct
-/// needs no synchronization.
-struct ShardStats {
-  long long sections = 0;         ///< sharded scans actually dispatched
-  long long shards = 0;           ///< shards across those sections
-  long long items = 0;            ///< items the sections covered
-  long long max_shard_items = 0;  ///< largest single shard (imbalance bound)
-
-  // Scratch-arena traffic of the sharded passes: every acquire either ran
-  // entirely inside retained capacity (a reuse) or had to grow at least one
-  // buffer.  Steady state must be all reuses — the shard-merge glue's
-  // zero-allocation claim, asserted by the steady-state tests.
-  long long arena_acquires = 0;
-  long long arena_reuses = 0;
-  long long arena_grows = 0;
-
-  void note(std::size_t shards_used, std::size_t n) {
-    if (shards_used < 2) return;  // ran inline: not a parallel section
-    ++sections;
-    shards += static_cast<long long>(shards_used);
-    items += static_cast<long long>(n);
-    const auto widest = static_cast<long long>((n + shards_used - 1) / shards_used);
-    max_shard_items = std::max(max_shard_items, widest);
-  }
-
-  /// One scratch-arena acquisition: `grew` says whether any backing buffer
-  /// had to allocate (capacity grew) to serve it.
-  void note_arena(bool grew) {
-    ++arena_acquires;
-    if (grew) {
-      ++arena_grows;
-    } else {
-      ++arena_reuses;
-    }
-  }
-};
-
-namespace detail {
-
-/// Join state for one sharded dispatch: counts shards down and keeps the
-/// exception of the *lowest* shard index (deterministic winner).
-class ShardJoin {
- public:
-  explicit ShardJoin(std::size_t pending) : pending_(pending) {}
-
-  void finish(std::size_t shard, std::exception_ptr error) {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    if (error && shard < error_shard_) {
-      error_shard_ = shard;
-      error_ = error;
-    }
-    if (--pending_ == 0) cv_.notify_one();
-  }
-
-  void wait_and_rethrow() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    cv_.wait(lock, [this] { return pending_ == 0; });
-    if (error_) std::rethrow_exception(error_);
-  }
-
- private:
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::size_t pending_;
-  std::size_t error_shard_ = static_cast<std::size_t>(-1);
-  std::exception_ptr error_;
-};
-
-}  // namespace detail
-
-/// Run body(shard, begin, end) for every shard of a fixed `shards`-way split
-/// of [0, n) — the workhorse of the deterministic parallel core.  Callers
-/// pre-size per-shard output slots to `shards` (obtained from shard_count),
-/// let each shard write only its own slot, then reduce in ascending shard
-/// order on the calling thread; since shard boundaries are contiguous and
-/// ascending, that reduction visits items in exactly sequential order.
-/// shards <= 1 (or a null pool) runs inline.  Blocks until every shard is
-/// done; the lowest shard's exception is rethrown.  Must not be called from
-/// inside a pool task (the nested dispatch would wait on its own workers).
-template <typename F>
-void run_shards(ThreadPool* pool, std::size_t shards, std::size_t n, F&& body) {
-  if (n == 0 || shards == 0) return;
-  if (shards == 1 || pool == nullptr) {
-    body(std::size_t{0}, std::size_t{0}, n);
-    return;
-  }
-  detail::ShardJoin join(shards);
-  for (std::size_t s = 0; s < shards; ++s) {
-    const auto [begin, end] = shard_range(s, shards, n);
-    pool->post([&join, &body, s, begin = begin, end = end] {
-      std::exception_ptr error;
-      try {
-        body(s, begin, end);
-      } catch (...) {
-        error = std::current_exception();
-      }
-      join.finish(s, error);
-    });
-  }
-  join.wait_and_rethrow();
-}
-
-/// Chunked parallel_for: fn(i) for every i in [0, n), split into at most
-/// pool-size contiguous chunks with one pool task each — no per-item
-/// allocation of any kind.  A null pool runs the loop inline on the calling
-/// thread.  Exceptions propagate (lowest-chunk wins, see run_shards).
-template <typename F>
-void parallel_for(ThreadPool* pool, std::size_t n, F&& fn) {
-  run_shards(pool, shard_count(pool, n), n,
-             [&fn](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) fn(i);
-             });
-}
-
-/// Reference-taking overload kept for the bench/experiment callers; same
-/// chunked semantics as the pointer overload above.
-void parallel_for(ThreadPool& pool, std::size_t n, const std::function<void(std::size_t)>& fn);
 
 /// Map fn over [0, n) collecting results in order.
 template <typename F>

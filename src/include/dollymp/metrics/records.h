@@ -89,36 +89,8 @@ struct SimStats {
   long long index_updates = 0;
   // Batched placement (zero when the index is disabled): queries answered
   // by replaying a cached capacity-group walk vs walks (re)built.
-  // Deterministic and thread-count-independent, like the three counters
-  // above.
   long long index_batch_hits = 0;
   long long index_batch_rebuilds = 0;
-
-  // Deterministic parallel scheduling core (all zero when SimConfig::threads
-  // <= 1): sharded scans dispatched to the worker pool, shards and items
-  // across them, and the largest single shard (the imbalance bound — with
-  // contiguous even splits it stays within one item of items/shards).
-  // Deterministic for a fixed thread count but legitimately different
-  // across thread counts, so the equivalence suite compares every SimStats
-  // field EXCEPT these and wall_clock_seconds.
-  long long parallel_sections = 0;
-  long long parallel_shards = 0;
-  long long parallel_items = 0;
-  long long parallel_max_shard_items = 0;
-  // Per-shard scratch arenas of the parallel core's hot passes (priority
-  // recompute, speculation sweep): acquisitions, acquisitions served
-  // entirely from retained capacity, and acquisitions that had to grow a
-  // buffer.  Steady state must be all reuses (asserted by the steady-state
-  // allocation test); thread-count-dependent like the section counters, so
-  // equally excluded from cross-thread stats comparison.
-  long long parallel_arena_acquires = 0;
-  long long parallel_arena_reuses = 0;
-  long long parallel_arena_grows = 0;
-  // Thread-count visibility (also excluded from cross-thread comparison):
-  // what SimConfig::threads asked for and what the pool resolved it to
-  // (threads=0 = hardware concurrency; 1 = no pool).
-  long long threads_configured = 1;
-  long long threads_resolved = 1;
 
   // Flight recorder (obs/recorder.h; all zero when SimConfig::recorder is
   // null): records appended, wire bytes they represent, ring evictions, and

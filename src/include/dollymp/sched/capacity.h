@@ -27,9 +27,6 @@ class CapacityScheduler final : public Scheduler {
 
  private:
   CapacityConfig config_;
-  /// Persistent arena for the speculation sweep's shard-merge buffers
-  /// (SpeculationScratch): steady-state passes reuse retained capacity.
-  SpeculationScratch spec_scratch_;
 };
 
 }  // namespace dollymp

@@ -154,10 +154,6 @@ class DollyMPScheduler final : public Scheduler {
   std::vector<PriorityJobInput> inputs_;
   std::vector<JobOrder> order_;
   std::vector<TaskRuntime*> candidates_;
-  /// Persistent arena for the priority oracle's shard-merge buffers — the
-  /// recompute path's zero-steady-state-allocation story (see
-  /// PriorityScratch); kept across reset() like the buffers above.
-  PriorityScratch prio_scratch_;
   /// Set by on_job_completed when recompute_on_completion is enabled;
   /// schedule() refreshes priorities and clears it.
   bool priorities_dirty_ = false;

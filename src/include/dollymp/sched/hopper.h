@@ -41,9 +41,6 @@ class HopperScheduler final : public Scheduler {
 
  private:
   HopperConfig config_;
-  /// Persistent arena for the speculation sweep's shard-merge buffers
-  /// (SpeculationScratch): steady-state passes reuse retained capacity.
-  SpeculationScratch spec_scratch_;
 };
 
 }  // namespace dollymp

@@ -19,9 +19,6 @@
 
 namespace dollymp {
 
-class ThreadPool;
-struct ShardStats;
-
 struct PriorityJobInput {
   double volume = 0.0;    ///< v_j (Eq. 10 / 14 / 16), in slots
   double length = 0.0;    ///< e_j (Eq. 14 / 17), in slots
@@ -37,44 +34,6 @@ struct PriorityResult {
 
 [[nodiscard]] PriorityResult compute_transient_priorities(
     const std::vector<PriorityJobInput>& jobs);
-
-/// Parallel-core overload: with a non-null `pool`, each doubling round's
-/// membership filter (e_j <= 2^l over all jobs) is sharded across the pool
-/// into per-shard candidate lists that are concatenated in ascending shard
-/// order — i.e. ascending job index, exactly the serial scan's order — before
-/// the (serial) knapsack solve.  The pre-pass reductions (total volume, max
-/// dominant/length) stay serial so floating-point summation order is
-/// untouched.  Bit-identical to the serial overload for any pool size; a
-/// null pool delegates to it outright.
-[[nodiscard]] PriorityResult compute_transient_priorities(
-    const std::vector<PriorityJobInput>& jobs, ThreadPool* pool,
-    ShardStats* shard_stats = nullptr);
-
-/// Persistent scratch arena for compute_transient_priorities: the per-shard
-/// filter lists and the merged candidate vectors the doubling rounds fill.
-/// Owned by the calling scheduler (one instance per scheduler object) and
-/// handed to every recompute, so steady-state passes run entirely inside
-/// retained capacity — no shard-merge allocation churn.  The overload below
-/// reports each acquisition to ShardStats::note_arena with whether any
-/// backing buffer had to grow; the steady-state test asserts growth stops
-/// after warm-up.
-struct PriorityScratch {
-  std::vector<std::vector<double>> shard_weights;
-  std::vector<std::vector<std::size_t>> shard_members;
-  std::vector<double> weights;
-  std::vector<std::size_t> members;
-
-  /// Total retained capacity in bytes across every backing buffer —
-  /// compared before/after a pass to detect growth.
-  [[nodiscard]] std::size_t capacity_bytes() const;
-};
-
-/// Arena-taking overload: identical bits to the overloads above (the scratch
-/// only changes where the temporaries live, never what they contain).  A
-/// null `scratch` falls back to function-local buffers.
-[[nodiscard]] PriorityResult compute_transient_priorities(
-    const std::vector<PriorityJobInput>& jobs, ThreadPool* pool,
-    ShardStats* shard_stats, PriorityScratch* scratch);
 
 /// Weighted-flowtime variant (the objective of the capacity-augmentation
 /// literature the paper builds on, Fox & Korupolu [16]): jobs carry

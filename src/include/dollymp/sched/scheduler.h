@@ -91,18 +91,8 @@ class SchedulerContext {
   /// linear scan — both paths produce bit-identical decisions.
   [[nodiscard]] virtual PlacementIndex* placement_index() { return nullptr; }
 
-  /// Worker pool of the deterministic parallel scheduling core, or nullptr
-  /// when the run is sequential (SimConfig::threads <= 1, or a context that
-  /// keeps no pool).  Policies shard hot scans across it via run_shards /
-  /// parallel_for (common/thread_pool.h); every sharded site must reduce in
-  /// fixed shard order so its decisions are bit-identical to the
-  /// sequential path — the contract the parallel equivalence suite locks
-  /// down.
+  // Unused; they exist only because perfbench's forwarding context overrides them.
   [[nodiscard]] virtual ThreadPool* worker_pool() { return nullptr; }
-
-  /// Accumulator for shard-count/imbalance instrumentation of the parallel
-  /// core (surfaced as SimStats::parallel_*), or nullptr when nothing
-  /// collects it.  Only the scheduling thread may note() into it.
   [[nodiscard]] virtual ShardStats* shard_stats() { return nullptr; }
 
   /// The run's flight recorder (obs/recorder.h), or nullptr when recording

@@ -12,8 +12,8 @@
 // source position, the session clock and the complete SimCore state
 // (including the scheduler's decision caches), so a restored session's
 // flight-recorder stream hash is bit-identical to the uninterrupted run's
-// — checked by tests/test_service across policies, fault modes and thread
-// counts.
+// — checked by tests/test_service across policies, fault modes and
+// checkpoint points.
 //
 // Forks are the what-if primitive: fork() snapshots the parent in memory
 // and builds a child session that shares the parent's immutable job specs

@@ -33,6 +33,9 @@
 //     arrival source can still produce (the streaming session flips it to
 //     true when the source ends, restoring the batch stall semantics).
 //
+// A run is single-threaded; cores are used only by running independent
+// replications side by side (common/experiment.h).
+//
 // Pending events live in one binary min-heap (a std::vector ordered by
 // std::push_heap/std::pop_heap with std::greater<>).  The event comparator
 // is a total order over every payload field, so the pop sequence is a pure
@@ -59,7 +62,6 @@
 #include "dollymp/cluster/locality.h"
 #include "dollymp/cluster/placement_index.h"
 #include "dollymp/common/rng.h"
-#include "dollymp/common/thread_pool.h"
 #include "dollymp/metrics/records.h"
 #include "dollymp/metrics/slo_window.h"
 #include "dollymp/obs/recorder.h"
@@ -274,8 +276,6 @@ class SimCore final : public SchedulerContext {
   [[nodiscard]] PlacementIndex* placement_index() override {
     return index_ ? &*index_ : nullptr;
   }
-  [[nodiscard]] ThreadPool* worker_pool() override { return pool_ ? &*pool_ : nullptr; }
-  [[nodiscard]] ShardStats* shard_stats() override { return &parallel_stats_; }
   [[nodiscard]] Recorder* recorder() override { return rec_; }
   bool place_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
                   ServerId server) override;
@@ -350,11 +350,6 @@ class SimCore final : public SchedulerContext {
   /// healthy run.  Holds a reference to rng_failure_ above.
   std::optional<FaultEngine> faults_;
   Recorder* rec_;  ///< flight recorder, null unless SimConfig::recorder set
-  /// Worker pool of the parallel scheduling core (absent when
-  /// config_.threads resolves to a single thread) and the shard-count /
-  /// imbalance accumulator its sharded scans note into.
-  std::optional<ThreadPool> pool_;
-  ShardStats parallel_stats_;
 
   /// Struct-of-arrays backing store for all job/phase/task/copy state; the
   /// jobs_ reference below preserves the historical vector-of-jobs surface

@@ -11,9 +11,6 @@
 // only recognized as a straggler after running slow_factor * theta seconds.
 #pragma once
 
-#include <cstddef>
-#include <vector>
-
 #include "dollymp/sched/scheduler.h"
 
 namespace dollymp {
@@ -47,46 +44,5 @@ struct SpeculationConfig {
 /// need no every-slot polling — between events and that crossing, the
 /// pass's decision cannot change.
 int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config);
-
-/// Persistent scratch arena for run_speculation_pass: the scan-unit list,
-/// per-shard scan outputs and the merged candidate vector.  Owned by the
-/// calling scheduler and handed to every pass, so steady-state sweeps run
-/// entirely inside retained capacity (no shard-merge allocation churn); each
-/// parallel pass reports its acquisition to ShardStats::note_arena with
-/// whether any backing buffer had to grow.
-struct SpeculationScratch {
-  struct Candidate {
-    JobRuntime* job;
-    PhaseRuntime* phase;
-    TaskRuntime* task;
-    double overrun;  ///< elapsed / theta, larger = more overdue
-  };
-  /// One (job, runnable phase) pair past the finished-fraction gate.
-  struct ScanUnit {
-    JobRuntime* job;
-    PhaseRuntime* phase;
-  };
-  /// One shard's scan output: candidates and budget charges in scan order,
-  /// plus the shard's earliest straggler-threshold crossing.
-  struct ShardScan {
-    std::vector<Candidate> candidates;
-    std::vector<double> norm_contributions;
-    SimTime next_crossing = kNever;
-  };
-
-  std::vector<ScanUnit> units;
-  std::vector<ShardScan> scans;
-  std::vector<Candidate> candidates;  ///< ordered merge of the shard scans
-
-  /// Total retained capacity in bytes across every backing buffer —
-  /// compared before/after a pass to detect growth.
-  [[nodiscard]] std::size_t capacity_bytes() const;
-};
-
-/// Arena-taking overload: identical decisions to the overload above (the
-/// scratch only changes where the temporaries live).  A null `scratch`
-/// falls back to function-local buffers.
-int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config,
-                         SpeculationScratch* scratch);
 
 }  // namespace dollymp

@@ -6,7 +6,6 @@
 
 #include "dollymp/cluster/placement_index.h"
 #include "dollymp/common/state_io.h"
-#include "dollymp/common/thread_pool.h"
 #include "dollymp/obs/recorder.h"
 
 namespace dollymp {
@@ -90,45 +89,28 @@ void DollyMPScheduler::recompute_priorities(SchedulerContext& ctx) {
   const Resources total = ctx.cluster().total_capacity();
   const double slot = ctx.slot_seconds();
 
-  // Per-job v_j/e_j/d_j are independent: each job's remaining_volume /
-  // remaining_length reads touch only that job's runtime (its mutable
-  // remaining-work caches included), so the recompute shards cleanly across
-  // the worker pool — shard s fills the contiguous inputs_ range it owns
-  // and no reduction is needed.
   inputs_.resize(jobs.size());
-  ThreadPool* pool = ctx.worker_pool();
-  const std::size_t shards = shard_count(pool, jobs.size());
-  run_shards(pool, shards, jobs.size(),
-             [&](std::size_t /*shard*/, std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) {
-                 const JobRuntime* job = jobs[i];
-                 PriorityJobInput in;
-                 in.volume = job->remaining_volume(total, config_.sigma_factor) / slot;
-                 in.length = job->remaining_length(config_.sigma_factor) / slot;
-                 in.dominant = job->max_dominant_share(total);
-                 if (config_.corollary_clone_counts && config_.clone_budget > 0) {
-                   // Corollary 4.1: with up to (1 + budget) concurrent copies a
-                   // job's tasks finish h(1+budget) times faster in expectation,
-                   // so the job qualifies for the earlier class l with
-                   // e_j / h <= 2^l; the clone pass then launches exactly the
-                   // copies needed to meet that window.
-                   double min_speedup = std::numeric_limits<double>::infinity();
-                   for (const auto& phase : job->phases) {
-                     if (phase.finished) continue;
-                     min_speedup =
-                         std::min(min_speedup, phase.speedup(1.0 + config_.clone_budget));
-                   }
-                   if (std::isfinite(min_speedup) && min_speedup > 1.0) {
-                     in.length /= min_speedup;
-                   }
-                 }
-                 inputs_[i] = in;
-               }
-             });
-  ShardStats* stats = ctx.shard_stats();
-  if (stats != nullptr) stats->note(shards, jobs.size());
-  const PriorityResult result =
-      compute_transient_priorities(inputs_, pool, stats, &prio_scratch_);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const JobRuntime* job = jobs[i];
+    PriorityJobInput in;
+    in.volume = job->remaining_volume(total, config_.sigma_factor) / slot;
+    in.length = job->remaining_length(config_.sigma_factor) / slot;
+    in.dominant = job->max_dominant_share(total);
+    if (config_.corollary_clone_counts && config_.clone_budget > 0) {
+      // Corollary 4.1: with up to (1 + budget) concurrent copies a job's
+      // tasks finish h(1+budget) times faster in expectation, so the job
+      // qualifies for the earlier class l with e_j / h <= 2^l; the clone
+      // pass then launches exactly the copies needed to meet that window.
+      double min_speedup = std::numeric_limits<double>::infinity();
+      for (const auto& phase : job->phases) {
+        if (phase.finished) continue;
+        min_speedup = std::min(min_speedup, phase.speedup(1.0 + config_.clone_budget));
+      }
+      if (std::isfinite(min_speedup) && min_speedup > 1.0) in.length /= min_speedup;
+    }
+    inputs_[i] = in;
+  }
+  const PriorityResult result = compute_transient_priorities(inputs_);
 
   // Open a new epoch: every pre-existing entry becomes stale at once, then
   // the active jobs are written fresh.  Equivalent to clearing and refilling

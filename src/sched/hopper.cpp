@@ -54,7 +54,7 @@ void HopperScheduler::schedule(SchedulerContext& ctx) {
   }
 
   // The reservation pays off here: backups launch from the reserved slice.
-  run_speculation_pass(ctx, config_.speculation, &spec_scratch_);
+  run_speculation_pass(ctx, config_.speculation);
 }
 
 }  // namespace dollymp

@@ -98,15 +98,6 @@ SimCore::SimCore(Cluster cluster, const SimConfig& config)
     faults_.emplace(cluster_, config_.failures, config_.faults, config_.slot_seconds,
                     rng_failure_);
   }
-  // The deterministic parallel core's worker pool: threads == 1 (the
-  // default) keeps the exact sequential path with no pool; 0 resolves to
-  // hardware_concurrency inside ThreadPool.  A resolved single-worker
-  // pool is dropped again — one worker cannot shard, so the sharded call
-  // sites would run inline anyway and the thread would only idle.
-  if (config_.threads != 1) {
-    pool_.emplace(static_cast<std::size_t>(config_.threads));
-    if (pool_->size() < 2) pool_.reset();
-  }
 }
 
 // ---- streaming driver ------------------------------------------------------
@@ -315,16 +306,6 @@ SimResult SimCore::finish() {
                                static_cast<double>(cluster_.size());
     result_.stats.peak_rss_bytes = process_peak_rss_bytes();
   }
-  result_.stats.parallel_sections = parallel_stats_.sections;
-  result_.stats.parallel_shards = parallel_stats_.shards;
-  result_.stats.parallel_items = parallel_stats_.items;
-  result_.stats.parallel_max_shard_items = parallel_stats_.max_shard_items;
-  result_.stats.parallel_arena_acquires = parallel_stats_.arena_acquires;
-  result_.stats.parallel_arena_reuses = parallel_stats_.arena_reuses;
-  result_.stats.parallel_arena_grows = parallel_stats_.arena_grows;
-  result_.stats.threads_configured = config_.threads;
-  result_.stats.threads_resolved =
-      pool_ ? static_cast<long long>(pool_->size()) : 1;
   if (rec_) {
     result_.stats.recorder_records = static_cast<long long>(rec_->records_written());
     result_.stats.recorder_bytes = static_cast<long long>(rec_->bytes_written());

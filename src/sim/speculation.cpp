@@ -4,16 +4,18 @@
 #include <cmath>
 #include <vector>
 
-#include "dollymp/common/thread_pool.h"
 #include "dollymp/obs/recorder.h"
 
 namespace dollymp {
 
 namespace {
 
-using Candidate = SpeculationScratch::Candidate;
-using ScanUnit = SpeculationScratch::ScanUnit;
-using ShardScan = SpeculationScratch::ShardScan;
+struct Candidate {
+  JobRuntime* job;
+  PhaseRuntime* phase;
+  TaskRuntime* task;
+  double overrun;  ///< elapsed / theta, larger = more overdue
+};
 
 /// Earliest slot at which `task` satisfies the overrun predicate
 /// elapsed / theta >= slow_factor, i.e. the slot this pass would first
@@ -35,23 +37,7 @@ SimTime overrun_crossing_slot(const TaskRuntime& task, double theta_seconds,
 
 }  // namespace
 
-std::size_t SpeculationScratch::capacity_bytes() const {
-  std::size_t bytes = units.capacity() * sizeof(ScanUnit) +
-                      scans.capacity() * sizeof(ShardScan) +
-                      candidates.capacity() * sizeof(Candidate);
-  for (const auto& s : scans) {
-    bytes += s.candidates.capacity() * sizeof(Candidate) +
-             s.norm_contributions.capacity() * sizeof(double);
-  }
-  return bytes;
-}
-
 int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config) {
-  return run_speculation_pass(ctx, config, nullptr);
-}
-
-int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config,
-                         SpeculationScratch* scratch) {
   if (!config.enabled) return 0;
   // Degradation ladder level >= 2: backup copies are pure extra load when
   // the cluster is saturated, so the sweep is suspended until the service
@@ -59,27 +45,18 @@ int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config,
   // leaves the pass untouched).
   if (ctx.overload_level() >= 2) return 0;
 
-  SpeculationScratch local;
-  SpeculationScratch& arena = scratch != nullptr ? *scratch : local;
-  const std::size_t capacity_before = arena.capacity_bytes();
-
   // Resource budget for concurrently running backups.
   const Resources total = ctx.cluster().total_capacity();
   const SimTime now = ctx.now();
   const double slot_seconds = ctx.slot_seconds();
 
-  // Scan units — one per (job, runnable phase) past the finished-fraction
-  // gate, in job/phase order.  The per-unit task walk is read-only, so the
-  // units shard across the worker pool; each shard collects its candidates,
-  // its budget contributions *in scan order*, and its earliest crossing.
-  // Concatenating shard results in ascending shard order reproduces the
-  // sequential scan exactly: candidates arrive in the same order the serial
-  // walk pushes them (so the stable-input sort below sees identical input),
-  // and the budget contributions are re-summed serially in that same order,
-  // keeping the floating-point accumulation bit-identical.  next_crossing
-  // is an integer min, safe under any merge order.
-  auto& units = arena.units;
-  units.clear();
+  // Walk every runnable phase past the finished-fraction gate in job/phase
+  // order: collect straggler candidates, charge already-backed-up tasks
+  // against the budget, and find the earliest threshold crossing among the
+  // tasks that are not yet stragglers.
+  std::vector<Candidate> candidates;
+  double backup_norm_in_use = 0.0;
+  SimTime next_crossing = kNever;
   for (JobRuntime* job : ctx.active_jobs()) {
     for (auto& phase : job->phases) {
       if (!phase.runnable()) continue;
@@ -87,73 +64,30 @@ int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config,
       const double finished_fraction =
           static_cast<double>(finished_tasks) / static_cast<double>(phase.spec->task_count);
       if (finished_fraction < config.min_finished_fraction) continue;
-      units.push_back({job, &phase});
-    }
-  }
-
-  const auto scan_unit = [&](const ScanUnit& unit, ShardScan& out) {
-    JobRuntime* job = unit.job;
-    PhaseRuntime& phase = *unit.phase;
-    for (auto& task : phase.tasks) {
-      if (task.finished || !task.running()) continue;
-      if (task.first_start == kNever) continue;
-      const int copies = task.total_copies();
-      if (copies > config.max_backups_per_task) {
-        // already backed up: its extra copies count against the budget
-        out.norm_contributions.push_back(normalized_sum(task.demand, total) *
-                                         static_cast<double>(copies - 1));
-        continue;
-      }
-      const double elapsed = static_cast<double>(now - task.first_start) * slot_seconds;
-      const double overrun = elapsed / phase.spec->theta_seconds;
-      if (overrun >= config.slow_factor) {
-        out.candidates.push_back({job, &phase, &task, overrun});
-      } else {
-        // Not yet a straggler: the only slot at which that can change
-        // with no intervening event is its threshold crossing.  (Tasks
-        // gated out by min_finished_fraction need no timer: the gate
-        // only opens at a completion, which invokes the scheduler.)
-        const SimTime cross = overrun_crossing_slot(task, phase.spec->theta_seconds,
-                                                    slot_seconds, config.slow_factor);
-        if (out.next_crossing == kNever || cross < out.next_crossing) {
-          out.next_crossing = cross;
+      for (auto& task : phase.tasks) {
+        if (task.finished || !task.running()) continue;
+        if (task.first_start == kNever) continue;
+        const int copies = task.total_copies();
+        if (copies > config.max_backups_per_task) {
+          // already backed up: its extra copies count against the budget
+          backup_norm_in_use +=
+              normalized_sum(task.demand, total) * static_cast<double>(copies - 1);
+          continue;
+        }
+        const double elapsed = static_cast<double>(now - task.first_start) * slot_seconds;
+        const double overrun = elapsed / phase.spec->theta_seconds;
+        if (overrun >= config.slow_factor) {
+          candidates.push_back({job, &phase, &task, overrun});
+        } else {
+          // Not yet a straggler: the only slot at which that can change
+          // with no intervening event is its threshold crossing.  (Tasks
+          // gated out by min_finished_fraction need no timer: the gate
+          // only opens at a completion, which invokes the scheduler.)
+          const SimTime cross = overrun_crossing_slot(task, phase.spec->theta_seconds,
+                                                      slot_seconds, config.slow_factor);
+          if (next_crossing == kNever || cross < next_crossing) next_crossing = cross;
         }
       }
-    }
-  };
-
-  ThreadPool* pool = ctx.worker_pool();
-  const std::size_t shards = shard_count(pool, units.size());
-  const std::size_t scan_slots = std::max<std::size_t>(shards, 1);
-  auto& scans = arena.scans;
-  if (scans.size() < scan_slots) scans.resize(scan_slots);
-  for (std::size_t s = 0; s < scan_slots; ++s) {
-    scans[s].candidates.clear();
-    scans[s].norm_contributions.clear();
-    scans[s].next_crossing = kNever;
-  }
-  run_shards(pool, shards, units.size(),
-             [&](std::size_t s, std::size_t begin, std::size_t end) {
-               for (std::size_t i = begin; i < end; ++i) scan_unit(units[i], scans[s]);
-             });
-  if (ShardStats* stats = ctx.shard_stats()) stats->note(shards, units.size());
-
-  // Ordered merge: shard order == sequential scan order.  (Only the first
-  // scan_slots entries were written; an arena reused across passes may
-  // retain more slots than this pass dispatched.)
-  double backup_norm_in_use = 0.0;
-  auto& candidates = arena.candidates;
-  candidates.clear();
-  SimTime next_crossing = kNever;
-  for (std::size_t s = 0; s < scan_slots; ++s) {
-    const ShardScan& scan = scans[s];
-    candidates.insert(candidates.end(), scan.candidates.begin(), scan.candidates.end());
-    for (const double contribution : scan.norm_contributions) {
-      backup_norm_in_use += contribution;
-    }
-    if (scan.next_crossing != kNever &&
-        (next_crossing == kNever || scan.next_crossing < next_crossing)) {
-      next_crossing = scan.next_crossing;
     }
   }
   if (next_crossing != kNever) ctx.request_wakeup(next_crossing);
@@ -182,13 +116,6 @@ int run_speculation_pass(SchedulerContext& ctx, const SpeculationConfig& config,
     r.aux = (static_cast<std::int64_t>(candidates.size()) << 16) |
             static_cast<std::int64_t>(launched & 0xFFFF);
     rec->append(r);
-  }
-  // Arena accounting: a caller-retained scratch that served a parallel pass
-  // counts as one acquisition, grown iff any backing buffer allocated.
-  if (scratch != nullptr && shards >= 2) {
-    if (ShardStats* stats = ctx.shard_stats()) {
-      stats->note_arena(arena.capacity_bytes() > capacity_before);
-    }
   }
   return launched;
 }

@@ -56,11 +56,9 @@ void SimConfig::validate() const {
   require(max_copies_per_task >= 1, "SimConfig: max_copies_per_task must be >= 1");
   require(max_slots >= 1, "SimConfig: max_slots must be >= 1");
   require(sigma_factor >= 0.0, "SimConfig: sigma_factor must be >= 0");
-  require(threads >= 0, "SimConfig: threads must be >= 0 (0 = hardware concurrency)");
-  // More workers than any plausible machine has hardware threads is a typo
-  // (e.g. threads=1000 for threads=10), not a tuning choice — each worker
-  // pins a stack and an OS thread for the whole run.
-  require(threads <= 512, "SimConfig: threads must be <= 512");
+  require(threads == 1,
+          "SimConfig: threads must be 1 (the intra-run parallel core was removed; "
+          "replications run in parallel through the sweep driver)");
   require(resource_dims >= 2 &&
               resource_dims <= static_cast<int>(Resources::kMaxDims),
           "SimConfig: resource_dims must be in [2, Resources::kMaxDims]");

@@ -118,6 +118,9 @@ TEST(Validate, RejectsBadCoreParameters) {
   config = SimConfig{};
   config.max_slots = 0;
   expect_validate_error(config, "max_slots must be >= 1");
+  config = SimConfig{};
+  config.threads = 4;
+  expect_validate_error(config, "threads must be 1");
 }
 
 TEST(Validate, RejectsBadFaultParameters) {

@@ -4,6 +4,7 @@
 // checked against the run's aggregates.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -147,10 +148,9 @@ TEST(TraceLog, SaveLoadRoundTrip) {
     records.push_back(r);
   }
   const std::string path = ::testing::TempDir() + "dollymp_trace_roundtrip.dmptrc";
-  save_log(path, records, 2.5, 4);
+  save_log(path, records, 2.5);
   const TraceLog loaded = load_log(path);
   EXPECT_DOUBLE_EQ(loaded.slot_seconds, 2.5);
-  EXPECT_EQ(loaded.threads_resolved, 4);
   ASSERT_EQ(loaded.records.size(), records.size());
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(loaded.records[i], records[i]) << "record " << i;
@@ -159,8 +159,8 @@ TEST(TraceLog, SaveLoadRoundTrip) {
 }
 
 TEST(TraceLog, ReadsLegacyV1Header) {
-  // A DMPTRC01 file has no threads_resolved field: slot_seconds is followed
-  // directly by the record count.  Hand-assemble an empty one.
+  // A DMPTRC01 file lacks DMPTRC02's int64 field after slot_seconds: the
+  // record count follows directly.  Hand-assemble an empty one.
   const std::string path = ::testing::TempDir() + "dollymp_trace_legacy.dmptrc";
   {
     std::ofstream out(path, std::ios::binary);
@@ -172,8 +172,31 @@ TEST(TraceLog, ReadsLegacyV1Header) {
   }
   const TraceLog loaded = load_log(path);
   EXPECT_DOUBLE_EQ(loaded.slot_seconds, 3.0);
-  EXPECT_EQ(loaded.threads_resolved, 1) << "legacy files default to serial";
   EXPECT_TRUE(loaded.records.empty());
+  std::remove(path.c_str());
+}
+
+TEST(TraceLog, RejectsRecordCountThatWrapsTheSizeCheck) {
+  // count * kTraceRecordWireBytes wraps to 1 in 64 bits, which equals the
+  // one trailing byte: the count must be bounded before it is multiplied.
+  const std::string path = ::testing::TempDir() + "dollymp_trace_wrap.dmptrc";
+  {
+    std::ofstream out(path, std::ios::binary);
+    out.write("DMPTRC02", 8);
+    const double slot_seconds = 5.0;
+    out.write(reinterpret_cast<const char*>(&slot_seconds), sizeof(slot_seconds));
+    const std::int64_t unused = 1;
+    out.write(reinterpret_cast<const char*>(&unused), sizeof(unused));
+    const std::uint64_t count = 2436362424829563421ULL;
+    out.write(reinterpret_cast<const char*>(&count), sizeof(count));
+    out.put('\0');
+  }
+  try {
+    (void)load_log(path);
+    ADD_FAILURE() << "load_log accepted a wrapping record count";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path), std::string::npos) << e.what();
+  }
   std::remove(path.c_str());
 }
 

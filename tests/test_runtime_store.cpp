@@ -9,24 +9,27 @@
 //      steady-state churn from its free lists without new blocks.
 //   2. ServerTable-backed Server views vs a plain struct mirror — random
 //      allocate / release / copy-counter / flag traffic.
-//   3. The full simulator across random scenarios x threads {1, 4} —
-//      recorder streams bit-identical and SimStats equal field by field
-//      (the test_parallel_fuzz pattern, aimed at the new layout's sharded
-//      reads over dense arrays).
+//   3. The full simulator across random scenarios, checkpointed at the
+//      median arrival and restored into a fresh core and policy — the
+//      restored run's recorder stream and SimStats must match the
+//      uninterrupted run's field by field.
 #include "dollymp/sim/runtime_store.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/rng.h"
+#include "dollymp/common/state_io.h"
 #include "dollymp/obs/recorder.h"
-#include "dollymp/obs/replay.h"
 #include "dollymp/sim/copy_slab.h"
-#include "dollymp/sim/simulator.h"
+#include "dollymp/sim/sim_core.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
 #include "layout_golden_matrix.h"
@@ -242,12 +245,12 @@ TEST(ServerTableFuzz, ModelInterningDeduplicates) {
 }
 
 // ---------------------------------------------------------------------------
-// 3. Randomized end-to-end: policies x faults x threads {1, 4}
+// 3. Randomized end-to-end: policies x faults, restored mid-run
 // ---------------------------------------------------------------------------
 
-/// Field-by-field SimStats equality (the test_parallel_equivalence list,
-/// including the layout counters; peak_rss/wall_clock excluded as
-/// host-dependent, parallel_* as shard geometry).
+/// Field-by-field SimStats equality, including the layout counters;
+/// peak_rss/wall_clock are excluded as host-dependent, and the copy-slab
+/// acquire/reuse counters because a restored slab starts cold.
 void expect_stats_equal(const SimStats& a, const SimStats& b, const std::string& label) {
 #define DMP_EXPECT_FIELD(field) EXPECT_EQ(a.field, b.field) << label << ": " #field
   DMP_EXPECT_FIELD(scheduler_invocations);
@@ -267,8 +270,6 @@ void expect_stats_equal(const SimStats& a, const SimStats& b, const std::string&
   DMP_EXPECT_FIELD(leaked_cpu);
   DMP_EXPECT_FIELD(leaked_mem);
   DMP_EXPECT_FIELD(leaked_active_copies);
-  DMP_EXPECT_FIELD(copy_slab_acquires);
-  DMP_EXPECT_FIELD(copy_slab_reuses);
   DMP_EXPECT_FIELD(copy_slab_blocks);
   DMP_EXPECT_FIELD(runtime_store_bytes);
   DMP_EXPECT_FIELD(server_table_bytes);
@@ -276,11 +277,12 @@ void expect_stats_equal(const SimStats& a, const SimStats& b, const std::string&
 #undef DMP_EXPECT_FIELD
 }
 
-TEST(RuntimeStoreFuzz, RandomScenariosThreads1Vs4) {
+TEST(RuntimeStoreFuzz, RandomScenariosRestoreMidRun) {
   Rng rng(0x570FE);
   const auto policies = layout_golden::all_policies();
   const Cluster cluster = Cluster::paper30();
-  for (int trial = 0; trial < 10; ++trial) {
+  // 24 trials of this generator draw every one of the nine policies.
+  for (int trial = 0; trial < 24; ++trial) {
     const auto& policy = policies[rng.below(policies.size())];
     const bool faults = rng.chance(0.5);
     const std::string label = "trial " + std::to_string(trial) + "/" + policy.name +
@@ -296,22 +298,41 @@ TEST(RuntimeStoreFuzz, RandomScenariosThreads1Vs4) {
     SimConfig config = layout_golden::matrix_config(faults);
     config.seed = rng.below(1u << 20) + 1;
 
-    const auto run = [&](int threads, Recorder& rec) {
-      SimConfig c = config;
-      c.threads = threads;
-      c.recorder = &rec;
-      auto sched = policy.factory();
-      return simulate(cluster, c, jobs, *sched);
-    };
-    Recorder rec1;
-    const SimResult sequential = run(1, rec1);
-    Recorder rec4;
-    const SimResult parallel = run(4, rec4);
+    std::vector<double> arrivals;
+    for (const JobSpec& j : jobs) arrivals.push_back(j.arrival_seconds);
+    const auto mid = arrivals.begin() + static_cast<std::ptrdiff_t>(arrivals.size() / 2);
+    std::nth_element(arrivals.begin(), mid, arrivals.end());
+    const auto mid_slot = static_cast<SimTime>(*mid / config.slot_seconds);
 
-    const DivergenceReport diff = compare_streams(rec1.snapshot(), rec4.snapshot());
-    ASSERT_TRUE(diff.identical) << label << "\n" << diff.to_string();
-    expect_stats_equal(sequential.stats, parallel.stats, label);
-    EXPECT_EQ(sequential.makespan_seconds, parallel.makespan_seconds) << label;
+    // Uninterrupted run, checkpointed at the median arrival on the way.
+    Recorder original_rec;
+    config.recorder = &original_rec;
+    SimCore original(cluster, config);
+    original.ingest(jobs);
+    const auto original_policy = policy.factory();
+    original.begin(*original_policy);
+    ASSERT_EQ(original.step_until(mid_slot), StepOutcome::kHorizonReached);
+    StateWriter writer;
+    original.save_state(writer);
+    const std::vector<std::uint8_t> snapshot = writer.finish();
+    (void)original.step_until(SimCore::kUnbounded);
+    const SimResult uninterrupted = original.finish();
+
+    // Fresh core and fresh policy, restored from the checkpoint.
+    Recorder restored_rec;
+    config.recorder = &restored_rec;
+    SimCore restored(cluster, config);
+    const auto restored_policy = policy.factory();
+    restored.begin(*restored_policy);
+    StateReader reader(snapshot);
+    restored.load_state(reader, /*load_scheduler=*/true);
+    (void)restored.step_until(SimCore::kUnbounded);
+    const SimResult resumed = restored.finish();
+
+    EXPECT_EQ(restored_rec.hash(), original_rec.hash()) << label;
+    EXPECT_EQ(restored_rec.records_written(), original_rec.records_written()) << label;
+    EXPECT_EQ(resumed.makespan_seconds, uninterrupted.makespan_seconds) << label;
+    expect_stats_equal(uninterrupted.stats, resumed.stats, label);
   }
 }
 

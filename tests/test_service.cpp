@@ -1,6 +1,6 @@
 // Service-mode acceptance tests (DESIGN.md §4.8): streaming arrival
-// determinism, checkpoint/restore bit-identity across the policy × faults ×
-// threads matrix, corrupted-snapshot rejection, and copy-on-write what-if
+// determinism, checkpoint/restore bit-identity across the policy × faults
+// matrix, corrupted-snapshot rejection, and copy-on-write what-if
 // forks that leave the parent's stream untouched.
 #include "dollymp/service/session.h"
 
@@ -28,12 +28,11 @@ ArrivalConfig light_arrivals() {
   return arrivals;
 }
 
-ServiceConfig service_config(const std::string& policy, bool faults, int threads) {
+ServiceConfig service_config(const std::string& policy, bool faults) {
   ServiceConfig config;
   config.policy = policy;
   config.arrivals = light_arrivals();
   config.sim.seed = 5;
-  config.sim.threads = threads;
   if (faults) {
     config.sim.failures.enabled = true;
     config.sim.failures.mean_time_to_failure_seconds = 900.0;
@@ -236,23 +235,17 @@ constexpr SimTime kT2 = 240;  // comparison horizon (slots)
 struct MatrixCell {
   const char* policy;
   bool faults;
-  int threads;
 };
 
 TEST(ServiceCheckpoint, RestoredRunIsBitIdenticalAcrossMatrix) {
   const std::vector<MatrixCell> cells = {
-      {"dollymp2", false, 1}, {"dollymp2", false, 8},
-      {"dollymp2", true, 1},  {"dollymp2", true, 8},
-      {"drf", false, 1},      {"drf", false, 8},
-      {"drf", true, 1},       {"drf", true, 8},
-      {"tetris", false, 1},   {"tetris", false, 8},
-      {"tetris", true, 1},    {"tetris", true, 8},
+      {"dollymp2", false}, {"dollymp2", true}, {"drf", false},
+      {"drf", true},       {"tetris", false},  {"tetris", true},
   };
   int cell_index = 0;
   for (const auto& cell : cells) {
-    SCOPED_TRACE(std::string(cell.policy) + (cell.faults ? "/faults" : "/clean") +
-                 "/threads=" + std::to_string(cell.threads));
-    const ServiceConfig config = service_config(cell.policy, cell.faults, cell.threads);
+    SCOPED_TRACE(std::string(cell.policy) + (cell.faults ? "/faults" : "/clean"));
+    const ServiceConfig config = service_config(cell.policy, cell.faults);
     const std::string path =
         temp_path("dollymp_service_ckpt_" + std::to_string(cell_index++) + ".ckpt");
 
@@ -284,7 +277,7 @@ TEST(ServiceCheckpoint, CheckpointingDoesNotPerturbTheRun) {
   // The stream is a deterministic function of (config, run_until horizon
   // sequence) — ingest chunk boundaries decide whether a job reuses a
   // recycled slot — so both sessions pause at kT1; only one checkpoints.
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
 
   Session plain(Cluster::paper30(), config);
   plain.run_until(kT1);
@@ -300,7 +293,7 @@ TEST(ServiceCheckpoint, CheckpointingDoesNotPerturbTheRun) {
 }
 
 TEST(ServiceCheckpoint, StreamIsDeterministicForSameHorizonSequence) {
-  const ServiceConfig config = service_config("dollymp2", true, 1);
+  const ServiceConfig config = service_config("dollymp2", true);
   Session a(Cluster::paper30(), config);
   Session b(Cluster::paper30(), config);
   for (SimTime t = 40; t <= kT2; t += 40) {
@@ -312,7 +305,7 @@ TEST(ServiceCheckpoint, StreamIsDeterministicForSameHorizonSequence) {
 }
 
 TEST(ServiceCheckpoint, RejectsCorruptedAndTruncatedSnapshots) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   const std::string path = temp_path("dollymp_service_corrupt.ckpt");
   Session session(Cluster::paper30(), config);
   session.run_until(kT1);
@@ -348,7 +341,7 @@ TEST(ServiceCheckpoint, RejectsCorruptedAndTruncatedSnapshots) {
 // ---- what-if forks ----------------------------------------------------------
 
 TEST(ServiceFork, SamePolicyForkReplaysParentsFutureAndLeavesParentAlone) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
   const std::uint64_t parent_hash_at_fork = parent.stream_hash();
@@ -371,7 +364,7 @@ TEST(ServiceFork, SamePolicyForkReplaysParentsFutureAndLeavesParentAlone) {
 }
 
 TEST(ServiceFork, PolicySwitchForkDivergesWithoutPerturbingParent) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
   const std::uint64_t parent_hash_at_fork = parent.stream_hash();
@@ -392,7 +385,7 @@ TEST(ServiceFork, PolicySwitchForkDivergesWithoutPerturbingParent) {
 }
 
 TEST(ServiceFork, QuarantineForkTakesServersOutOfService) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
 
@@ -408,7 +401,7 @@ TEST(ServiceFork, QuarantineForkTakesServersOutOfService) {
 }
 
 TEST(ServiceFork, QuarantineOutOfRangeThrows) {
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(8);
 
@@ -420,7 +413,7 @@ TEST(ServiceFork, QuarantineOutOfRangeThrows) {
 TEST(ServiceFork, ForkSurvivesParentSegmentReaping) {
   // The child holds the parent's spec segments via shared_ptr, so even after
   // the parent reaps every drained segment the child's jobs stay valid.
-  const ServiceConfig config = service_config("dollymp2", false, 1);
+  const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
   auto child = parent.fork({});
@@ -433,7 +426,7 @@ TEST(ServiceFork, ForkSurvivesParentSegmentReaping) {
 // ---- memory bound -----------------------------------------------------------
 
 TEST(ServiceMemory, RetainedSpecsTrackLiveJobsNotTotalArrivals) {
-  ServiceConfig config = service_config("dollymp2", false, 1);
+  ServiceConfig config = service_config("dollymp2", false);
   config.arrivals.rate_per_second = 0.2;
   Session session(Cluster::paper30(), config);
   std::size_t peak_retained = 0;

@@ -126,6 +126,29 @@ TEST(StateIo, ReadPastEndThrows) {
   EXPECT_THROW((void)r.u8(), std::runtime_error);
 }
 
+TEST(StateIo, PodVecRejectsCountThatWrapsTheSizeCheck) {
+  // 16-byte records: n * 16 wraps to 0 for n = 2^60 and to 16 for
+  // n = 2^60 + 1, which the 16 trailing bytes would satisfy.  The envelope
+  // hash is valid, so only the count bound can reject these.
+  struct Record16 {
+    std::uint64_t a = 0;
+    std::uint64_t b = 0;
+  };
+  static_assert(sizeof(Record16) == 16);
+  for (const std::uint64_t n : {std::uint64_t{1} << 60, (std::uint64_t{1} << 60) + 1}) {
+    StateWriter w;
+    w.u32(sizeof(Record16));
+    w.u64(n);
+    const Record16 record{};
+    w.bytes(&record, sizeof(record));
+    const auto bytes = w.finish();
+    StateReader r(bytes);
+    std::vector<Record16> v;
+    EXPECT_THROW(r.pod_vec(v), std::runtime_error) << "n = " << n;
+    EXPECT_TRUE(v.empty());
+  }
+}
+
 TEST(StateIo, ExpectDoneThrowsOnTrailingBytes) {
   StateWriter w;
   w.u32(1);

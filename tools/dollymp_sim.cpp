@@ -96,7 +96,6 @@ struct Options {
   std::string trace;
   std::uint64_t seed = 1;
   double slot = 5.0;
-  int threads = 1;
   int clones = -1;
   bool straggler_aware = false;
   double failure_mtbf = 0.0;
@@ -125,7 +124,7 @@ struct Options {
       "                   [--inventory paper30|google|google-trace|gpu] [--servers N]\n"
       "                   [--scheduler capacity|hopper|drf|tetris|carbyne|srpt|svf|dollymp0-3]\n"
       "                   [--jobs N] [--gap SECONDS] [--gpus K] [--trace FILE] [--seed S]\n"
-      "                   [--slot SECONDS] [--threads N] [--clones K] [--straggler-aware]\n"
+      "                   [--slot SECONDS] [--clones K] [--straggler-aware]\n"
       "                   [--failures MTBF:REPAIR] [--rack-faults MTTF:REPAIR]\n"
       "                   [--fail-slow ONSET:RECOVERY:FACTOR] [--copy-faults MEAN]\n"
       "                   [--weibull SHAPE] [--resilience]\n"
@@ -140,13 +139,7 @@ struct Options {
       "  --flight-recorder N  bounded ring of the newest N records, decoded to\n"
       "                       stderr when the run throws (dump-on-anomaly)\n"
       "  --verify-replay      run the config twice, compare the record streams,\n"
-      "                       exit 1 with the first divergent record decoded\n"
-      "\n"
-      "deterministic parallel core:\n"
-      "  --threads N          shard scheduler scans across N worker threads\n"
-      "                       (0 = hardware concurrency, 1 = sequential).\n"
-      "                       Results are bit-identical for every N — check\n"
-      "                       with --threads N --verify-replay\n";
+      "                       exit 1 with the first divergent record decoded\n";
   std::exit(code);
 }
 
@@ -157,7 +150,7 @@ const std::vector<std::string> kKnownFlags = {
     "--help",          "--cluster",      "--inventory",       "--servers",
     "--scheduler",     "--jobs",         "--gap",             "--gpus",
     "--trace",
-    "--seed",          "--slot",         "--threads",         "--clones",
+    "--seed",          "--slot",         "--clones",
     "--straggler-aware", "--failures",   "--rack-faults",     "--fail-slow",
     "--copy-faults",   "--weibull",      "--resilience",      "--out",
     "--trace-out",     "--log-out",      "--verify-log",      "--flight-recorder",
@@ -187,7 +180,6 @@ Options parse_options(int argc, char** argv) {
     else if (arg == "--trace") opt.trace = need_value(i);
     else if (arg == "--seed") opt.seed = std::stoull(need_value(i));
     else if (arg == "--slot") opt.slot = std::stod(need_value(i));
-    else if (arg == "--threads") opt.threads = std::stoi(need_value(i));
     else if (arg == "--clones") opt.clones = std::stoi(need_value(i));
     else if (arg == "--straggler-aware") opt.straggler_aware = true;
     else if (arg == "--failures") {
@@ -334,7 +326,6 @@ int main(int argc, char** argv) {
   SimConfig config;
   config.slot_seconds = opt.slot;
   config.seed = opt.seed;
-  config.threads = opt.threads;
   if (opt.gpus > 0) config.resource_dims = 3;
   if (opt.failure_mtbf > 0.0) {
     config.failures.enabled = true;
@@ -479,8 +470,7 @@ int main(int argc, char** argv) {
               << " (open at https://ui.perfetto.dev)\n";
   }
   if (recorder != nullptr && !opt.log_out.empty()) {
-    save_log(opt.log_out, recorder->snapshot(), config.slot_seconds,
-             result.stats.threads_resolved);
+    save_log(opt.log_out, recorder->snapshot(), config.slot_seconds);
     std::cout << "wrote flight log (" << recorder->records_written() << " records) to "
               << opt.log_out << "\n";
   }

@@ -2,7 +2,7 @@
 //
 // Runs the full replication grid seeds × policies × fault presets as
 // independent simulations fanned across a worker thread pool (whole-run
-// parallelism — the complement of the intra-run deterministic core), then
+// parallelism; each run itself is sequential), then
 // aggregates flowtime / running-time CDFs and 95% confidence intervals
 // into one JSON document.  The rendered JSON is byte-identical for every
 // --threads value: replications are aggregated on the calling thread in
