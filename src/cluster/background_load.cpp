@@ -1,6 +1,8 @@
 #include "dollymp/cluster/background_load.h"
 
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "dollymp/common/state_io.h"
 
@@ -15,7 +17,9 @@ BackgroundLoadProcess::BackgroundLoadProcess(BackgroundLoadConfig config,
   if (config_.max_slowdown < 1.0) {
     throw std::invalid_argument("BackgroundLoad: max slowdown must be >= 1");
   }
-  states_.resize(num_servers);
+  // A disabled process never reads its states (slowdown() returns 1.0
+  // first), so it holds none: no per-server memory, no RNG splits.
+  if (config_.enabled) states_.resize(num_servers);
   reset(seed);
 }
 
@@ -42,28 +46,18 @@ void BackgroundLoadProcess::renew(State& s, double now) {
   }
 }
 
-void BackgroundLoadProcess::save_state(StateWriter& w) const {
-  w.u64(states_.size());
-  for (const State& s : states_) {
-    w.f64(s.until_seconds);
-    w.f64(s.slowdown);
-    const auto& rs = s.rng.state();
-    for (const std::uint64_t word : rs) w.u64(word);
-  }
-}
+void BackgroundLoadProcess::save_state(StateWriter& w) const { w.pod_vec(states_); }
 
 void BackgroundLoadProcess::load_state(StateReader& r) {
-  const std::uint64_t n = r.u64();
-  if (n != states_.size()) {
-    throw std::runtime_error("snapshot: background-load server count mismatch");
+  std::vector<State> states;
+  r.pod_vec(states);
+  if (states.size() != states_.size()) {
+    throw std::runtime_error(
+        "snapshot: background-load server count mismatch (snapshot " +
+        std::to_string(states.size()) + ", process " + std::to_string(states_.size()) +
+        ")");
   }
-  for (State& s : states_) {
-    s.until_seconds = r.f64();
-    s.slowdown = r.f64();
-    std::array<std::uint64_t, 4> rs{};
-    for (std::uint64_t& word : rs) word = r.u64();
-    s.rng.set_state(rs);
-  }
+  states_ = std::move(states);
 }
 
 double BackgroundLoadProcess::slowdown(std::size_t server, double seconds) {

@@ -1,6 +1,7 @@
 #include "dollymp/cluster/server.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "dollymp/common/state_io.h"
 
@@ -65,15 +66,30 @@ void ServerTable::load_state(StateReader& r) {
   r.pod_vec(running_copies_);
   r.pod_vec(model_);
   r.pod_vec(flags_);
-  const std::uint64_t names = r.u64();
+  const std::size_t names = r.count("model name", sizeof(std::uint64_t));
   model_names_.clear();
   model_names_.reserve(names);
-  for (std::uint64_t i = 0; i < names; ++i) model_names_.push_back(r.str());
+  for (std::size_t i = 0; i < names; ++i) model_names_.push_back(r.str());
   const std::size_t n = capacity_.size();
   if (used_.size() != n || base_speed_.size() != n || slow_factor_.size() != n ||
       rack_.size() != n || running_copies_.size() != n || model_.size() != n ||
       flags_.size() != n) {
     throw std::runtime_error("snapshot: server-table column length mismatch");
+  }
+  // Rack ids index per-rack tables (the placement index allocates one
+  // bucket per id) and inventories number racks densely from 0, so a
+  // genuine id is below the server count.
+  for (std::size_t i = 0; i < n; ++i) {
+    if (rack_[i] < 0 || static_cast<std::size_t>(rack_[i]) >= n) {
+      throw std::runtime_error("snapshot: server " + std::to_string(i) + " rack " +
+                               std::to_string(rack_[i]) + " outside [0, " +
+                               std::to_string(n) + ")");
+    }
+    if (model_[i] >= model_names_.size()) {
+      throw std::runtime_error("snapshot: server " + std::to_string(i) + " model " +
+                               std::to_string(model_[i]) + " outside the " +
+                               std::to_string(model_names_.size()) + " model names");
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 #include "dollymp/common/state_io.h"
 
+#include <bit>
 #include <cerrno>
 #include <cstdio>
 #include <stdexcept>
@@ -17,73 +18,127 @@ namespace {
 
 constexpr std::size_t kMagicLen = 9;  // "DMPCKPT01" without the NUL
 
-[[nodiscard]] std::uint64_t fnv1a(const std::uint8_t* data, std::size_t n) {
-  std::uint64_t h = kStateHashSeed;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= data[i];
-    h *= kStateHashPrime;
+// XXH64 primes (doc/xxhash_spec.md).
+constexpr std::uint64_t kPrime1 = 0x9E3779B185EBCA87ULL;
+constexpr std::uint64_t kPrime2 = 0xC2B2AE3D27D4EB4FULL;
+constexpr std::uint64_t kPrime3 = 0x165667B19E3779F9ULL;
+constexpr std::uint64_t kPrime4 = 0x85EBCA77C2B2AE63ULL;
+constexpr std::uint64_t kPrime5 = 0x27D4EB2F165667C5ULL;
+
+template <typename T>
+[[nodiscard]] T load(const std::uint8_t* p) {
+  T v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+[[nodiscard]] std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t lane) {
+  acc += lane * kPrime2;
+  return std::rotl(acc, 31) * kPrime1;
+}
+
+[[nodiscard]] std::uint64_t xxh_merge(std::uint64_t acc, std::uint64_t lane_acc) {
+  acc ^= xxh_round(0, lane_acc);
+  return acc * kPrime1 + kPrime4;
+}
+
+/// XXH64 with seed 0 (github.com/Cyan4973/xxHash, doc/xxhash_spec.md): the
+/// envelope's payload hash, eight bytes per step over four lanes.
+[[nodiscard]] std::uint64_t xxh64(const std::uint8_t* data, std::size_t n) {
+  const std::uint8_t* p = data;
+  const std::uint8_t* const end = data + n;
+  std::uint64_t acc = 0;
+  if (n >= 32) {
+    // Four independent lanes over 32-byte stripes.
+    std::uint64_t v1 = kPrime1 + kPrime2;
+    std::uint64_t v2 = kPrime2;
+    std::uint64_t v3 = 0;
+    std::uint64_t v4 = 0 - kPrime1;
+    for (const std::uint8_t* limit = end - 32; p <= limit; p += 32) {
+      v1 = xxh_round(v1, load<std::uint64_t>(p));
+      v2 = xxh_round(v2, load<std::uint64_t>(p + 8));
+      v3 = xxh_round(v3, load<std::uint64_t>(p + 16));
+      v4 = xxh_round(v4, load<std::uint64_t>(p + 24));
+    }
+    acc = std::rotl(v1, 1) + std::rotl(v2, 7) + std::rotl(v3, 12) + std::rotl(v4, 18);
+    acc = xxh_merge(acc, v1);
+    acc = xxh_merge(acc, v2);
+    acc = xxh_merge(acc, v3);
+    acc = xxh_merge(acc, v4);
+  } else {
+    acc = kPrime5;
   }
-  return h;
-}
-
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-[[nodiscard]] std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-  return v;
-}
-
-[[nodiscard]] std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-  return v;
+  acc += static_cast<std::uint64_t>(n);
+  for (; end - p >= 8; p += 8) {
+    acc ^= xxh_round(0, load<std::uint64_t>(p));
+    acc = std::rotl(acc, 27) * kPrime1 + kPrime4;
+  }
+  if (end - p >= 4) {
+    acc ^= static_cast<std::uint64_t>(load<std::uint32_t>(p)) * kPrime1;
+    acc = std::rotl(acc, 23) * kPrime2 + kPrime3;
+    p += 4;
+  }
+  for (; p < end; ++p) {
+    acc ^= static_cast<std::uint64_t>(*p) * kPrime5;
+    acc = std::rotl(acc, 11) * kPrime1;
+  }
+  acc ^= acc >> 33;
+  acc *= kPrime2;
+  acc ^= acc >> 29;
+  acc *= kPrime3;
+  acc ^= acc >> 32;
+  return acc;
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> StateWriter::finish() {
-  std::vector<std::uint8_t> out;
-  out.reserve(kMagicLen + 4 + 8 + buf_.size() + 8);
-  out.insert(out.end(), kStateMagic, kStateMagic + kMagicLen);
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<std::uint8_t>(kStateVersion >> (8 * i)));
-  }
-  put_u64(out, buf_.size());
-  out.insert(out.end(), buf_.begin(), buf_.end());
-  put_u64(out, fnv1a(buf_.data(), buf_.size()));
-  buf_.clear();
-  return out;
+  const std::uint64_t payload = size();
+  std::uint8_t* header = buf_.data();
+  std::memcpy(header, kStateMagic, kMagicLen);
+  std::memcpy(header + kMagicLen, &kStateVersion, sizeof(kStateVersion));
+  std::memcpy(header + kMagicLen + sizeof(kStateVersion), &payload, sizeof(payload));
+  u64(xxh64(buf_.data() + kStateHeaderBytes, payload));
+  std::vector<std::uint8_t> sealed = std::move(buf_);
+  *this = StateWriter();
+  return sealed;
 }
 
 StateReader::StateReader(const std::uint8_t* data, std::size_t size) : data_(data) {
-  const std::size_t header = kMagicLen + 4 + 8;
-  if (size < header + 8) {
+  if (size < kStateHeaderBytes + 8) {
     throw std::runtime_error("snapshot: truncated (shorter than the DMPCKPT01 envelope)");
   }
   if (std::memcmp(data, kStateMagic, kMagicLen) != 0) {
     throw std::runtime_error("snapshot: bad magic (not a DMPCKPT01 snapshot)");
   }
-  const std::uint32_t version = get_u32(data + kMagicLen);
+  const auto version = load<std::uint32_t>(data + kMagicLen);
   if (version != kStateVersion) {
     throw std::runtime_error("snapshot: unsupported DMPCKPT01 version " +
                              std::to_string(version));
   }
-  const std::uint64_t payload = get_u64(data + kMagicLen + 4);
-  if (header + payload + 8 != size) {
+  const auto payload = load<std::uint64_t>(data + kMagicLen + 4);
+  // Compared without adding to `payload`, which a corrupted length could wrap.
+  if (payload != size - kStateHeaderBytes - 8) {
     throw std::runtime_error("snapshot: truncated or trailing bytes (payload length " +
                              std::to_string(payload) + " does not match file size " +
                              std::to_string(size) + ")");
   }
-  const std::uint64_t stored = get_u64(data + header + payload);
-  const std::uint64_t computed = fnv1a(data + header, payload);
-  if (stored != computed) {
+  const auto stored = load<std::uint64_t>(data + kStateHeaderBytes + payload);
+  if (stored != xxh64(data + kStateHeaderBytes, payload)) {
     throw std::runtime_error("snapshot: payload hash mismatch (corrupted snapshot)");
   }
-  pos_ = header;
-  end_ = header + payload;
+  pos_ = kStateHeaderBytes;
+  end_ = kStateHeaderBytes + payload;
+}
+
+std::size_t StateReader::count(const char* field, std::size_t min_record_bytes) {
+  const std::uint64_t n = u64();
+  if (n > remaining() / min_record_bytes) {
+    throw std::runtime_error("snapshot: " + std::string(field) + " count " +
+                             std::to_string(n) + " overruns the envelope (" +
+                             std::to_string(remaining()) + " bytes left)");
+  }
+  return static_cast<std::size_t>(n);
 }
 
 std::string StateReader::str() {
@@ -109,10 +164,8 @@ void StateReader::expect_done() const {
   }
 }
 
-void StateReader::need(std::size_t n) const {
-  if (end_ - pos_ < n) {
-    throw std::runtime_error("snapshot: truncated payload (field overruns the envelope)");
-  }
+void StateReader::overrun() {
+  throw std::runtime_error("snapshot: truncated payload (field overruns the envelope)");
 }
 
 void StateReader::check_record_size(std::uint32_t stored, std::size_t expected) {

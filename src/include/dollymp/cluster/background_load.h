@@ -49,7 +49,9 @@ class BackgroundLoadProcess {
 
   /// Checkpoint/restore: the per-server segment boundaries, current
   /// slowdowns and RNG positions — the full process state, so restored
-  /// queries continue the exact realization.
+  /// queries continue the exact realization.  A disabled process holds
+  /// and writes no states; load_state requires the snapshot's server count
+  /// to match this process's (zero when disabled).
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 

@@ -4,21 +4,27 @@
 // flight-recorder stream hash has to equal the uninterrupted run's, so a
 // snapshot that silently drops or reorders a field is worse than one that
 // fails loudly.  StateWriter/StateReader therefore wrap every payload in a
-// framed envelope — a 9-byte magic ("DMPCKPT01"), a format version, the
-// payload length, and a trailing 64-bit FNV-1a hash over the payload — and
+// framed envelope — a 9-byte magic ("DMPCKPT01"), a format version (2), the
+// payload length, and a trailing XXH64 hash (seed 0) over the payload — and
 // the reader rejects truncation, trailing garbage, bit corruption and
-// foreign files with a std::runtime_error naming what went wrong.
+// foreign files with a std::runtime_error naming what went wrong.  The hash
+// detects corruption, not crafted payloads: a payload sealed by a hostile
+// writer passes the envelope, so every decoder bounds its counts by the
+// bytes left (StateReader::count) and range-checks the indices it restores.
 //
 // Inside the envelope the encoding is deliberately dumb: little-endian
 // fixed-width integers, IEEE doubles by bit pattern, length-prefixed
 // strings and vectors, and u32 section tags (fourcc-style) sprinkled
 // between subsystems so a reader that drifts out of sync fails at the next
-// tag instead of misinterpreting the rest of the stream.  Snapshots are
+// tag instead of misinterpreting the rest of the stream.  The writer fills
+// one buffer that already holds the header slot, so sealing it writes the
+// header and appends the hash without copying the payload.  Snapshots are
 // exchanged between process images of the same build (the service
 // checkpoints to disk and restores later, possibly in a fresh process), not
 // across architectures.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <stdexcept>
@@ -28,31 +34,41 @@
 
 namespace dollymp {
 
-/// Seed/prime of the envelope's FNV-1a payload hash.
+/// 64-bit FNV-1a offset basis and prime.  The envelope hashes with XXH64;
+/// these stay because perfbench/src/e2e.cpp folds its decision digest with
+/// them.
 inline constexpr std::uint64_t kStateHashSeed = 0xcbf29ce484222325ULL;
 inline constexpr std::uint64_t kStateHashPrime = 0x100000001b3ULL;
 
 /// The 9-byte format magic + current version.
 inline constexpr char kStateMagic[] = "DMPCKPT01";  // 9 chars + NUL
-inline constexpr std::uint32_t kStateVersion = 1;
+inline constexpr std::uint32_t kStateVersion = 2;
+/// Envelope header: magic, u32 version, u64 payload length.
+inline constexpr std::size_t kStateHeaderBytes = 9 + 4 + 8;
+
+// Fixed-width fields are copied in native byte order, which is the
+// little-endian on-disk encoding only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "DMPCKPT01 fields are memcpy'd little-endian");
 
 class StateWriter {
  public:
+  /// The buffer starts with the envelope header's slot (finish() fills it)
+  /// and room for a small payload.
+  StateWriter() {
+    buf_.reserve(256);
+    buf_.resize(kStateHeaderBytes);
+  }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void b(bool v) { u8(v ? 1 : 0); }
-  void u32(std::uint32_t v) {
-    for (int i = 0; i < 4; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u32(std::uint32_t v) { bytes(&v, sizeof(v)); }
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void u64(std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-  }
+  void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void f64(double v) {
-    std::uint64_t bits = 0;
-    static_assert(sizeof(bits) == sizeof(v));
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
+    static_assert(sizeof(v) == sizeof(std::uint64_t));
+    bytes(&v, sizeof(v));
   }
   void bytes(const void* data, std::size_t n) {
     const auto* p = static_cast<const std::uint8_t*>(data);
@@ -80,21 +96,27 @@ class StateWriter {
   /// Subsystem boundary marker (fourcc), checked by StateReader::section.
   void section(std::uint32_t tag) { u32(0x5EC70000u ^ tag); }
 
+  /// Room for `payload_bytes` more payload bytes plus the trailing hash, so
+  /// a writer that knows its size up front grows the buffer once.
+  void reserve(std::size_t payload_bytes) {
+    buf_.reserve(buf_.size() + payload_bytes + sizeof(std::uint64_t));
+  }
   /// Reserve an 8-byte length slot (nested blobs a reader may skip);
-  /// returns its position for patch_u64.
+  /// returns its payload offset for patch_u64.
   [[nodiscard]] std::size_t reserve_u64() {
-    const std::size_t at = buf_.size();
+    const std::size_t at = size();
     u64(0);
     return at;
   }
   void patch_u64(std::size_t at, std::uint64_t v) {
-    for (int i = 0; i < 8; ++i) buf_[at + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(v >> (8 * i));
+    std::memcpy(buf_.data() + kStateHeaderBytes + at, &v, sizeof(v));
   }
-  [[nodiscard]] std::size_t size() const { return buf_.size(); }
+  /// Payload bytes written so far.
+  [[nodiscard]] std::size_t size() const { return buf_.size() - kStateHeaderBytes; }
 
   /// Seal the payload into the framed envelope (magic, version, length,
-  /// payload, FNV-1a hash).  The writer is consumed.
+  /// payload, XXH64 hash) and hand the buffer over without copying it.
+  /// The writer is consumed: it starts over with an empty payload.
   [[nodiscard]] std::vector<std::uint8_t> finish();
 
  private:
@@ -120,23 +142,20 @@ class StateReader {
   }
   [[nodiscard]] bool b() { return u8() != 0; }
   [[nodiscard]] std::uint32_t u32() {
-    need(4);
     std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(data_[pos_++]) << (8 * i);
+    bytes(&v, sizeof(v));
     return v;
   }
   [[nodiscard]] std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
   [[nodiscard]] std::uint64_t u64() {
-    need(8);
     std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(data_[pos_++]) << (8 * i);
+    bytes(&v, sizeof(v));
     return v;
   }
   [[nodiscard]] std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
   [[nodiscard]] double f64() {
-    const std::uint64_t bits = u64();
     double v = 0.0;
-    std::memcpy(&v, &bits, sizeof(v));
+    bytes(&v, sizeof(v));
     return v;
   }
   void bytes(void* out, std::size_t n) {
@@ -157,15 +176,16 @@ class StateReader {
   void pod_vec(std::vector<T>& v) {
     static_assert(std::is_trivially_copyable_v<T>);
     check_record_size(u32(), sizeof(T));
-    const std::uint64_t n = u64();
-    // Bound the count before multiplying: a crafted n could wrap
-    // n * sizeof(T) past the overrun check.
-    if (n > remaining() / sizeof(T)) {
-      throw std::runtime_error("snapshot: vector length overruns the envelope");
-    }
+    const std::size_t n = count("vector", sizeof(T));
     v.resize(n);
     bytes(v.data(), n * sizeof(T));
   }
+  /// Read a u64 record count and bound it before anything is allocated:
+  /// each record takes at least `min_record_bytes` (> 0) of the payload, so
+  /// a count above remaining() / min_record_bytes cannot be genuine.  The
+  /// division also keeps a crafted count from wrapping count * size past
+  /// the overrun check.  Throws std::runtime_error naming `field`.
+  [[nodiscard]] std::size_t count(const char* field, std::size_t min_record_bytes);
   /// Consume a section marker; throws naming the tag on mismatch.
   void section(std::uint32_t tag);
   void skip(std::size_t n) {
@@ -177,7 +197,10 @@ class StateReader {
   void expect_done() const;
 
  private:
-  void need(std::size_t n) const;
+  void need(std::size_t n) const {
+    if (end_ - pos_ < n) overrun();
+  }
+  [[noreturn]] static void overrun();
   static void check_record_size(std::uint32_t stored, std::size_t expected);
 
   const std::uint8_t* data_;

@@ -60,22 +60,8 @@ void ServerScorer::reset() {
   for (auto& s : states_) s = State{};
 }
 
-void ServerScorer::save_state(StateWriter& w) const {
-  w.u64(states_.size());
-  for (const State& s : states_) {
-    w.f64(s.ewma);
-    w.f64(s.weight);
-    w.u64(s.count);
-  }
-}
+void ServerScorer::save_state(StateWriter& w) const { w.pod_vec(states_); }
 
-void ServerScorer::load_state(StateReader& r) {
-  states_.assign(r.u64(), State{});
-  for (State& s : states_) {
-    s.ewma = r.f64();
-    s.weight = r.f64();
-    s.count = static_cast<std::size_t>(r.u64());
-  }
-}
+void ServerScorer::load_state(StateReader& r) { r.pod_vec(states_); }
 
 }  // namespace dollymp

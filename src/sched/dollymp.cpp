@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 #include "dollymp/cluster/placement_index.h"
 #include "dollymp/common/state_io.h"
@@ -485,6 +487,10 @@ void DollyMPScheduler::load_state(StateReader& r) {
     const JobId id = r.i32();
     const int prio = r.i32();
     const double vol = r.f64();
+    if (id < 0) {
+      throw std::runtime_error("snapshot: DollyMP priority entry for negative job id " +
+                               std::to_string(id));
+    }
     ensure_slot(id);
     const auto slot = static_cast<std::size_t>(id);
     prio_epoch_[slot] = epoch_;

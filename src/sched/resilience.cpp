@@ -146,9 +146,10 @@ void ResiliencePolicy::load_state(StateReader& r) {
   down_count_ = r.i32();
   earliest_release_ = r.i64();
   backoff_.clear();
-  const std::uint64_t count = r.u64();
-  backoff_.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
+  // Each entry: four i32 fields and one i64.
+  const std::size_t count = r.count("backoff", 4 * 4 + 8);
+  backoff_.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
     TaskRef ref;
     ref.job = r.i32();
     ref.phase = r.i32();

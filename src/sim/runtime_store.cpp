@@ -376,8 +376,11 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
     phase.gang_penalty = r.f64();
   }
 
-  const std::uint64_t n_tasks = r.u64();
-  tasks_.resize(n_tasks);
+  // Fewest bytes one saved task takes: the fields below with no replicas
+  // and no copies.
+  constexpr std::size_t kMinTaskBytes = (4 + sizeof(TaskRef)) + (4 + sizeof(Resources)) +
+                                        (4 + 8) + 1 + 1 + 8 + 8 + 8 + 8 + 4 + 4;
+  tasks_.resize(r.count("task", kMinTaskBytes));
   for (TaskRuntime& task : tasks_) {
     r.pod(task.ref);
     r.pod(task.demand);
@@ -398,6 +401,21 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
     }
   }
 
+  // Every span rebind_views() builds must lie inside its array.
+  for (const JobExtent& extent : job_extents_) {
+    if (std::uint64_t{extent.phase_begin} + extent.phase_count > phases_.size()) {
+      throw std::runtime_error(
+          "snapshot: runtime-store job extent outside the phase array");
+    }
+  }
+  for (const PhaseExtent& extent : phase_extents_) {
+    if (std::uint64_t{extent.task_begin} + extent.task_count > tasks_.size() ||
+        std::uint64_t{extent.pool_begin} + extent.pool_count > durations_.size()) {
+      throw std::runtime_error("snapshot: runtime-store phase extent outside the task or "
+                               "duration array");
+    }
+  }
+
   // Rebind spec pointers and the spec-derived speedup from the supplied
   // per-slot specs, then every span from the extents.
   for (std::size_t j = 0; j < jobs_.size(); ++j) {
@@ -410,9 +428,13 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
     for (std::size_t k = 0; k < extent.phase_count; ++k) {
       PhaseRuntime& phase = phases_[extent.phase_begin + k];
       phase.spec = &spec->phases[k];
-      phase.speedup =
-          SpeedupFunction::from_stats(spec->phases[k].theta_seconds,
-                                      spec->phases[k].sigma_seconds);
+      try {
+        phase.speedup = SpeedupFunction::from_stats(spec->phases[k].theta_seconds,
+                                                    spec->phases[k].sigma_seconds);
+      } catch (const std::invalid_argument& e) {
+        throw std::runtime_error("snapshot: job slot " + std::to_string(j) + " phase " +
+                                 std::to_string(k) + ": " + e.what());
+      }
     }
   }
   rebind_views();

@@ -43,13 +43,19 @@ void save_job_spec(StateWriter& w, const JobSpec& spec) {
   }
 }
 
+// Fewest payload bytes one saved JobSpec / PhaseSpec can take (every
+// string and vector empty): the bounds for their counts.
+constexpr std::size_t kMinJobSpecBytes = 4 + 8 + 8 + 8 + 8;
+constexpr std::size_t kMinPhaseSpecBytes =
+    8 + 4 + (4 + sizeof(Resources)) + 8 + 8 + 1 + (4 + 8);
+
 JobSpec load_job_spec(StateReader& r) {
   JobSpec spec;
   spec.id = r.i32();
   spec.name = r.str();
   spec.app = r.str();
   spec.arrival_seconds = r.f64();
-  spec.phases.resize(r.u64());
+  spec.phases.resize(r.count("phase spec", kMinPhaseSpecBytes));
   for (PhaseSpec& ps : spec.phases) {
     ps.name = r.str();
     ps.task_count = r.i32();
@@ -1128,6 +1134,9 @@ void SimCore::sample_utilization() {
 // ---- checkpoint / restore --------------------------------------------------
 
 void SimCore::save_state(StateWriter& w) const {
+  // The server table and the runtime store are nearly all of the payload:
+  // size the buffer once instead of regrowing it through them.
+  w.reserve(cluster_.table().memory_bytes() + store_.memory_bytes());
   w.section(kTagCore);
   w.i64(now_);
   w.b(first_visit_);
@@ -1253,7 +1262,7 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   background_.load_state(r);
 
   r.section(kTagSpecs);
-  const std::size_t slot_count = static_cast<std::size_t>(r.u64());
+  const std::size_t slot_count = r.count("job spec", kMinJobSpecBytes);
   if (shared_specs != nullptr && shared_specs->size() != slot_count) {
     throw std::runtime_error("snapshot: shared spec table size mismatch");
   }
@@ -1275,20 +1284,43 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   store_.load_state(r, specs);
 
   r.section(kTagArrivals);
-  arrival_order_.resize(static_cast<std::size_t>(r.u64()));
-  for (auto& index : arrival_order_) index = r.i32();
-  next_arrival_ = 0;
-  active_.resize(static_cast<std::size_t>(r.u64()));
-  for (auto& job : active_) {
-    job = jobs_.data() + static_cast<std::size_t>(r.i32());
+  const auto job_slot = [&](std::int32_t index, const char* what) {
+    if (index < 0 || static_cast<std::size_t>(index) >= jobs_.size()) {
+      throw std::runtime_error(std::string("snapshot: ") + what + " job index " +
+                               std::to_string(index) + " outside the " +
+                               std::to_string(jobs_.size()) + " job slots");
+    }
+    return static_cast<std::size_t>(index);
+  };
+  arrival_order_.resize(r.count("pending arrival", sizeof(std::int32_t)));
+  for (auto& index : arrival_order_) {
+    index = r.i32();
+    (void)job_slot(index, "pending arrival");
   }
+  next_arrival_ = 0;
+  active_.resize(r.count("active job", sizeof(std::int32_t)));
+  for (auto& job : active_) job = jobs_.data() + job_slot(r.i32(), "active");
 
   r.section(kTagHeap);
   events_.clear();
-  const std::size_t event_count = static_cast<std::size_t>(r.u64());
+  const std::size_t event_count = r.count("event", 4 + sizeof(SimEvent));
   for (std::size_t i = 0; i < event_count; ++i) {
     SimEvent e;
     r.pod(e);
+    if (e.job_index != -1) (void)job_slot(e.job_index, "event");
+    // Rack events carry a rack index in `server`.
+    const bool rack_event =
+        e.kind == EvKind::kRackRepair || e.kind == EvKind::kRackFailure;
+    const std::size_t servers =
+        rack_event ? static_cast<std::size_t>(faults_ ? faults_->rack_count() : 0)
+                   : cluster_.size();
+    if (e.server != kInvalidServer &&
+        (e.server < 0 || static_cast<std::size_t>(e.server) >= servers)) {
+      const std::string unit = rack_event ? "rack" : "server";
+      throw std::runtime_error("snapshot: event " + unit + " " +
+                               std::to_string(e.server) + " outside the " +
+                               std::to_string(servers) + " " + unit + "s");
+    }
     push_event(e);
   }
 

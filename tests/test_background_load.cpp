@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "dollymp/common/state_io.h"
+
 namespace dollymp {
 namespace {
 
@@ -75,6 +81,80 @@ TEST(BackgroundLoad, ResetReproduces) {
   for (double t = 0.0; t < 1000.0; t += 17.0) {
     ASSERT_DOUBLE_EQ(proc.slowdown(0, t), first[i++]);
   }
+}
+
+std::vector<std::uint8_t> snapshot_of(const BackgroundLoadProcess& proc) {
+  StateWriter w;
+  proc.save_state(w);
+  return w.finish();
+}
+
+TEST(BackgroundLoad, DisabledProcessRoundTripsWithNoStates) {
+  BackgroundLoadConfig config;
+  config.enabled = false;
+  const BackgroundLoadProcess saved(config, 1000, 9);
+  const auto bytes = snapshot_of(saved);
+  // Record size and a zero count: no per-server state at all.
+  EXPECT_EQ(bytes.size(), kStateHeaderBytes + 4 + 8 + 8);
+  BackgroundLoadProcess restored(config, 1000, 123);
+  StateReader r(bytes);
+  restored.load_state(r);
+  EXPECT_NO_THROW(r.expect_done());
+  EXPECT_DOUBLE_EQ(restored.slowdown(999, 50.0), 1.0);
+}
+
+TEST(BackgroundLoad, EnabledSnapshotContinuesTheExactSlowdownSequence) {
+  BackgroundLoadConfig config;
+  config.contention_probability = 0.5;
+  BackgroundLoadProcess original(config, 6, 11);
+  for (double t = 0.0; t < 500.0; t += 7.0) {
+    for (std::size_t s = 0; s < 6; ++s) (void)original.slowdown(s, t);
+  }
+  const auto bytes = snapshot_of(original);
+
+  // A fresh process from another seed: only the snapshot can make it agree.
+  BackgroundLoadProcess restored(config, 6, 999);
+  StateReader r(bytes);
+  restored.load_state(r);
+  int contended = 0;
+  for (double t = 500.0; t < 5000.0; t += 7.0) {
+    for (std::size_t s = 0; s < 6; ++s) {
+      const double expected = original.slowdown(s, t);
+      ASSERT_DOUBLE_EQ(restored.slowdown(s, t), expected) << "server " << s << " t " << t;
+      if (expected > 1.0) ++contended;
+    }
+  }
+  EXPECT_GT(contended, 0);  // the compared sequence is not all 1.0
+}
+
+void expect_count_mismatch(const BackgroundLoadProcess& saved,
+                           BackgroundLoadProcess& target) {
+  const auto bytes = snapshot_of(saved);
+  StateReader r(bytes);
+  try {
+    target.load_state(r);
+    FAIL() << "snapshot with a different server count loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("background-load server count mismatch"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(BackgroundLoad, EnabledSnapshotIntoDisabledProcessThrowsCountMismatch) {
+  BackgroundLoadConfig off;
+  off.enabled = false;
+  const BackgroundLoadProcess enabled({}, 4, 1);
+  BackgroundLoadProcess disabled(off, 4, 1);
+  expect_count_mismatch(enabled, disabled);
+}
+
+TEST(BackgroundLoad, DisabledSnapshotIntoEnabledProcessThrowsCountMismatch) {
+  BackgroundLoadConfig off;
+  off.enabled = false;
+  const BackgroundLoadProcess disabled(off, 4, 1);
+  BackgroundLoadProcess enabled({}, 4, 1);
+  expect_count_mismatch(disabled, enabled);
 }
 
 TEST(BackgroundLoad, RejectsBadConfig) {

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -87,6 +88,93 @@ TEST(StateIo, RejectsPayloadCorruption) {
         }
       },
       std::runtime_error);
+}
+
+// The envelope must reject any single-bit corruption wherever it lands:
+// magic, version, the length field, the payload or the trailing hash.
+TEST(StateIo, EverySingleBitFlipIsRejected) {
+  const auto bytes = sample_envelope();
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      auto flipped = bytes;
+      flipped[at] ^= static_cast<std::uint8_t>(1u << bit);
+      EXPECT_THROW(StateReader r(flipped), std::runtime_error)
+          << "byte " << at << " bit " << bit;
+    }
+  }
+}
+
+// Known answers pin the envelope hash to XXH64 with seed 0: a sealed
+// payload's trailer is its hash.  The 62- and 80-byte payloads run the
+// 32-byte stripe loop and every tail.
+TEST(StateIo, EnvelopeHashIsXxh64) {
+  const auto trailer = [](const std::string& payload) {
+    StateWriter w;
+    w.bytes(payload.data(), payload.size());
+    const auto bytes = w.finish();
+    std::uint64_t hash = 0;
+    std::memcpy(&hash, bytes.data() + bytes.size() - 8, sizeof(hash));
+    return hash;
+  };
+  EXPECT_EQ(trailer(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(trailer("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(trailer("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789"),
+            0xAAA46907D3047814ULL);
+  EXPECT_EQ(trailer("1234567890123456789012345678901234567890"
+                    "1234567890123456789012345678901234567890"),
+            0xE04A477F19EE145DULL);
+}
+
+TEST(StateIo, PayloadsOfEveryLengthUpTo100RoundTrip) {
+  for (std::size_t n = 0; n <= 100; ++n) {
+    std::vector<std::uint8_t> payload(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      payload[i] = static_cast<std::uint8_t>(i * 37 + n);
+    }
+    StateWriter w;
+    w.bytes(payload.data(), payload.size());
+    EXPECT_EQ(w.size(), n);
+    const auto bytes = w.finish();
+    ASSERT_EQ(bytes.size(), kStateHeaderBytes + n + 8);
+    StateReader r(bytes);
+    std::vector<std::uint8_t> back(n);
+    r.bytes(back.data(), n);
+    EXPECT_EQ(back, payload) << "length " << n;
+    EXPECT_NO_THROW(r.expect_done());
+  }
+}
+
+TEST(StateIo, RejectsVersionOneEnvelope) {
+  // A version-1 file: the current layout with the old version number.
+  auto bytes = sample_envelope();
+  const std::uint32_t v1 = 1;
+  std::memcpy(bytes.data() + 9, &v1, sizeof(v1));
+  try {
+    StateReader r(bytes);
+    FAIL() << "version-1 envelope accepted";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported DMPCKPT01 version 1"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(StateIo, CountRejectsMoreRecordsThanBytesLeftNamingTheField) {
+  StateWriter w;
+  w.u64(3);  // three 4-byte records ...
+  w.u32(1);
+  w.u32(2);  // ... but only two present
+  const auto bytes = w.finish();
+  StateReader r(bytes);
+  try {
+    (void)r.count("widget", 4);
+    FAIL() << "count accepted more records than bytes left";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("widget count 3"), std::string::npos)
+        << e.what();
+  }
+  StateReader ok(bytes);
+  EXPECT_EQ(ok.count("widget", 2), 3u);  // three 2-byte records fit in the 8 bytes left
 }
 
 TEST(StateIo, RejectsTruncation) {
