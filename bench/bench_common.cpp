@@ -145,9 +145,23 @@ void print_cdf_figure(const std::string& title,
   std::cout << table.render();
 }
 
+namespace {
+int g_shape_checks = 0;
+int g_shape_deviations = 0;
+}  // namespace
+
 void shape_check(const std::string& claim, double measured, bool holds) {
   std::cout << "[shape] " << claim << " | measured: " << measured << " | "
             << (holds ? "HOLDS" : "DEVIATES") << "\n";
+  ++g_shape_checks;
+  if (!holds) ++g_shape_deviations;
+}
+
+int shape_status() {
+  if (g_shape_deviations == 0) return 0;
+  std::cerr << "[shape] " << g_shape_deviations << " of " << g_shape_checks
+            << " claims deviate\n";
+  return 1;
 }
 
 void print_flowtime_table(const std::string& title,
@@ -164,6 +178,7 @@ void print_flowtime_table(const std::string& title,
 DryRunContext::DryRunContext(Cluster cluster, std::vector<JobSpec> jobs,
                              const SimConfig& config)
     : cluster_(std::move(cluster)),
+      index_(cluster_),
       config_(config),
       locality_(config.locality, cluster_),
       specs_(std::move(jobs)) {
@@ -183,6 +198,7 @@ bool DryRunContext::place_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime
   if (task.total_copies() >= config_.max_copies_per_task) return false;
   Server& server = cluster_.server(static_cast<std::size_t>(server_id));
   if (!server.allocate(task.demand)) return false;
+  index_.on_server_changed(server_id);
   const bool first_copy = task.copies.empty();
   CopyRuntime copy;
   copy.server = server_id;
@@ -209,6 +225,7 @@ void DryRunContext::reset_placements() {
     }
     job.first_start = kNever;
   }
+  index_ = PlacementIndex(cluster_);
   placements_ = 0;
 }
 

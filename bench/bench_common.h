@@ -4,7 +4,8 @@
 // (b) "[shape]" lines comparing the measured trend against what the paper
 // reports.  Shape lines state the paper's claim, the measured value, and
 // whether the qualitative trend holds — absolute numbers are not expected
-// to match (our substrate is a simulator, DESIGN.md section 1).
+// to match (our substrate is a simulator, DESIGN.md section 1).  A bench
+// exits non-zero when any of its claims deviates.
 #pragma once
 
 #include <memory>
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
+#include "dollymp/cluster/placement_index.h"
 #include "dollymp/common/stats.h"
 #include "dollymp/metrics/report.h"
 #include "dollymp/sched/scheduler.h"
@@ -54,8 +56,13 @@ void print_cdf_figure(const std::string& title,
                       const std::vector<std::pair<std::string, Cdf>>& series);
 
 /// Emit a shape-check line: the paper's claim, the measured value and
-/// whether the measured trend matches.
+/// whether the measured trend matches.  A DEVIATES verdict is counted.
 void shape_check(const std::string& claim, double measured, bool holds);
+
+/// A figure bench's exit status: 1 when any shape check deviated (with a
+/// count on stderr), 0 when every claim held.  Verdicts come from seeded
+/// simulations, so the status is deterministic.
+[[nodiscard]] int shape_status();
 
 /// Sum of flowtimes table for a set of results, followed by the
 /// control-plane counter table (scheduler invocations, fast-forwarded
@@ -63,9 +70,10 @@ void shape_check(const std::string& claim, double measured, bool holds);
 void print_flowtime_table(const std::string& title, const std::vector<SimResult>& results);
 
 /// A stand-alone SchedulerContext for latency measurements (Section 6.3.3):
-/// placements allocate real server resources and create copy records, but
-/// no events are generated and time never advances — exactly the work a
-/// Resource Manager does when making one round of scheduling decisions.
+/// placements allocate real server resources, create copy records and
+/// update the context's PlacementIndex, but no events are generated and
+/// time never advances — exactly the work a Resource Manager does when
+/// making one round of scheduling decisions.
 class DryRunContext final : public SchedulerContext {
  public:
   /// Materializes `jobs` as already-arrived runtime state over `cluster`.
@@ -79,6 +87,7 @@ class DryRunContext final : public SchedulerContext {
   [[nodiscard]] const SimConfig& config() const override { return config_; }
   [[nodiscard]] const std::vector<JobRuntime*>& active_jobs() override { return active_; }
   [[nodiscard]] Rng& policy_rng() override { return rng_; }
+  [[nodiscard]] PlacementIndex* placement_index() override { return &index_; }
 
   bool place_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
                   ServerId server) override;
@@ -89,7 +98,8 @@ class DryRunContext final : public SchedulerContext {
   /// Time never advances in a dry run; wakeup requests are meaningless.
   void request_wakeup(SimTime /*slot*/) override {}
 
-  /// Undo all placements so the next measured round starts from scratch.
+  /// Undo all placements so the next measured round starts from scratch,
+  /// with a freshly built index (benches pause timing around this).
   void reset_placements();
 
   [[nodiscard]] int placements() const { return placements_; }
@@ -100,6 +110,7 @@ class DryRunContext final : public SchedulerContext {
 
  private:
   Cluster cluster_;
+  PlacementIndex index_;
   SimConfig config_;
   LocalityModel locality_;
   Rng rng_{7};

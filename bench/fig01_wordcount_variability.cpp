@@ -65,5 +65,5 @@ int main() {
               reduction, reduction > 0.08);
   shape_check("Fig1: DollyMP^2 is more stable (smaller run-to-run sd)",
               dollymp2_sd / capacity_sd, dollymp2_sd < capacity_sd);
-  return 0;
+  return shape_status();
 }

@@ -76,5 +76,5 @@ int main() {
   shape_check("Fig2: DollyMP makes one clone for Job2 and Job3",
               static_cast<double>(dmp.job(2).clones_launched + dmp.job(3).clones_launched),
               dmp.job(2).clones_launched == 1 && dmp.job(3).clones_launched == 1);
-  return 0;
+  return shape_status();
 }

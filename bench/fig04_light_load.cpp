@@ -50,5 +50,5 @@ int main() {
   const double d2_vs_d1 = mean_flowtime_reduction(dollymp2, dollymp1);
   shape_check("Fig4: DollyMP^2 outperforms DollyMP^1 when lightly loaded", d2_vs_d1,
               d2_vs_d1 > -0.02);
-  return 0;
+  return shape_status();
 }

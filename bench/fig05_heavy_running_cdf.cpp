@@ -36,5 +36,5 @@ int main() {
                 dollymp_cdf.median() / tetris_cdf.median(),
                 dollymp_cdf.median() <= tetris_cdf.median());
   }
-  return 0;
+  return shape_status();
 }

@@ -35,5 +35,5 @@ int main() {
     shape_check("Fig6 (" + app + "): Capacity fraction below Tetris fraction",
                 capacity_frac, capacity_frac <= tetris_frac + 0.02);
   }
-  return 0;
+  return shape_status();
 }

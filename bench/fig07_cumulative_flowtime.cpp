@@ -44,5 +44,5 @@ int main() {
                 "(~30% in paper; our Tetris lacks YARN overheads, see EXPERIMENTS.md)",
                 vs_tetris, vs_tetris > 0.05);
   }
-  return 0;
+  return shape_status();
 }

@@ -53,5 +53,5 @@ int main() {
   const double makespan_cut = 1.0 - dollymp.makespan_seconds / tetris.makespan_seconds;
   shape_check("Fig8: makespan reduced vs Tetris (paper: ~18%)", makespan_cut,
               makespan_cut > -0.05);
-  return 0;
+  return shape_status();
 }

@@ -56,5 +56,5 @@ int main() {
               "naive largest-first",
               naive.mean_flowtime() / d2.mean_flowtime(),
               d2.mean_flowtime() <= naive.mean_flowtime() * 1.05);
-  return 0;
+  return shape_status();
 }

@@ -54,5 +54,5 @@ int main() {
               high_load_cloned, high_load_cloned > 0.05);
   shape_check("Fig10b: more cloning when the cluster is larger (lower load)",
               low_load_cloned - high_load_cloned, low_load_cloned >= high_load_cloned);
-  return 0;
+  return shape_status();
 }

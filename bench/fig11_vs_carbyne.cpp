@@ -46,5 +46,5 @@ int main() {
   const double mean_cut = mean_flowtime_reduction(dollymp, carbyne);
   shape_check("Fig11: average completion time below Carbyne (paper: ~25%)", mean_cut,
               mean_cut > 0.10);
-  return 0;
+  return shape_status();
 }

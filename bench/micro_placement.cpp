@@ -46,7 +46,7 @@ void churn(benchmark::State& state, const bool use_index) {
     const auto sid = static_cast<ServerId>(i % servers);
     if (!cluster.server(i % servers).can_fit(demand)) continue;
     cluster.server(i % servers).allocate(demand);
-    if (index) index->on_allocation_changed(sid);
+    if (index) index->on_server_changed(sid);
     live.emplace_back(sid, demand);
   }
 
@@ -58,7 +58,7 @@ void churn(benchmark::State& state, const bool use_index) {
         const auto [sid, freed] = live.front();
         live.pop_front();
         cluster.server(static_cast<std::size_t>(sid)).release(freed);
-        if (index) index->on_allocation_changed(sid);
+        if (index) index->on_server_changed(sid);
       }
       const Resources& demand = kPalette[next++ % kPalette.size()];
       const ServerId sid =
@@ -66,7 +66,7 @@ void churn(benchmark::State& state, const bool use_index) {
       benchmark::DoNotOptimize(sid);
       if (sid == kInvalidServer) continue;
       cluster.server(static_cast<std::size_t>(sid)).allocate(demand);
-      if (index) index->on_allocation_changed(sid);
+      if (index) index->on_server_changed(sid);
       live.emplace_back(sid, demand);
       ++placed;
     }

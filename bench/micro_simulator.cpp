@@ -52,8 +52,8 @@ void BM_SimulatorStochastic(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorStochastic)->Arg(100)->Arg(500)->Unit(benchmark::kMillisecond);
 
-// Same end-to-end run at a 1,000-server inventory: the scale where the
-// placement index starts to dominate over the linear scan.
+// Same end-to-end run at a 1,000-server inventory, where placement
+// queries and index maintenance start to show.
 void BM_SimulatorStochasticLargeCluster(benchmark::State& state) {
   const auto jobs = sim_jobs(static_cast<int>(state.range(0)), 9);
   const Cluster cluster = Cluster::google_like(1000);

@@ -51,5 +51,5 @@ int main() {
   shape_check("Delay assignment: flowtime impact is small at moderate load "
               "(the kept copies ride leftover capacity)",
               keep_flow / kill_flow, keep_flow < kill_flow * 1.15);
-  return 0;
+  return shape_status();
 }

@@ -64,5 +64,5 @@ int main() {
               "trails DollyMP^2 (Section 7's argument)",
               hopper_flow / dollymp_flow,
               hopper_flow < capacity_flow && dollymp_flow < hopper_flow * 1.02);
-  return 0;
+  return shape_status();
 }

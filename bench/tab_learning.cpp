@@ -84,5 +84,5 @@ int main() {
   shape_check("Corollary 4.1 budgets do not degrade mean flowtime",
               1.0 - corollary_total / blind_total,
               corollary_total < blind_total * 1.05);
-  return 0;
+  return shape_status();
 }

@@ -167,5 +167,5 @@ int main() {
   sigma_factor_ablation();
   shape_check("Sec 4.1: flow3 < flow1 < flow2 across all tabulated shapes",
               ordering_holds ? 1.0 : 0.0, ordering_holds);
-  return 0;
+  return shape_status();
 }

@@ -90,10 +90,6 @@ PlacementIndex::PlacementIndex(const Cluster& cluster)
   // the fleet: reserving it here keeps maintenance free of reallocation.
   dirty_.reserve(n);
 
-  int max_rack = -1;
-  for (const auto& server : cluster.servers()) max_rack = std::max(max_rack, server.rack());
-  rack_classes_.assign(static_cast<std::size_t>(max_rack + 1), {});
-
   for (const auto& server : cluster.servers()) {
     const auto id = static_cast<std::size_t>(server.id());
     std::int32_t cls = -1;
@@ -114,37 +110,10 @@ PlacementIndex::PlacementIndex(const Cluster& cluster)
     ResourceClass& rc = classes_[static_cast<std::size_t>(cls)];
     rank_of_[id] = static_cast<std::uint32_t>(rc.ids.size());
     rc.ids.push_back(server.id());
-    // Hierarchical level: bucket by (rack, class), first-seen class order
-    // within each rack.  Ascending server ids keep each bucket sorted.
-    auto& buckets = rack_classes_[static_cast<std::size_t>(server.rack())];
-    RackClassBucket* bucket = nullptr;
-    for (auto& b : buckets) {
-      if (b.cls == cls) {
-        bucket = &b;
-        break;
-      }
-    }
-    if (bucket == nullptr) {
-      buckets.push_back({cls, 0, {}});
-      bucket = &buckets.back();
-    }
-    bucket->members.push_back(server.id());
   }
-  // Index only now that every class's rank range — the size of its groups'
+  // Group only now that every class's rank range — the size of its groups'
   // bitsets — is known.
-  for (const auto& server : cluster.servers()) {
-    if (!server.is_down()) index_server(server.id());
-  }
-}
-
-PlacementIndex::RackClassBucket& PlacementIndex::bucket_of(ServerId id) {
-  const auto i = static_cast<std::size_t>(id);
-  const int rack = cluster_->server(i).rack();
-  for (auto& bucket : rack_classes_[static_cast<std::size_t>(rack)]) {
-    if (bucket.cls == class_of_[i]) return bucket;
-  }
-  // Unreachable: every server was bucketed at construction.
-  return rack_classes_[static_cast<std::size_t>(rack)].front();
+  for (std::size_t i = 0; i < n; ++i) regroup(i);
 }
 
 std::int32_t PlacementIndex::group_for(ResourceClass& cls, const Resources& used) {
@@ -203,59 +172,26 @@ const PlacementIndex::BatchCache& PlacementIndex::batched_walk(const Resources& 
   return *slot;
 }
 
-void PlacementIndex::add_member(ResourceClass& cls, std::int32_t gid, std::uint32_t rank) {
-  Group& group = cls.groups[static_cast<std::size_t>(gid)];
-  if (group.members.empty()) {
-    group.prev = kNoGroup;
-    group.next = cls.active_head;
-    if (cls.active_head != kNoGroup) {
-      cls.groups[static_cast<std::size_t>(cls.active_head)].prev = gid;
-    }
-    cls.active_head = gid;
-  }
-  group.members.insert(rank);
-}
-
-void PlacementIndex::remove_member(ResourceClass& cls, std::int32_t gid, std::uint32_t rank) {
-  Group& group = cls.groups[static_cast<std::size_t>(gid)];
-  group.members.erase(rank);
-  if (group.members.empty()) {
-    // Unlink from the active list but keep the pool slot and the bitset
-    // words: churn revisits the same used vectors, so steady-state
-    // maintenance never allocates.
-    if (group.prev != kNoGroup) {
-      cls.groups[static_cast<std::size_t>(group.prev)].next = group.next;
-    } else {
-      cls.active_head = group.next;
-    }
-    if (group.next != kNoGroup) {
-      cls.groups[static_cast<std::size_t>(group.next)].prev = group.prev;
-    }
-    group.prev = group.next = kNoGroup;
-  }
-}
-
-void PlacementIndex::index_server(ServerId id) {
-  const auto i = static_cast<std::size_t>(id);
+void PlacementIndex::regroup(std::size_t i) {
+  const Server& server = cluster_->server(i);
   ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
-  const std::int32_t gid = group_for(cls, cluster_->server(i).used());
-  add_member(cls, gid, rank_of_[i]);
-  group_of_[i] = gid;
-  ++bucket_of(id).up_count;
+  std::int32_t& gid = group_of_[i];
+  if (gid != kNoGroup) {
+    Group& group = cls.groups[static_cast<std::size_t>(gid)];
+    if (server.placeable() && group.used == server.used()) return;
+    // A drained group keeps its pool slot and bitset words: churn revisits
+    // the same used vectors, so steady-state maintenance never allocates.
+    group.members.erase(rank_of_[i]);
+    gid = kNoGroup;
+  }
+  if (!server.placeable()) return;
+  gid = group_for(cls, server.used());
+  cls.groups[static_cast<std::size_t>(gid)].members.insert(rank_of_[i]);
 }
 
-void PlacementIndex::deindex_server(ServerId id) {
-  const auto i = static_cast<std::size_t>(id);
-  ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
-  remove_member(cls, group_of_[i], rank_of_[i]);
-  group_of_[i] = kNoGroup;
-  --bucket_of(id).up_count;
-}
-
-void PlacementIndex::on_allocation_changed(ServerId id) {
+void PlacementIndex::on_server_changed(ServerId id) {
   ++counters_.updates;
   const auto i = static_cast<std::size_t>(id);
-  if (group_of_[i] == kNoGroup) return;  // down: re-indexed on repair
   if (is_dirty_[i] != 0) return;
   is_dirty_[i] = 1;
   dirty_.push_back(id);
@@ -265,29 +201,9 @@ void PlacementIndex::flush() {
   for (const ServerId id : dirty_) {
     const auto i = static_cast<std::size_t>(id);
     is_dirty_[i] = 0;
-    const std::int32_t old_gid = group_of_[i];
-    if (old_gid == kNoGroup) continue;  // went down since; re-indexed on repair
-    ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
-    const Resources& used = cluster_->server(i).used();
-    if (cls.groups[static_cast<std::size_t>(old_gid)].used == used) continue;
-    remove_member(cls, old_gid, rank_of_[i]);
-    const std::int32_t gid = group_for(cls, used);
-    add_member(cls, gid, rank_of_[i]);
-    group_of_[i] = gid;
+    regroup(i);
   }
   dirty_.clear();
-}
-
-void PlacementIndex::on_server_down(ServerId id) {
-  ++counters_.updates;
-  if (group_of_[static_cast<std::size_t>(id)] == kNoGroup) return;
-  deindex_server(id);
-}
-
-void PlacementIndex::on_server_up(ServerId id) {
-  ++counters_.updates;
-  if (group_of_[static_cast<std::size_t>(id)] != kNoGroup) return;
-  index_server(id);
 }
 
 void PlacementIndex::set_multiplier(ServerId id, double weight) {
@@ -351,58 +267,6 @@ ServerId PlacementIndex::first_fit(const Resources& demand) {
   return best;
 }
 
-ServerId PlacementIndex::locality_aware(const LocalityModel& locality,
-                                        const BlockPlacement& block, const Resources& demand) {
-  ++counters_.queries;
-  // Node-local replica first, in replica order — same as the linear helper.
-  for (const ServerId replica : block.replicas) {
-    ++counters_.servers_scanned;
-    if (cluster_->server(static_cast<std::size_t>(replica)).can_fit(demand)) {
-      return replica;
-    }
-  }
-  // Rack-local pass.  classify() == kRack requires sharing a rack with a
-  // replica (and locality enabled, replicas present), so enumerating the
-  // replicas' rack member lists covers exactly the linear scan's candidates;
-  // the explicit tie break makes enumeration order irrelevant.
-  ServerId best_rack = kInvalidServer;
-  double best_rack_score = -1.0;
-  if (locality.config().enabled && !block.replicas.empty()) {
-    for (std::size_t r = 0; r < block.replicas.size(); ++r) {
-      const int rack =
-          cluster_->server(static_cast<std::size_t>(block.replicas[r])).rack();
-      bool seen = false;
-      for (std::size_t q = 0; q < r && !seen; ++q) {
-        seen = cluster_->server(static_cast<std::size_t>(block.replicas[q])).rack() == rack;
-      }
-      if (seen) continue;
-      // Hierarchical walk: a bucket whose class cannot hold the demand, or
-      // whose members are all down/quarantined, is pruned whole — every
-      // pruned member would have failed can_fit, and `beats` makes the
-      // remaining enumeration order irrelevant.
-      for (const auto& bucket : rack_classes_[static_cast<std::size_t>(rack)]) {
-        if (bucket.up_count == 0) continue;
-        if (!demand.fits_within(classes_[static_cast<std::size_t>(bucket.cls)].capacity)) {
-          continue;
-        }
-        for (const ServerId id : bucket.members) {
-          ++counters_.servers_scanned;
-          const Server& server = cluster_->server(static_cast<std::size_t>(id));
-          if (!server.can_fit(demand)) continue;
-          if (locality.classify(block, id) != LocalityLevel::kRack) continue;
-          const double score = demand.dot(server.free());
-          if (beats(score, id, best_rack_score, best_rack)) {
-            best_rack_score = score;
-            best_rack = id;
-          }
-        }
-      }
-    }
-  }
-  if (best_rack != kInvalidServer) return best_rack;
-  return best_fit(demand);
-}
-
 ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
                                            const BlockPlacement* boost_block) {
   ++counters_.queries;
@@ -443,7 +307,7 @@ ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
     ++counters_.servers_scanned;
     const auto i = static_cast<std::size_t>(id);
     const std::int32_t gid = group_of_[i];
-    if (gid == kNoGroup) continue;  // down or quarantined
+    if (gid == kNoGroup) continue;  // not placeable
     const ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
     const Group& group = cls.groups[static_cast<std::size_t>(gid)];
     if (!group_fits(group.used, demand, cls.capacity)) continue;
@@ -466,10 +330,8 @@ std::vector<ServerId> PlacementIndex::fitting_candidates(const Resources& demand
   std::vector<ServerId> out;
   for (const auto& cls : classes_) {
     if (!demand.fits_within(cls.capacity)) continue;
-    for (std::int32_t gid = cls.active_head; gid != kNoGroup;
-         gid = cls.groups[static_cast<std::size_t>(gid)].next) {
-      const Group& group = cls.groups[static_cast<std::size_t>(gid)];
-      if (!group_fits(group.used, demand, cls.capacity)) continue;
+    for (const Group& group : cls.groups) {
+      if (group.members.empty() || !group_fits(group.used, demand, cls.capacity)) continue;
       for (std::uint32_t rank = group.members.lowest(); rank != kNoRank;
            rank = group.members.next(rank + 1)) {
         out.push_back(cls.ids[rank]);

@@ -76,9 +76,9 @@ void ServerTable::load_state(StateReader& r) {
       flags_.size() != n) {
     throw std::runtime_error("snapshot: server-table column length mismatch");
   }
-  // Rack ids index per-rack tables (the placement index allocates one
-  // bucket per id) and inventories number racks densely from 0, so a
-  // genuine id is below the server count.
+  // Rack ids index per-rack tables (the fault engine's rack member lists)
+  // and inventories number racks densely from 0, so a genuine id is below
+  // the server count.
   for (std::size_t i = 0; i < n; ++i) {
     if (rack_[i] < 0 || static_cast<std::size_t>(rack_[i]) >= n) {
       throw std::runtime_error("snapshot: server " + std::to_string(i) + " rack " +

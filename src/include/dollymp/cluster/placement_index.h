@@ -1,20 +1,23 @@
-// Incremental free-capacity index over a Cluster.
+// Incremental free-capacity index over a Cluster: the one implementation of
+// every placement query the simulator answers.
 //
-// The linear placement helpers (best_fit_server & friends) scan every server
-// per copy placed, which makes a scheduler invocation O(placements x servers)
-// — fine at the paper's 30-node inventory, hopeless at the 30K-server trace
-// scale of Section 6.3.  PlacementIndex maintains a two-level grouping that
-// answers placement queries in time proportional to the number of *distinct
-// allocation states* (plus the servers with a learned weight), not the
-// number of servers; no maintenance hook and no query does work that grows
-// with a group's size:
+// A linear scan (best_fit_server(const Cluster&, ...) & friends, kept as
+// test references) visits every server per copy placed, which makes a
+// scheduler invocation O(placements x servers) — fine at the paper's
+// 30-node inventory, hopeless at the 30K-server trace scale of Section 6.3.
+// PlacementIndex maintains a two-level grouping that answers placement
+// queries in time proportional to the number of *distinct allocation
+// states* (plus the servers with a learned weight), not the number of
+// servers; no maintenance hook and no query does work that grows with a
+// group's size:
 //
 //   * Servers are partitioned into *resource classes* (exact capacity
 //     equality).  Trace inventories have a handful of machine shapes, so a
 //     demand that exceeds a class capacity skips the whole class.  Each
 //     class numbers its servers with dense *ranks* that ascend with the
 //     server id.
-//   * Within a class, up servers are grouped by their exact used() vector.
+//   * Within a class, candidate servers — up and not quarantined, the flag
+//     rule of Server::can_fit — are grouped by their exact used() vector.
 //     Every demand in the system lives on the trace model's grid (integral
 //     cores, 0.5 GB memory steps), so used vectors are sums of a small
 //     palette: a benchmark run over 30K-1M servers peaks at 23 to about
@@ -28,23 +31,14 @@
 //     a cached lowest rank: insert and erase are O(1), and the lowest rank
 //     is recomputed with a forward scan only when the lowest member leaves.
 //   * Groups are pooled per class and found through an insert-only map from
-//     used vector to pool slot.  A drained group is unlinked from the
-//     active list but keeps its slot and its bitset words, so steady-state
-//     maintenance — allocation churn revisiting the same used vectors —
-//     performs no heap allocation.
-//   * Allocation changes are applied lazily: on_allocation_changed only
-//     marks the server dirty, and the next query first moves every dirty
-//     up server to the group of its current used().  An allocate/release
-//     pair with no query in between costs two flag writes.  Failure and
-//     repair (on_server_down / on_server_up) stay eager.
-//   * A hierarchical rack -> capacity-class level serves the rack-local
-//     pass of locality_aware_server: each rack holds one member bucket per
-//     resource class present in it, with an up-count.  A demand that
-//     exceeds a bucket's class capacity — or a bucket whose members are all
-//     down/quarantined — skips the whole bucket without touching a server.
-//     Pruning is bit-identical to the flat per-rack scan because every
-//     pruned server would have failed can_fit, and the winner comparator
-//     is enumeration-order independent.
+//     used vector to pool slot.  A drained group keeps its slot and its
+//     bitset words, so steady-state maintenance — allocation churn
+//     revisiting the same used vectors — performs no heap allocation.
+//   * Every change is applied lazily through one hook: on_server_changed
+//     only marks the server dirty, and the next query first re-applies the
+//     candidacy rule to every dirty server and moves each candidate to the
+//     group of its current used().  An allocate/release pair, a crash or a
+//     quarantine with no query in between costs two flag writes.
 //
 // Determinism contract: every query reproduces the corresponding linear scan
 // *bit for bit*.  Group membership is exact value equality of used(), and
@@ -72,19 +66,15 @@ namespace dollymp {
 class PlacementIndex {
  public:
   /// Builds the index over `cluster`'s current state.  The cluster must
-  /// outlive the index and keep a stable server set (allocation, up/down
-  /// state may change — report those through the hooks below).
+  /// outlive the index and keep a stable server set (allocation, down and
+  /// quarantine state may change — report each change through
+  /// on_server_changed).
   explicit PlacementIndex(const Cluster& cluster);
 
-  // ----- maintenance hooks ---------------------------------------------------
-
-  /// Server `id`'s allocation changed (allocate or release): mark it dirty.
-  /// O(1); the next query moves it to the group matching its used vector.
-  void on_allocation_changed(ServerId id);
-  /// Server `id` went down: remove it from all candidate structures.
-  void on_server_down(ServerId id);
-  /// Server `id` came back up: re-index it from its current allocation.
-  void on_server_up(ServerId id);
+  /// Server `id`'s allocation, down flag or quarantine flag changed: mark it
+  /// dirty.  O(1); the next query re-applies the candidacy rule to it and
+  /// moves it to the group matching its used vector.
+  void on_server_changed(ServerId id);
 
   /// Per-server score multiplier used by weighted_best_fit (DollyMP's
   /// straggler-aware placement weight).  Defaults to 1.0 for every server.
@@ -95,10 +85,10 @@ class PlacementIndex {
 
   // ----- queries (bit-identical to the linear scans) -------------------------
   //
-  // Every query first applies the pending allocation changes (see
-  // on_allocation_changed), so queries are non-const.  best_fit, first_fit
-  // and weighted_best_fit answer from a batched walk: the capacity-group
-  // walk for a demand is captured once into a cached candidate list and
+  // Every query first applies the pending changes (see on_server_changed),
+  // so queries are non-const.  best_fit, first_fit and weighted_best_fit
+  // answer from a batched walk: the capacity-group walk for a demand is
+  // captured once into a cached candidate list and
   // replayed for every same-demand query until the group pool grows.  A
   // Group's used vector — and therefore its per-demand fit answer and
   // score — is immutable for the lifetime of its pool slot; only its
@@ -116,11 +106,6 @@ class PlacementIndex {
   /// Equivalent of first_fit_server(cluster, demand).
   [[nodiscard]] ServerId first_fit(const Resources& demand);
 
-  /// Equivalent of locality_aware_server(cluster, locality, task) given the
-  /// task's block placement and demand.
-  [[nodiscard]] ServerId locality_aware(const LocalityModel& locality,
-                                        const BlockPlacement& block, const Resources& demand);
-
   /// Equivalent of DollyMP's straggler-aware pick: maximize
   /// demand.dot(free) * multiplier(id), boosted by 1.25 when the server
   /// holds a replica of `boost_block` (pass nullptr for no boost), ties to
@@ -132,9 +117,9 @@ class PlacementIndex {
   [[nodiscard]] ServerId weighted_best_fit(const Resources& demand,
                                            const BlockPlacement* boost_block);
 
-  /// All up servers that can_fit(demand), ascending id — test/debug utility
+  /// All servers that can_fit(demand), ascending id — test/debug utility
   /// for validating candidate enumeration against a brute-force scan (not
-  /// used on the hot path; allocates).
+  /// used on the hot path; walks the whole group pool and allocates).
   [[nodiscard]] std::vector<ServerId> fitting_candidates(const Resources& demand);
 
   // ----- observability -------------------------------------------------------
@@ -179,12 +164,11 @@ class PlacementIndex {
     std::uint32_t lowest_ = kNoRank;
   };
 
-  /// Up servers of one class whose used() vectors are value-identical.
+  /// Candidate servers of one class whose used() vectors are
+  /// value-identical.
   struct Group {
     Resources used;
-    RankSet members;               ///< words kept when drained
-    std::int32_t prev = kNoGroup;  ///< active-list links (empty => unlinked)
-    std::int32_t next = kNoGroup;
+    RankSet members;  ///< words kept when drained
   };
 
   struct ResourceClass {
@@ -194,7 +178,6 @@ class PlacementIndex {
     /// used -> pool slot.  Insert-only: churn revisits the same used
     /// vectors, so in steady state every lookup hits.
     std::map<std::array<double, Resources::kMaxDims>, std::int32_t> lookup;
-    std::int32_t active_head = kNoGroup;  ///< list of groups with members
   };
 
   /// One precomputed candidate of a batched walk: pool-slot indices (the
@@ -216,26 +199,25 @@ class PlacementIndex {
   /// The cached walk for `demand`, rebuilt on miss or stale generation.
   [[nodiscard]] const BatchCache& batched_walk(const Resources& demand);
 
-  /// Move every dirty up server to the group of its current used().
+  /// regroup() every dirty server.
   void flush();
+  /// Apply the candidacy rule to server `i`: a placeable server is a member
+  /// of the group of its current used(), any other server of no group.
+  void regroup(std::size_t i);
   /// Pool slot for `used`, creating the group on first sight.
   [[nodiscard]] std::int32_t group_for(ResourceClass& cls, const Resources& used);
-  void add_member(ResourceClass& cls, std::int32_t gid, std::uint32_t rank);
-  void remove_member(ResourceClass& cls, std::int32_t gid, std::uint32_t rank);
-  void index_server(ServerId id);
-  void deindex_server(ServerId id);
 
   const Cluster* cluster_;
   std::vector<ResourceClass> classes_;
   std::vector<std::int32_t> class_of_;  // server -> class index
   std::vector<std::uint32_t> rank_of_;  // server -> rank within its class
-  std::vector<std::int32_t> group_of_;  // server -> pool slot; kNoGroup = down
+  std::vector<std::int32_t> group_of_;  // server -> pool slot; kNoGroup = not a candidate
   std::vector<double> multiplier_;
   /// Servers whose multiplier is not 1.0, in no particular order, and each
   /// server's position in it (-1 = absent) for O(1) swap-remove.
   std::vector<ServerId> nonneutral_;
   std::vector<std::int32_t> nonneutral_pos_;
-  /// Servers whose allocation changed since the last flush (each once).
+  /// Servers changed since the last flush (each once).
   std::vector<ServerId> dirty_;
   std::vector<std::uint8_t> is_dirty_;
 
@@ -249,17 +231,6 @@ class PlacementIndex {
   std::vector<BatchCache> batch_;
   std::size_t batch_clock_ = 0;  ///< next slot to evict
 
-  /// One capacity class's members within one rack: the hierarchical
-  /// rack -> class level.  Member lists are static (built once, ascending);
-  /// only the up-count changes as servers fail/recover/quarantine.
-  struct RackClassBucket {
-    std::int32_t cls = -1;
-    std::uint32_t up_count = 0;     ///< members currently indexed (placeable)
-    std::vector<ServerId> members;  ///< ascending ids
-  };
-  std::vector<std::vector<RackClassBucket>> rack_classes_;  // rack -> buckets
-  /// The (rack, class) bucket holding `id` (built at construction).
-  [[nodiscard]] RackClassBucket& bucket_of(ServerId id);
   Counters counters_;
 };
 

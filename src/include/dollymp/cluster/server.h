@@ -117,12 +117,15 @@ class Server {
     return table_->model_name(model_id());
   }
 
+  /// Up and not quarantined: the server may take new placements.  This is
+  /// can_fit's flag rule and the PlacementIndex's candidacy rule.
+  [[nodiscard]] bool placeable() const { return table_->flags_[row()] == 0; }
+
   /// True when `demand` fits in the remaining capacity and the server is
-  /// up and not quarantined.
+  /// placeable().
   [[nodiscard]] bool can_fit(const Resources& demand) const {
     const auto i = row();
-    return table_->flags_[i] == 0 &&
-           (table_->used_[i] + demand).fits_within(table_->capacity_[i]);
+    return placeable() && (table_->used_[i] + demand).fits_within(table_->capacity_[i]);
   }
 
   /// Failure-injection state: a down server accepts no allocations (its
@@ -132,8 +135,8 @@ class Server {
 
   /// Resilience-policy state: a quarantined server is up (running copies
   /// keep running) but accepts no new placements until probation releases
-  /// it.  Set via SchedulerContext::set_server_quarantined, which also
-  /// keeps the PlacementIndex candidacy in sync.
+  /// it.  Set via SchedulerContext::set_server_quarantined; the simulator
+  /// reports the change to its PlacementIndex like any other.
   void set_quarantined(bool quarantined) { set_flag(ServerTable::kQuarantined, quarantined); }
   [[nodiscard]] bool is_quarantined() const {
     return (table_->flags_[row()] & ServerTable::kQuarantined) != 0;

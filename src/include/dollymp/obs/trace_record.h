@@ -41,7 +41,7 @@ enum class TraceEv : std::uint8_t {
   kTimerFired = 13,        ///< a registered timer wakeup popped at this slot
   kPlacementQuery = 14,    ///< a placement helper chose `server` with `score`
                            ///< (aux = query kind: 0 best-fit, 1 first-fit,
-                           ///<  2 locality-aware, 3 DollyMP weighted)
+                           ///<  3 DollyMP weighted; 2 is no longer emitted)
   kSpeculationPass = 15,   ///< straggler sweep; aux = candidates<<16 | launched
   kCopyFault = 16,         ///< transient fault killed one running copy
   kServerDegraded = 17,    ///< fail-slow onset; aux = slowdown_factor * 100

@@ -83,13 +83,11 @@ class SchedulerContext {
   /// environment's realization).
   [[nodiscard]] virtual Rng& policy_rng() = 0;
 
-  /// Incremental free-capacity index over cluster(), maintained by the
-  /// simulator across every allocation/release/failure/repair when
-  /// SimConfig::use_placement_index is set; nullptr when running against
-  /// the linear-scan baseline (or under a context that keeps none).  The
-  /// context-taking placement helpers below consult it and fall back to the
-  /// linear scan — both paths produce bit-identical decisions.
-  [[nodiscard]] virtual PlacementIndex* placement_index() { return nullptr; }
+  /// Incremental free-capacity index over cluster(), told about every
+  /// allocation, release, crash, repair and quarantine change by the
+  /// context.  Never null: every placement query — the helpers below and
+  /// DollyMP's weighted pick — is answered by it.
+  [[nodiscard]] virtual PlacementIndex* placement_index() = 0;
 
   // Unused; they exist only because perfbench's forwarding context overrides them.
   [[nodiscard]] virtual ThreadPool* worker_pool() { return nullptr; }
@@ -106,8 +104,8 @@ class SchedulerContext {
 
   /// Quarantine or release a server: a quarantined server stays up (its
   /// running copies continue) but is excluded from placement — can_fit
-  /// returns false and the simulator removes it from the PlacementIndex
-  /// candidate groups until released.  Idempotent.
+  /// returns false, and so the PlacementIndex, which the simulator tells
+  /// about the change, offers it to no query until released.  Idempotent.
   virtual void set_server_quarantined(ServerId /*server*/, bool /*quarantined*/) {}
 
   /// Tell the control plane that placement of at least one task was
@@ -207,29 +205,19 @@ class Scheduler {
 // ---- shared helpers used by several policies -------------------------------
 
 /// Server with the largest free-resource inner product with `demand` among
-/// those that can fit it; kInvalidServer when none fits.  This is the
-/// alignment placement of Tetris and the resource-fit tie break of
-/// Algorithm 2 step 12.
-[[nodiscard]] ServerId best_fit_server(const Cluster& cluster, const Resources& demand);
-
-/// First server (by index) that can fit `demand`; kInvalidServer when none.
-[[nodiscard]] ServerId first_fit_server(const Cluster& cluster, const Resources& demand);
-
-/// Prefer a server holding a replica of `task`'s input block, then a
-/// rack-local one, then best fit (the paper's locality-aware container
-/// placement).
-[[nodiscard]] ServerId locality_aware_server(const Cluster& cluster,
-                                             const LocalityModel& locality,
-                                             const TaskRuntime& task);
-
-// Context-taking variants of the placement helpers: answered by the
-// context's PlacementIndex when one is maintained (sub-linear at trace
-// scale), by the linear scan above otherwise.  Results are identical.
+/// those that can fit it, ties to the lowest id; kInvalidServer when none
+/// fits.  This is the alignment placement of Tetris and the resource-fit
+/// tie break of Algorithm 2 step 12.  Answered by the context's
+/// PlacementIndex and recorded as a placement query.
 [[nodiscard]] ServerId best_fit_server(SchedulerContext& ctx, const Resources& demand);
+
+/// Lowest-id server that can fit `demand`; kInvalidServer when none.
 [[nodiscard]] ServerId first_fit_server(SchedulerContext& ctx, const Resources& demand);
-[[nodiscard]] ServerId locality_aware_server(SchedulerContext& ctx,
-                                             const LocalityModel& locality,
-                                             const TaskRuntime& task);
+
+// Linear scans over every server with the same answers: the references the
+// index is tested and benchmarked against.  No policy calls them.
+[[nodiscard]] ServerId best_fit_server(const Cluster& cluster, const Resources& demand);
+[[nodiscard]] ServerId first_fit_server(const Cluster& cluster, const Resources& demand);
 
 /// Next task of `phase` that has no copy yet, using the phase's monotone
 /// cursor (O(1) amortized); nullptr when all tasks are scheduled.  Gang

@@ -90,15 +90,15 @@ class FaultEngine {
   [[nodiscard]] std::size_t pick(std::size_t n) { return rng_.below(n); }
 
   /// Record that `source` wants `server` down.  Returns true only on the
-  /// edge transition from fully-up to down — the caller must kill copies /
-  /// deindex exactly then.  A failure landing on an already-down server
+  /// edge transition from fully-up to down — the caller must kill copies
+  /// exactly then.  A failure landing on an already-down server
   /// (e.g. crash after rack outage, or a duplicate event) is absorbed.
   bool mark_down(ServerId server, FaultClass source);
 
   /// Record that `source` no longer holds `server` down.  Returns true only
-  /// when the last down-cause clears — the caller re-indexes exactly then.
-  /// A repair racing another source's outage (or a duplicate repair) is
-  /// absorbed.
+  /// when the last down-cause clears — the caller brings it up exactly
+  /// then.  A repair racing another source's outage (or a duplicate
+  /// repair) is absorbed.
   bool mark_up(ServerId server, FaultClass source);
 
   [[nodiscard]] bool is_down(ServerId server) const {

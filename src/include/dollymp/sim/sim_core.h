@@ -273,9 +273,7 @@ class SimCore final : public SchedulerContext {
   [[nodiscard]] const SimConfig& config() const override { return config_; }
   [[nodiscard]] const std::vector<JobRuntime*>& active_jobs() override { return active_; }
   [[nodiscard]] Rng& policy_rng() override { return rng_policy_; }
-  [[nodiscard]] PlacementIndex* placement_index() override {
-    return index_ ? &*index_ : nullptr;
-  }
+  [[nodiscard]] PlacementIndex* placement_index() override { return &index_; }
   [[nodiscard]] Recorder* recorder() override { return rec_; }
   bool place_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
                   ServerId server) override;
@@ -335,10 +333,9 @@ class SimCore final : public SchedulerContext {
 
   Cluster cluster_;
   SimConfig config_;
-  /// Incremental free-capacity index over cluster_, kept in lockstep with
-  /// every allocate/release/failure/repair below (absent when
-  /// config_.use_placement_index is off).
-  std::optional<PlacementIndex> index_;
+  /// Incremental free-capacity index over cluster_: every allocate,
+  /// release, crash, repair and quarantine change below is reported to it.
+  PlacementIndex index_;
   LocalityModel locality_;
   BackgroundLoadProcess background_;
   Rng rng_root_;

@@ -174,13 +174,6 @@ struct SimConfig {
   /// it; nothing else reads it, and validate() rejects any other value.
   int threads = 1;
 
-  /// Maintain an incremental PlacementIndex over the cluster and expose it
-  /// through SchedulerContext::placement_index(), so the placement helpers
-  /// stop scanning every server per copy placed.  Placement decisions are
-  /// bit-identical either way (asserted by the paired-seed equivalence
-  /// tests); turning this off selects the linear-scan baseline.
-  bool use_placement_index = true;
-
   /// Safety valve: abort if the clock passes this many slots.
   SimTime max_slots = 4'000'000;
 

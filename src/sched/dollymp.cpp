@@ -76,14 +76,13 @@ void DollyMPScheduler::on_copy_finished(SchedulerContext& ctx, const JobRuntime&
   const double actual_seconds =
       static_cast<double>(ctx.now() - copy.start) * ctx.slot_seconds();
   scorer_->observe(copy.server, phase.spec->theta_seconds, actual_seconds);
-  // Mirror the updated weight into the placement index so its weighted
-  // query scores with exactly the multipliers the linear scan would use.
-  // observe() touches only copy.server's estimate, so pushing that one
-  // weight keeps the mirror complete (cold servers stay at the index's
-  // default multiplier 1.0 == 1 / prior_slowdown).
-  if (PlacementIndex* index = ctx.placement_index()) {
-    index->set_multiplier(copy.server, scorer_->placement_weight(copy.server));
-  }
+  // Mirror the updated weight into the placement index, whose weighted
+  // query scores with the scorer's multipliers.  observe() touches only
+  // copy.server's estimate, so pushing that one weight keeps the mirror
+  // complete (cold servers stay at the index's default multiplier
+  // 1.0 == 1 / prior_slowdown).
+  ctx.placement_index()->set_multiplier(copy.server,
+                                        scorer_->placement_weight(copy.server));
 }
 
 void DollyMPScheduler::recompute_priorities(SchedulerContext& ctx) {
@@ -164,8 +163,7 @@ void DollyMPScheduler::rebuild_order(SchedulerContext& ctx) {
 namespace {
 
 // Flight-recorder record for DollyMP's weighted pick (TraceEv query kind 3):
-// chosen server plus the weighted score the scan maximized, recomputed from
-// the chosen server so the index and linear-scan paths log the same value.
+// chosen server plus the weighted score the pick maximized.
 void trace_weighted_pick(SchedulerContext& ctx, const TaskRuntime& task,
                          ServerId chosen, double score) {
   Recorder* rec = ctx.recorder();
@@ -187,53 +185,30 @@ ServerId DollyMPScheduler::pick_server(SchedulerContext& ctx, const TaskRuntime&
     // Straggler-aware placement: best resource fit, discounted by the
     // learned slowdown estimate, with a bonus for input-replica locality.
     // The placement index keeps a mirror of the scorer's weights (pushed in
-    // on_copy_finished), so its weighted query reproduces the linear scan
-    // below exactly — same score expression, same lowest-id tie-break.
-    if (PlacementIndex* index = ctx.placement_index()) {
-      const ServerId chosen = index->weighted_best_fit(
-          task.demand, config_.locality_aware ? &task.block : nullptr);
-      if (ctx.recorder() != nullptr) {
-        double score = 0.0;
-        if (chosen != kInvalidServer) {
-          const auto& server = ctx.cluster().server(static_cast<std::size_t>(chosen));
-          score = task.demand.dot(server.free()) * scorer_->placement_weight(chosen);
-          if (config_.locality_aware) {
-            for (const auto replica : task.block.replicas) {
-              if (replica == chosen) {
-                score *= 1.25;
-                break;
-              }
+    // on_copy_finished) and maximizes demand.dot(free) x weight (x 1.25 on
+    // a replica), ties to the lowest id.
+    const ServerId chosen = ctx.placement_index()->weighted_best_fit(
+        task.demand, config_.locality_aware ? &task.block : nullptr);
+    if (ctx.recorder() != nullptr) {
+      double score = 0.0;
+      if (chosen != kInvalidServer) {
+        const auto& server = ctx.cluster().server(static_cast<std::size_t>(chosen));
+        score = task.demand.dot(server.free()) * scorer_->placement_weight(chosen);
+        if (config_.locality_aware) {
+          for (const auto replica : task.block.replicas) {
+            if (replica == chosen) {
+              score *= 1.25;
+              break;
             }
           }
         }
-        trace_weighted_pick(ctx, task, chosen, score);
       }
-      return chosen;
+      trace_weighted_pick(ctx, task, chosen, score);
     }
-    ServerId best = kInvalidServer;
-    double best_score = -1.0;
-    for (const auto& server : ctx.cluster().servers()) {
-      if (!server.can_fit(task.demand)) continue;
-      double score = task.demand.dot(server.free()) * scorer_->placement_weight(server.id());
-      if (config_.locality_aware) {
-        for (const auto replica : task.block.replicas) {
-          if (replica == server.id()) {
-            score *= 1.25;
-            break;
-          }
-        }
-      }
-      if (score > best_score) {
-        best_score = score;
-        best = server.id();
-      }
-    }
-    trace_weighted_pick(ctx, task, best, best == kInvalidServer ? 0.0 : best_score);
-    return best;
+    return chosen;
   }
   if (config_.locality_aware) {
-    // The context does not expose the locality model directly; replicate
-    // its preference order with the cluster's rack layout.
+    // Node-local first: the first replica holder that fits wins outright.
     for (const auto replica : task.block.replicas) {
       const auto& server = ctx.cluster().server(static_cast<std::size_t>(replica));
       if (server.can_fit(task.demand)) {
@@ -411,8 +386,8 @@ void DollyMPScheduler::schedule(SchedulerContext& ctx) {
     // placement index from the cluster with every multiplier at 1.0.  Push
     // the whole mirror before the first placement so the weighted query
     // scores exactly as it did before the snapshot.
-    PlacementIndex* index = ctx.placement_index();
-    if (index != nullptr && scorer_ && scorer_->size() == ctx.cluster().size()) {
+    if (scorer_ && scorer_->size() == ctx.cluster().size()) {
+      PlacementIndex* index = ctx.placement_index();
       for (std::size_t id = 0; id < scorer_->size(); ++id) {
         const auto server = static_cast<ServerId>(id);
         index->set_multiplier(server, scorer_->placement_weight(server));

@@ -11,9 +11,9 @@ namespace {
 
 // Flight-recorder hook shared by the context-taking placement helpers: one
 // kPlacementQuery record per query with the chosen server and its score (the
-// same free-capacity dot product either answer path maximizes), so a trace
-// explains every placement decision.  `query_kind` matches the TraceEv
-// documentation: 0 best-fit, 1 first-fit, 2 locality-aware.
+// free-capacity dot product best fit maximizes), so a trace explains every
+// placement decision.  `query_kind` matches the TraceEv documentation:
+// 0 best-fit, 1 first-fit.
 void trace_query(SchedulerContext& ctx, std::int64_t query_kind,
                  const Resources& demand, ServerId chosen) {
   Recorder* rec = ctx.recorder();
@@ -52,52 +52,15 @@ ServerId first_fit_server(const Cluster& cluster, const Resources& demand) {
   return kInvalidServer;
 }
 
-ServerId locality_aware_server(const Cluster& cluster, const LocalityModel& locality,
-                               const TaskRuntime& task) {
-  // Node-local replica first.
-  for (const auto replica : task.block.replicas) {
-    const auto& server = cluster.server(static_cast<std::size_t>(replica));
-    if (server.can_fit(task.demand)) return replica;
-  }
-  // Then any rack-local server, preferring the tightest alignment.
-  ServerId best_rack = kInvalidServer;
-  double best_rack_score = -1.0;
-  for (const auto& server : cluster.servers()) {
-    if (!server.can_fit(task.demand)) continue;
-    if (locality.classify(task.block, server.id()) != LocalityLevel::kRack) continue;
-    const double score = task.demand.dot(server.free());
-    if (score > best_rack_score) {
-      best_rack_score = score;
-      best_rack = server.id();
-    }
-  }
-  if (best_rack != kInvalidServer) return best_rack;
-  return best_fit_server(cluster, task.demand);
-}
-
 ServerId best_fit_server(SchedulerContext& ctx, const Resources& demand) {
-  PlacementIndex* index = ctx.placement_index();
-  const ServerId chosen =
-      index ? index->best_fit(demand) : best_fit_server(ctx.cluster(), demand);
+  const ServerId chosen = ctx.placement_index()->best_fit(demand);
   trace_query(ctx, 0, demand, chosen);
   return chosen;
 }
 
 ServerId first_fit_server(SchedulerContext& ctx, const Resources& demand) {
-  PlacementIndex* index = ctx.placement_index();
-  const ServerId chosen =
-      index ? index->first_fit(demand) : first_fit_server(ctx.cluster(), demand);
+  const ServerId chosen = ctx.placement_index()->first_fit(demand);
   trace_query(ctx, 1, demand, chosen);
-  return chosen;
-}
-
-ServerId locality_aware_server(SchedulerContext& ctx, const LocalityModel& locality,
-                               const TaskRuntime& task) {
-  PlacementIndex* index = ctx.placement_index();
-  const ServerId chosen = index
-                              ? index->locality_aware(locality, task.block, task.demand)
-                              : locality_aware_server(ctx.cluster(), locality, task);
-  trace_query(ctx, 2, task.demand, chosen);
   return chosen;
 }
 

@@ -91,6 +91,7 @@ JobSpec placeholder_spec(const JobRuntime& job) {
 SimCore::SimCore(Cluster cluster, const SimConfig& config)
     : cluster_(std::move(cluster)),
       config_(config),
+      index_(cluster_),
       locality_(config.locality, cluster_),
       background_(config.background, cluster_.size(), splitmix_seed(config.seed, 0xB6)),
       rng_root_(config.seed),
@@ -99,7 +100,6 @@ SimCore::SimCore(Cluster cluster, const SimConfig& config)
   rng_exec_ = rng_root_.split(2);
   rng_policy_ = rng_root_.split(3);
   rng_failure_ = rng_root_.split(4);
-  if (config_.use_placement_index) index_.emplace(cluster_);
   if (config_.failures.enabled || config_.faults.any_enabled()) {
     faults_.emplace(cluster_, config_.failures, config_.faults, config_.slot_seconds,
                     rng_failure_);
@@ -292,13 +292,11 @@ SimResult SimCore::finish() {
     result_.stats.leaked_mem += server.used().mem();
   }
   result_.stats.leaked_active_copies = active_copy_count_;
-  if (index_) {
-    result_.stats.index_queries = index_->counters().queries;
-    result_.stats.index_servers_scanned = index_->counters().servers_scanned;
-    result_.stats.index_updates = index_->counters().updates;
-    result_.stats.index_batch_hits = index_->counters().batch_hits;
-    result_.stats.index_batch_rebuilds = index_->counters().batch_rebuilds;
-  }
+  result_.stats.index_queries = index_.counters().queries;
+  result_.stats.index_servers_scanned = index_.counters().servers_scanned;
+  result_.stats.index_updates = index_.counters().updates;
+  result_.stats.index_batch_hits = index_.counters().batch_hits;
+  result_.stats.index_batch_rebuilds = index_.counters().batch_rebuilds;
   {
     const CopySlab::Counters& slab = store_.copy_slab().counters();
     result_.stats.copy_slab_acquires = static_cast<long long>(slab.acquires);
@@ -376,7 +374,7 @@ bool SimCore::place_gang(JobRuntime& job, PhaseRuntime& phase) {
       complete = false;
       break;
     }
-    if (index_) index_->on_allocation_changed(server_id);
+    index_.on_server_changed(server_id);
     gang_scratch_.emplace_back(&task, server_id);
   }
 
@@ -386,7 +384,7 @@ bool SimCore::place_gang(JobRuntime& job, PhaseRuntime& phase) {
     // cluster's used vectors return to their prior values bit for bit.
     for (auto it = gang_scratch_.rbegin(); it != gang_scratch_.rend(); ++it) {
       cluster_.server(static_cast<std::size_t>(it->second)).release(it->first->demand);
-      if (index_) index_->on_allocation_changed(it->second);
+      index_.on_server_changed(it->second);
     }
     ++stats.gang_rollbacks;
     trace(TraceEv::kGangRollback, job.id, phase.index, -1, -1, -1,
@@ -416,7 +414,7 @@ bool SimCore::place_gang(JobRuntime& job, PhaseRuntime& phase) {
   int placed = 0;
   for (const auto& [task, server_id] : gang_scratch_) {
     cluster_.server(static_cast<std::size_t>(server_id)).release(task->demand);
-    if (index_) index_->on_allocation_changed(server_id);
+    index_.on_server_changed(server_id);
     if (!place(job, phase, *task, server_id, /*speculative=*/false)) {
       throw std::logic_error("SimCore: gang commit lost its reservation (job " +
                              std::to_string(job.id) + " phase " +
@@ -447,16 +445,12 @@ void SimCore::set_server_quarantined(ServerId server_id, bool quarantined) {
   Server& server = cluster_.server(static_cast<std::size_t>(server_id));
   if (server.is_quarantined() == quarantined) return;  // idempotent
   server.set_quarantined(quarantined);
-  // Index candidacy invariant: a server is indexed iff it is up AND not
-  // quarantined.  When the server is down the crash/repair path owns the
-  // index transition, so only touch the index for an up server here.
+  index_.on_server_changed(server_id);
   if (quarantined) {
     ++result_.stats.servers_quarantined;
-    if (index_ && !server.is_down()) index_->on_server_down(server_id);
     trace(TraceEv::kQuarantineEnter, -1, -1, -1, -1, server_id);
   } else {
     ++result_.stats.quarantine_exits;
-    if (index_ && !server.is_down()) index_->on_server_up(server_id);
     trace(TraceEv::kQuarantineExit, -1, -1, -1, -1, server_id);
   }
 }
@@ -469,8 +463,7 @@ void SimCore::defer_retry(SimTime release_slot) {
 int SimCore::live_servers() const {
   int live = 0;
   for (std::size_t s = 0; s < cluster_.size(); ++s) {
-    const Server& server = cluster_.server(s);
-    if (!server.is_down() && !server.is_quarantined()) ++live;
+    if (cluster_.server(s).placeable()) ++live;
   }
   return live;
 }
@@ -633,7 +626,7 @@ bool SimCore::place(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
     ++stats.rejected_no_capacity;
     return false;
   }
-  if (index_) index_->on_allocation_changed(server_id);
+  index_.on_server_changed(server_id);
   server.note_copy_started();
   ++stats.placements_accepted;
 
@@ -720,7 +713,7 @@ void SimCore::end_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
         copy.server, now_ - copy.start);
   Server& server = cluster_.server(static_cast<std::size_t>(copy.server));
   server.release(task.demand);
-  if (index_) index_->on_allocation_changed(copy.server);
+  index_.on_server_changed(copy.server);
   server.note_copy_finished();
   --active_copy_count_;
   --phase.active_copies;
@@ -913,11 +906,7 @@ void SimCore::fail_server(ServerId server_id) {
 void SimCore::apply_server_down(ServerId server_id) {
   Server& server = cluster_.server(static_cast<std::size_t>(server_id));
   server.set_down(true);
-  // Deindex before fail_server kills the hosted copies: the releases that
-  // follow land on a down (unindexed) server and are no-ops for the index
-  // until the repair re-indexes from live state.  A quarantined server is
-  // already out of the index; on_server_down is idempotent either way.
-  if (index_) index_->on_server_down(server_id);
+  index_.on_server_changed(server_id);
   trace(TraceEv::kServerFailed, -1, -1, -1, -1, server_id);
   fail_server(server_id);
   if (scheduler_ != nullptr) scheduler_->on_server_failed(*this, server_id);
@@ -926,9 +915,7 @@ void SimCore::apply_server_down(ServerId server_id) {
 void SimCore::apply_server_up(ServerId server_id) {
   Server& server = cluster_.server(static_cast<std::size_t>(server_id));
   server.set_down(false);
-  // Candidacy invariant: indexed iff up && !quarantined — a server repaired
-  // while still quarantined stays out until the policy releases it.
-  if (index_ && !server.is_quarantined()) index_->on_server_up(server_id);
+  index_.on_server_changed(server_id);
   trace(TraceEv::kServerRepaired, -1, -1, -1, -1, server_id);
   if (scheduler_ != nullptr) scheduler_->on_server_repaired(*this, server_id);
 }
@@ -1347,18 +1334,8 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   r.pod_vec(recycled_);
 
   // The placement index is derived state: rebuild it from the restored
-  // cluster.  PlacementIndex's constructor indexes every up server; the
-  // candidacy invariant is up && !quarantined, so deindex up-but-
-  // quarantined servers explicitly.
-  if (config_.use_placement_index) {
-    index_.emplace(cluster_);
-    for (std::size_t s = 0; s < cluster_.size(); ++s) {
-      const Server& server = cluster_.server(s);
-      if (!server.is_down() && server.is_quarantined()) {
-        index_->on_server_down(static_cast<ServerId>(s));
-      }
-    }
-  }
+  // cluster.
+  index_ = PlacementIndex(cluster_);
 
   r.section(kTagScheduler);
   const std::uint64_t blob_len = r.u64();

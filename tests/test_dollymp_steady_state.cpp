@@ -12,7 +12,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <new>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -72,9 +71,9 @@ std::uint64_t allocations_during(Fn&& fn) {
 /// no events; time never advances.
 class FakeContext final : public SchedulerContext {
  public:
-  FakeContext(Cluster cluster, std::vector<JobSpec> jobs, const SimConfig& config,
-              bool with_index)
+  FakeContext(Cluster cluster, std::vector<JobSpec> jobs, const SimConfig& config)
       : cluster_(std::move(cluster)),
+        index_(cluster_),
         config_(config),
         locality_(config.locality, cluster_),
         specs_(std::move(jobs)) {
@@ -93,7 +92,6 @@ class FakeContext final : public SchedulerContext {
         for (auto& task : phase.tasks) task.copies.reserve(8);
       }
     }
-    if (with_index) index_.emplace(cluster_);
   }
 
   [[nodiscard]] SimTime now() const override { return 0; }
@@ -102,9 +100,7 @@ class FakeContext final : public SchedulerContext {
   [[nodiscard]] const SimConfig& config() const override { return config_; }
   [[nodiscard]] const std::vector<JobRuntime*>& active_jobs() override { return active_; }
   [[nodiscard]] Rng& policy_rng() override { return rng_; }
-  [[nodiscard]] PlacementIndex* placement_index() override {
-    return index_ ? &*index_ : nullptr;
-  }
+  [[nodiscard]] PlacementIndex* placement_index() override { return &index_; }
 
   bool place_copy(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
                   ServerId server_id) override {
@@ -112,7 +108,7 @@ class FakeContext final : public SchedulerContext {
     if (task.total_copies() >= config_.max_copies_per_task) return false;
     Server& server = cluster_.server(static_cast<std::size_t>(server_id));
     if (!server.allocate(task.demand)) return false;
-    if (index_) index_->on_allocation_changed(server_id);
+    index_.on_server_changed(server_id);
     const bool first_copy = task.copies.empty();
     CopyRuntime copy;
     copy.server = server_id;
@@ -133,7 +129,7 @@ class FakeContext final : public SchedulerContext {
   void request_wakeup(SimTime /*slot*/) override {}
 
   /// Undo every placement so the next schedule() round starts from
-  /// scratch with warm buffers.
+  /// scratch with warm buffers (the index keeps its group pool).
   void reset_placements() {
     cluster_.reset_allocations();
     for (auto& job : jobs_) {
@@ -148,15 +144,14 @@ class FakeContext final : public SchedulerContext {
       }
       job.first_start = kNever;
     }
-    if (index_) {
-      for (std::size_t i = 0; i < cluster_.size(); ++i) {
-        index_->on_allocation_changed(static_cast<ServerId>(i));
-      }
+    for (std::size_t i = 0; i < cluster_.size(); ++i) {
+      index_.on_server_changed(static_cast<ServerId>(i));
     }
   }
 
  private:
   Cluster cluster_;
+  PlacementIndex index_;
   SimConfig config_;
   LocalityModel locality_;
   Rng rng_{7};
@@ -164,7 +159,6 @@ class FakeContext final : public SchedulerContext {
   RuntimeStore store_;
   std::vector<JobRuntime>& jobs_ = store_.jobs();
   std::vector<JobRuntime*> active_;
-  std::optional<PlacementIndex> index_;
 };
 
 std::vector<JobSpec> small_workload(int count) {
@@ -185,8 +179,8 @@ SimConfig steady_config() {
   return config;
 }
 
-void expect_steady_state_allocation_free(DollyMPConfig scheduler_config, bool with_index) {
-  FakeContext ctx(Cluster::paper30(), small_workload(6), steady_config(), with_index);
+void expect_steady_state_allocation_free(DollyMPConfig scheduler_config) {
+  FakeContext ctx(Cluster::paper30(), small_workload(6), steady_config());
   DollyMPScheduler scheduler(scheduler_config);
   scheduler.on_job_arrival(ctx);  // priority recompute: allocs allowed here
 
@@ -208,17 +202,13 @@ void expect_steady_state_allocation_free(DollyMPConfig scheduler_config, bool wi
 }
 
 TEST(DollyMPSteadyState, ScheduleIsAllocationFreeWithIndex) {
-  expect_steady_state_allocation_free({}, /*with_index=*/true);
-}
-
-TEST(DollyMPSteadyState, ScheduleIsAllocationFreeLinearFallback) {
-  expect_steady_state_allocation_free({}, /*with_index=*/false);
+  expect_steady_state_allocation_free({});
 }
 
 TEST(DollyMPSteadyState, ScheduleIsAllocationFreeCorollaryClones) {
   DollyMPConfig config;
   config.corollary_clone_counts = true;
-  expect_steady_state_allocation_free(config, /*with_index=*/true);
+  expect_steady_state_allocation_free(config);
 }
 
 }  // namespace

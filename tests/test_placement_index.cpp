@@ -1,11 +1,12 @@
 // Invariant tests for the incremental free-capacity placement index.
 //
 // Strategy: drive a heterogeneous cluster through a long randomized
-// sequence of place / release / fail / repair / reweight events,
-// maintaining the index exactly as the simulator does, and after EVERY
-// mutation check all query kinds against brute-force linear references
-// over the live cluster state — candidate sets, best-fit winners (including
-// the lowest-id tie-break), first-fit, locality- and weight-aware picks.
+// sequence of place / release / fail / repair / quarantine / reweight
+// events, reporting each to the index through on_server_changed exactly as
+// the simulator does, and after EVERY mutation check all query kinds
+// against brute-force linear references over the live cluster state —
+// candidate sets, best-fit winners (including the lowest-id tie-break),
+// first-fit and weight-aware picks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,52 +20,18 @@
 #include "dollymp/common/rng.h"
 #include "dollymp/sched/scheduler.h"
 #include "dollymp/sim/runtime_state.h"
+#include "placement_oracle.h"
 
 namespace dollymp {
 namespace {
+
+using test_support::brute_force_candidates;
+using test_support::weighted_reference;
 
 // Demands on the trace model's grid (integral CPU, 0.5 GB memory) so
 // allocate/release round-trips are bitwise lossless.
 const std::vector<Resources> kPalette = {
     {1, 2}, {1, 0.5}, {2, 8}, {4, 16}, {6, 12}, {8, 24}, {12, 48}};
-
-/// Brute-force fitting set: every up server whose free capacity holds
-/// `demand`, ascending id.
-std::vector<ServerId> brute_force_candidates(const Cluster& cluster,
-                                             const Resources& demand) {
-  std::vector<ServerId> out;
-  for (const auto& server : cluster.servers()) {
-    if (server.can_fit(demand)) out.push_back(server.id());
-  }
-  return out;
-}
-
-/// The DollyMP straggler-aware linear scan, reproduced verbatim as the
-/// reference for weighted_best_fit.
-ServerId weighted_reference(const Cluster& cluster, const Resources& demand,
-                            const std::vector<double>& multipliers,
-                            const BlockPlacement* boost_block) {
-  ServerId best = kInvalidServer;
-  double best_score = -1.0;
-  for (const auto& server : cluster.servers()) {
-    if (!server.can_fit(demand)) continue;
-    double score = demand.dot(server.free()) *
-                   multipliers[static_cast<std::size_t>(server.id())];
-    if (boost_block != nullptr) {
-      for (const auto replica : boost_block->replicas) {
-        if (replica == server.id()) {
-          score *= 1.25;
-          break;
-        }
-      }
-    }
-    if (score > best_score) {
-      best_score = score;
-      best = server.id();
-    }
-  }
-  return best;
-}
 
 struct LiveCopy {
   ServerId server;
@@ -85,9 +52,9 @@ class IndexFuzzHarness {
         multipliers_(cluster_.size(), 1.0) {}
 
   void check_all_queries() {
-    // The index applies allocation changes at the next query, so each
-    // query kind answers from its own copy of the index as the last
-    // mutation left it and must apply them itself.  The first demand
+    // The index applies pending changes at the next query, so each query
+    // kind answers from its own copy of the index as the last mutation
+    // left it and must apply them itself.  The first demand
     // rotates from check to check.
     const std::size_t start = checks_++ % kPalette.size();
     for (std::size_t kind = 0; kind < kQueryKinds; ++kind) {
@@ -100,14 +67,16 @@ class IndexFuzzHarness {
 
   void random_op() {
     const auto roll = rng_() % 100;
-    if (roll < 45) {
+    if (roll < 40) {
       place_one();
-    } else if (roll < 75) {
+    } else if (roll < 65) {
       release_one();
-    } else if (roll < 85) {
+    } else if (roll < 75) {
       fail_one();
-    } else if (roll < 95) {
+    } else if (roll < 85) {
       repair_one();
+    } else if (roll < 93) {
+      quarantine_one();
     } else {
       reweight_one();
     }
@@ -122,9 +91,8 @@ class IndexFuzzHarness {
   }
 
   /// Place a copy on a random server, fail it, repair it and place on it
-  /// again, all before any query: the server is still marked dirty when
-  /// on_server_up re-indexes it, and its next allocation change must not
-  /// be lost.
+  /// again, all before any query: the server stays dirty through every
+  /// change, and the one regroup at the next query must see them all.
   void place_fail_repair() {
     const ServerId sid = place_on_random_server();
     if (sid == kInvalidServer) return;
@@ -133,10 +101,39 @@ class IndexFuzzHarness {
     (void)place_on(sid, kPalette[rng_() % kPalette.size()]);
   }
 
+  /// Quarantine an up server that holds a copy, then release it: while
+  /// quarantined it must drop out of every query, and on release it must
+  /// come back in the group of its allocation.
+  void quarantine_up_server(bool query_between) {
+    const ServerId sid = place_on_random_server();
+    if (sid == kInvalidServer) return;
+    quarantine(sid, true);
+    if (query_between) check_all_queries();
+    quarantine(sid, false);
+  }
+
+  /// Crash and quarantine a server in either order, then repair it while
+  /// the quarantine still holds: it must stay out of every query until the
+  /// quarantine clears too.  (quarantine_one's random toggles also release
+  /// servers that are still down.)
+  void quarantine_down_server(bool query_between) {
+    const ServerId sid = place_on_random_server();
+    if (sid == kInvalidServer) return;
+    const bool quarantine_first = rng_.chance(0.5);
+    if (quarantine_first) quarantine(sid, true);
+    fail(sid);
+    if (!quarantine_first) quarantine(sid, true);
+    if (query_between) check_all_queries();
+    repair(sid);  // repaired while quarantined: still no candidate
+    if (query_between) check_all_queries();
+    (void)place_on(sid, kPalette[0]);  // refused: the server is quarantined
+    quarantine(sid, false);
+  }
+
   [[nodiscard]] std::size_t live_copies() const { return live_.size(); }
 
  private:
-  static constexpr std::size_t kQueryKinds = 6;
+  static constexpr std::size_t kQueryKinds = 5;
 
   void check_query(PlacementIndex& index, std::size_t kind, const Resources& demand) {
     switch (kind) {
@@ -149,15 +146,7 @@ class IndexFuzzHarness {
       case 2:
         EXPECT_EQ(index.first_fit(demand), first_fit_server(cluster_, demand));
         break;
-      case 3: {
-        TaskRuntime task;
-        task.demand = demand;
-        task.block = block_;
-        EXPECT_EQ(index.locality_aware(locality_, task.block, demand),
-                  locality_aware_server(cluster_, locality_, task));
-        break;
-      }
-      case 4:
+      case 3:
         EXPECT_EQ(index.weighted_best_fit(demand, &block_),
                   weighted_reference(cluster_, demand, multipliers_, &block_));
         break;
@@ -173,7 +162,7 @@ class IndexFuzzHarness {
     Server& server = cluster_.server(static_cast<std::size_t>(sid));
     if (!server.can_fit(demand)) return false;
     EXPECT_TRUE(server.allocate(demand));
-    index_.on_allocation_changed(sid);
+    index_.on_server_changed(sid);
     live_.push_back({sid, demand});
     return true;
   }
@@ -201,7 +190,7 @@ class IndexFuzzHarness {
     const LiveCopy copy = live_[pick];
     live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(pick));
     cluster_.server(static_cast<std::size_t>(copy.server)).release(copy.demand);
-    index_.on_allocation_changed(copy.server);
+    index_.on_server_changed(copy.server);
   }
 
   void fail_one() { fail(static_cast<ServerId>(rng_() % cluster_.size())); }
@@ -209,14 +198,14 @@ class IndexFuzzHarness {
   void fail(ServerId sid) {
     auto& server = cluster_.server(static_cast<std::size_t>(sid));
     if (server.is_down()) return;
-    // Simulator order: mark down, retire from the index, then kill the
-    // victim's copies (their releases land while the server is down).
+    // Simulator order: mark down and report it, then kill the victim's
+    // copies (their releases land while the server is down).
     server.set_down(true);
-    index_.on_server_down(sid);
+    index_.on_server_changed(sid);
     for (std::size_t i = live_.size(); i-- > 0;) {
       if (live_[i].server != sid) continue;
       server.release(live_[i].demand);
-      index_.on_allocation_changed(sid);
+      index_.on_server_changed(sid);
       live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
     }
   }
@@ -227,7 +216,18 @@ class IndexFuzzHarness {
     auto& server = cluster_.server(static_cast<std::size_t>(sid));
     if (!server.is_down()) return;
     server.set_down(false);
-    index_.on_server_up(sid);
+    index_.on_server_changed(sid);
+  }
+
+  /// Toggle a random server's quarantine, whether it is up or down.
+  void quarantine_one() {
+    const auto sid = static_cast<ServerId>(rng_() % cluster_.size());
+    quarantine(sid, !cluster_.server(static_cast<std::size_t>(sid)).is_quarantined());
+  }
+
+  void quarantine(ServerId sid, bool on) {
+    cluster_.server(static_cast<std::size_t>(sid)).set_quarantined(on);
+    index_.on_server_changed(sid);
   }
 
   void reweight_one() {
@@ -302,6 +302,43 @@ TEST(PlacementIndex, LargeClassScatteredChurnMatchesBruteForce) {
   EXPECT_GT(harness.live_copies(), 0u);
 }
 
+// Quarantine on and off for up servers and for down servers, and repair
+// while quarantined, each with and without queries between the steps (so
+// the changes reach the index one at a time or all in one regroup).
+TEST(PlacementIndex, QuarantineAndCrashInterleavingsMatchBruteForce) {
+  for (const bool query_between : {false, true}) {
+    IndexFuzzHarness harness(Cluster::google_trace(120), query_between ? 41 : 43,
+                             /*scatter=*/true);
+    for (int round = 0; round < 40; ++round) {
+      harness.random_op();
+      harness.check_all_queries();
+      harness.quarantine_up_server(query_between);
+      harness.check_all_queries();
+      harness.quarantine_down_server(query_between);
+      harness.check_all_queries();
+    }
+    EXPECT_GT(harness.live_copies(), 0u);
+  }
+}
+
+TEST(PlacementIndex, QuarantinedServerLeavesEveryQueryUntilReleased) {
+  Cluster cluster = Cluster::uniform(4, {4, 4});
+  PlacementIndex index(cluster);
+  cluster.server(0).set_quarantined(true);
+  index.on_server_changed(0);
+  EXPECT_EQ(index.first_fit({1, 1}), 1);
+  // Crash and repair while quarantined: still out.
+  cluster.server(0).set_down(true);
+  index.on_server_changed(0);
+  cluster.server(0).set_down(false);
+  index.on_server_changed(0);
+  EXPECT_EQ(index.first_fit({1, 1}), 1);
+  EXPECT_EQ(index.fitting_candidates({1, 1}), (std::vector<ServerId>{1, 2, 3}));
+  cluster.server(0).set_quarantined(false);
+  index.on_server_changed(0);
+  EXPECT_EQ(index.first_fit({1, 1}), 0);
+}
+
 // Every multiplier learned and the boost block's replicas overlaid: the
 // weighted walk's group representatives drop out and the winner comes from
 // the individually scored servers, through every placement until the
@@ -330,7 +367,7 @@ TEST(PlacementIndex, WeightedBestFitAllLearnedWeightsWithBoostedReplicas) {
     const ServerId sid = index.weighted_best_fit(demand, &block);
     if (sid == kInvalidServer) continue;
     ASSERT_TRUE(cluster.server(static_cast<std::size_t>(sid)).allocate(demand));
-    index.on_allocation_changed(sid);
+    index.on_server_changed(sid);
     ++placed;
   }
   EXPECT_GT(placed, 100);
@@ -358,14 +395,14 @@ TEST(PlacementIndex, AllServersFailedAnswersInvalid) {
   PlacementIndex index(cluster);
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     cluster.server(i).set_down(true);
-    index.on_server_down(static_cast<ServerId>(i));
+    index.on_server_changed(static_cast<ServerId>(i));
   }
   EXPECT_EQ(index.best_fit({1, 1}), kInvalidServer);
   EXPECT_EQ(index.first_fit({1, 1}), kInvalidServer);
   EXPECT_TRUE(index.fitting_candidates({1, 1}).empty());
   // Repair one: it must come back exactly as the linear scan sees it.
   cluster.server(3).set_down(false);
-  index.on_server_up(3);
+  index.on_server_changed(3);
   EXPECT_EQ(index.best_fit({1, 1}), best_fit_server(cluster, {1, 1}));
   EXPECT_EQ(index.first_fit({1, 1}), 3);
 }
@@ -378,7 +415,7 @@ TEST(PlacementIndex, CountersTrackQueriesAndUpdates) {
   (void)index.first_fit({1, 1});
   EXPECT_EQ(index.counters().queries, 2u);
   ASSERT_TRUE(cluster.server(0).allocate({1, 1}));
-  index.on_allocation_changed(0);
+  index.on_server_changed(0);
   EXPECT_EQ(index.counters().updates, 1u);
 }
 

@@ -1,9 +1,8 @@
 // Replay-divergence verifier tests.
 //
 // The determinism matrix is the subsystem's reason to exist: every
-// scheduler policy, with and without failure injection and with and
-// without the placement index, must replay bit-identically from the same
-// seed.  The injection tests then prove the verifier's diagnostic value:
+// scheduler policy, with and without failure injection, must replay
+// bit-identically from the same seed.  The injection tests then prove the verifier's diagnostic value:
 // a deliberately reordered / mutated / truncated stream is pinpointed at
 // the exact first divergent record, decoded on both sides.
 #include <gtest/gtest.h>
@@ -22,6 +21,7 @@
 #include "dollymp/sched/simple_priority.h"
 #include "dollymp/sched/tetris.h"
 #include "dollymp/workload/arrivals.h"
+#include "placement_oracle.h"
 
 namespace dollymp {
 namespace {
@@ -71,61 +71,33 @@ std::vector<PolicyEntry> all_policies() {
 }
 
 // The tentpole guarantee: same seed, same stream — for every policy, with
-// and without failure injection, with and without the placement index.
+// and without failure injection.  (The name keeps its old "Index" suffix
+// from when the matrix also crossed a linear-scan placement path.)
 TEST(Replay, DeterminismMatrixEveryPolicyFailuresIndex) {
   const Cluster cluster = Cluster::paper30();
   const auto jobs = matrix_workload(9);
   for (const auto& policy : all_policies()) {
     for (const bool failures : {false, true}) {
-      for (const bool index : {false, true}) {
-        SimConfig config;
-        config.slot_seconds = 1.0;
-        config.seed = 42;
-        config.use_placement_index = index;
-        config.failures.enabled = failures;
-        config.failures.mean_time_to_failure_seconds = 400.0;
-        config.failures.mean_repair_seconds = 60.0;
-        const DivergenceReport report =
-            verify_replay(cluster, config, jobs, policy.factory);
-        EXPECT_TRUE(report.identical)
-            << policy.name << " failures=" << failures << " index=" << index
-            << "\n" << report.to_string();
-        EXPECT_GT(report.records_a, 0u) << policy.name;
-        EXPECT_EQ(report.hash_a, report.hash_b) << policy.name;
-      }
+      SimConfig config;
+      config.slot_seconds = 1.0;
+      config.seed = 42;
+      config.failures.enabled = failures;
+      config.failures.mean_time_to_failure_seconds = 400.0;
+      config.failures.mean_repair_seconds = 60.0;
+      const DivergenceReport report = verify_replay(cluster, config, jobs, policy.factory);
+      EXPECT_TRUE(report.identical)
+          << policy.name << " failures=" << failures << "\n" << report.to_string();
+      EXPECT_GT(report.records_a, 0u) << policy.name;
+      EXPECT_EQ(report.hash_a, report.hash_b) << policy.name;
     }
   }
 }
 
-// Linear scan and placement index must not just be internally deterministic
-// but produce the *same* stream as each other (bit-identical decisions).
+// The placement index must not just be internally deterministic but
+// reproduce the stream the linear-scan placement path recorded for the
+// same run (tests/placement_golden_matrix.h).
 TEST(Replay, PlacementIndexStreamMatchesLinearScan) {
-  const Cluster cluster = Cluster::paper30();
-  const auto jobs = matrix_workload(4);
-  SimConfig config;
-  config.slot_seconds = 1.0;
-  config.seed = 7;
-
-  const SchedulerFactory factory = [] { return std::make_unique<DollyMPScheduler>(); };
-  config.use_placement_index = false;
-  Recorder linear;
-  {
-    SimConfig run = config;
-    run.recorder = &linear;
-    auto sched = factory();
-    (void)simulate(cluster, run, jobs, *sched);
-  }
-  config.use_placement_index = true;
-  Recorder indexed;
-  {
-    SimConfig run = config;
-    run.recorder = &indexed;
-    auto sched = factory();
-    (void)simulate(cluster, run, jobs, *sched);
-  }
-  const DivergenceReport report =
-      compare_streams(linear.snapshot(), indexed.snapshot());
-  EXPECT_TRUE(report.identical) << report.to_string();
+  test_support::expect_matches_pinned("replay/DollyMPSeed7");
 }
 
 std::vector<TraceRecord> reference_stream() {

@@ -1,20 +1,18 @@
 // Resilience policy layer: retry backoff, server quarantine with probation,
 // graceful clone degradation — unit tests against a minimal fake context
 // plus end-to-end runs under fault injection, including the randomized
-// index-vs-linear equivalence fuzz while quarantine churns candidacy.
+// index-vs-linear fuzz while quarantine churns candidacy.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
-#include "dollymp/obs/replay.h"
+#include "dollymp/cluster/placement_index.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sched/resilience.h"
 #include "dollymp/sim/simulator.h"
-#include "dollymp/workload/arrivals.h"
-#include "dollymp/workload/trace_model.h"
-#include "recorded_run.h"
+#include "placement_oracle.h"
 
 namespace dollymp {
 namespace {
@@ -43,6 +41,7 @@ class FakeResilienceContext final : public SchedulerContext {
   }
   void request_wakeup(SimTime slot) override { last_wakeup = slot; }
   [[nodiscard]] Rng& policy_rng() override { return rng_; }
+  [[nodiscard]] PlacementIndex* placement_index() override { return &index_; }
 
   void set_server_quarantined(ServerId server, bool quarantined) override {
     quarantined_[static_cast<std::size_t>(server)] = quarantined;
@@ -67,6 +66,7 @@ class FakeResilienceContext final : public SchedulerContext {
 
  private:
   Cluster cluster_;
+  PlacementIndex index_{cluster_};
   SimConfig config_;
   std::vector<JobRuntime*> active_;
   std::vector<bool> quarantined_;
@@ -301,68 +301,14 @@ TEST(ResilienceEndToEnd, DeterministicGivenSeed) {
 
 // ---- index-vs-linear fuzz under quarantine churn ----------------------------
 
-void expect_identical_outcomes(const test_support::RecordedRun& a,
-                               const test_support::RecordedRun& b, std::uint64_t seed) {
-  ASSERT_EQ(a.result.jobs.size(), b.result.jobs.size()) << "seed " << seed;
-  for (std::size_t i = 0; i < a.result.jobs.size(); ++i) {
-    EXPECT_EQ(a.result.jobs[i].finish_seconds, b.result.jobs[i].finish_seconds)
-        << "seed " << seed << " job " << a.result.jobs[i].id;
-    EXPECT_EQ(a.result.jobs[i].clones_launched, b.result.jobs[i].clones_launched)
-        << "seed " << seed << " job " << a.result.jobs[i].id;
-  }
-  EXPECT_EQ(a.result.total_copies_launched, b.result.total_copies_launched)
-      << "seed " << seed;
-  const DivergenceReport report = compare_streams(a.stream, b.stream);
-  EXPECT_TRUE(report.identical) << "seed " << seed << "\n" << report.to_string();
-}
-
 TEST(ResilienceFuzz, IndexMatchesLinearWhileQuarantineChurns) {
-  // Randomized paired-seed sweep: random workload shape + crash and copy
-  // faults + an aggressive quarantine policy, indexed vs linear scan.  The
-  // index's candidacy set churns on every quarantine enter/exit; any
-  // missed update shows up as a divergent placement.
+  // Randomized sweep: random workload shape + crash and copy faults + an
+  // aggressive quarantine policy.  The index's candidacy set churns on
+  // every quarantine enter/exit; any missed update shows up as a query
+  // that disagrees with the brute-force scan, or as a placement that
+  // diverges from the stream the linear scan recorded.
   for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    Rng fuzz(seed * 7919 + 13);
-    const int job_count = 8 + static_cast<int>(fuzz.below(10));
-    const double gap = 5.0 + static_cast<double>(fuzz.below(12));
-
-    TraceModelConfig model_config;
-    model_config.max_tasks_per_phase = 20 + static_cast<int>(fuzz.below(20));
-    TraceModel model(model_config, seed);
-    auto jobs = model.sample_jobs(job_count);
-    assign_poisson_arrivals(jobs, gap, seed + 1);
-
-    SimConfig config;
-    config.slot_seconds = 5.0;
-    config.seed = seed;
-    config.background.enabled = false;
-    config.locality.enabled = false;
-    config.failures.enabled = true;
-    config.failures.mean_time_to_failure_seconds =
-        400.0 + static_cast<double>(fuzz.below(400));
-    config.failures.mean_repair_seconds = 60.0 + static_cast<double>(fuzz.below(60));
-    config.faults.copy.enabled = true;
-    config.faults.copy.inter_fault.mean_seconds =
-        30.0 + static_cast<double>(fuzz.below(60));
-
-    DollyMPConfig sched_config = resilient_config();
-    sched_config.resilience.flap_threshold = 2.0;
-    sched_config.resilience.quarantine_slots = 30 + static_cast<SimTime>(fuzz.below(60));
-    sched_config.resilience.max_quarantined_fraction = 0.3;
-
-    const Cluster cluster = Cluster::google_like(20 + fuzz.below(30));
-
-    SimConfig indexed = config;
-    indexed.use_placement_index = true;
-    SimConfig linear = config;
-    linear.use_placement_index = false;
-
-    DollyMPScheduler s1(sched_config);
-    DollyMPScheduler s2(sched_config);
-    const auto fast = test_support::simulate_recorded(cluster, indexed, jobs, s1);
-    const auto slow = test_support::simulate_recorded(cluster, linear, jobs, s2);
-    expect_identical_outcomes(fast, slow, seed);
-    EXPECT_EQ(slow.result.stats.index_queries, 0) << "seed " << seed;
+    test_support::expect_matches_pinned("resilience/seed" + std::to_string(seed));
   }
 }
 

@@ -366,9 +366,9 @@ TEST(ResourcesNdEqualityPolicy, PlacementIndexGroupsKeyOnExactUsedVectors) {
   PlacementIndex index(cluster);
 
   ASSERT_TRUE(cluster.server(0).allocate({4.0, 8.0}));
-  index.on_allocation_changed(0);
+  index.on_server_changed(0);
   ASSERT_TRUE(cluster.server(1).allocate({4.0 + 1e-12, 8.0}));
-  index.on_allocation_changed(1);
+  index.on_server_changed(1);
   ASSERT_FALSE(cluster.server(0).used() == cluster.server(1).used());
 
   // Both servers can host this demand; the candidate enumeration must see

@@ -33,35 +33,6 @@ TEST(FirstFit, PicksLowestIndexThatFits) {
   EXPECT_EQ(first_fit_server(cluster, {5, 5}), kInvalidServer);
 }
 
-TEST(LocalityAware, PrefersReplicaThenRackThenBestFit) {
-  // Two racks of two servers (uniform() groups 40 per rack, so build by
-  // hand).
-  Cluster cluster;
-  cluster.add_server(ServerSpec{{4, 4}, 1.0, 0, "r0a"});
-  cluster.add_server(ServerSpec{{4, 4}, 1.0, 0, "r0b"});
-  cluster.add_server(ServerSpec{{4, 4}, 1.0, 1, "r1a"});
-  cluster.add_server(ServerSpec{{8, 8}, 1.0, 1, "r1b"});
-  const LocalityModel locality({}, cluster);
-
-  TaskRuntime task;
-  task.demand = {2, 2};
-  task.block.replicas = {0, 2};
-
-  // Replica 0 fits: chosen.
-  EXPECT_EQ(locality_aware_server(cluster, locality, task), 0);
-  // Fill both replicas: rack-local server of one replica wins over the
-  // larger off-replica best fit... server 1 (rack 0) and 3 (rack 1) are
-  // both rack-local here, so the tightest-alignment rack-local is picked.
-  ASSERT_TRUE(cluster.server(0).allocate({3, 3}));
-  ASSERT_TRUE(cluster.server(2).allocate({3, 3}));
-  const ServerId rack_local = locality_aware_server(cluster, locality, task);
-  EXPECT_EQ(rack_local, 3);  // rack-local to replica 2, biggest free dot
-  // Fill every rack-local option: falls back to best fit (none left here
-  // but server 1).
-  ASSERT_TRUE(cluster.server(3).allocate({7, 7}));
-  EXPECT_EQ(locality_aware_server(cluster, locality, task), 1);
-}
-
 TEST(JobActiveAllocation, SumsActiveCopiesOnly) {
   JobSpec spec = JobSpec::single_phase(0, 3, {2, 4}, 10.0);
   Cluster cluster = Cluster::uniform(2, {8, 16});

@@ -23,6 +23,8 @@
 #include "dollymp/sim/sim_core.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
+#include "placement_oracle.h"
+#include "recorded_run.h"
 
 namespace dollymp {
 namespace {
@@ -103,6 +105,83 @@ TEST(SimCoreRestore, StragglerAwareDollyMPContinuesIdenticallyHealthy) {
 
 TEST(SimCoreRestore, StragglerAwareDollyMPContinuesIdenticallyUnderCrashes) {
   expect_restore_continues_identically("crash");
+}
+
+// A snapshot taken while one server is up and quarantined and another is
+// down and quarantined: load_state's one index rebuild must leave both out
+// of every query (candidacy is up and not quarantined), and the restored
+// core — whose resilience policy later repairs and releases them — must
+// continue exactly like the uninterrupted run.
+TEST(SimCoreRestore, QuarantinedServersUpAndDownStayOutAcrossRestore) {
+  const Cluster cluster = Cluster::google_like(30);
+  TraceModelConfig mix;
+  mix.max_tasks_per_phase = 30;
+  TraceModel model(mix, 5);
+  std::vector<JobSpec> jobs = model.sample_jobs(40);
+  assign_poisson_arrivals(jobs, 10.0, 5);
+
+  SimConfig config;
+  config.seed = 3;
+  config.background.enabled = false;
+  config.failures.enabled = true;
+  config.failures.mean_time_to_failure_seconds = 600.0;
+  config.failures.mean_repair_seconds = 300.0;
+  config.faults.copy.enabled = true;
+  config.faults.copy.inter_fault.mean_seconds = 20.0;
+  DollyMPConfig policy_config;
+  policy_config.straggler_aware = true;
+  policy_config.resilience.enabled = true;
+  policy_config.resilience.flap_threshold = 2.0;
+  policy_config.resilience.quarantine_slots = 60;
+  policy_config.resilience.max_quarantined_fraction = 0.3;
+
+  Recorder original_rec;
+  config.recorder = &original_rec;
+  SimCore original(cluster, config);
+  original.ingest(jobs);
+  DollyMPScheduler original_policy(policy_config);
+  original.begin(original_policy);
+  const auto quarantined_states = [&original] {
+    bool up = false;
+    bool down = false;
+    for (const Server& server : original.cluster().servers()) {
+      if (!server.is_quarantined()) continue;
+      (server.is_down() ? down : up) = true;
+    }
+    return up && down;
+  };
+  SimTime slot = 0;
+  while (!quarantined_states()) {
+    ASSERT_EQ(original.step_until(++slot), StepOutcome::kHorizonReached)
+        << "run ended before a server was quarantined both up and down";
+  }
+  ASSERT_GT(test_support::count_kind(original_rec.snapshot(), TraceEv::kQuarantineEnter), 1);
+  StateWriter writer;
+  original.save_state(writer);
+  const std::vector<std::uint8_t> snapshot = writer.finish();
+  (void)original.step_until(SimCore::kUnbounded);
+  const SimResult uninterrupted = original.finish();
+
+  Recorder restored_rec;
+  config.recorder = &restored_rec;
+  SimCore restored(cluster, config);
+  DollyMPScheduler restored_policy(policy_config);
+  restored.begin(restored_policy);
+  StateReader reader(snapshot);
+  restored.load_state(reader, /*load_scheduler=*/true);
+  for (const Resources& demand : test_support::workload_demands(jobs)) {
+    EXPECT_EQ(restored.placement_index()->fitting_candidates(demand),
+              test_support::brute_force_candidates(restored.cluster(), demand));
+    EXPECT_EQ(restored.placement_index()->best_fit(demand),
+              best_fit_server(restored.cluster(), demand));
+  }
+  (void)restored.step_until(SimCore::kUnbounded);
+  const SimResult resumed = restored.finish();
+
+  EXPECT_GT(uninterrupted.stats.quarantine_exits, 0);
+  EXPECT_EQ(restored_rec.records_written(), original_rec.records_written());
+  EXPECT_EQ(restored_rec.hash(), original_rec.hash());
+  EXPECT_EQ(resumed.stats.placements_accepted, uninterrupted.stats.placements_accepted);
 }
 
 }  // namespace

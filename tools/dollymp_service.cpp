@@ -68,6 +68,9 @@
 //     advance SLOTS         advance parent and all forks in parallel
 //     compare               print comparison JSON (parent + forks)
 //     quit
+// SLOTS is a non-negative integer.  A --script stops at its first failing
+// command and exits 3; --repl reports the error and reads on.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -75,6 +78,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -387,7 +391,26 @@ void advance_all(Fleet& fleet, SimTime target, ThreadPool& pool) {
   for (auto& future : futures) future.get();
 }
 
-int run_script(Fleet& fleet, std::istream& in, bool echo) {
+/// The slot count argument of `run` / `advance`: one whole non-negative
+/// integer token, nothing after it.
+SimTime slot_count(std::istringstream& ls, const std::string& command) {
+  std::string token;
+  std::string extra;
+  if (!(ls >> token)) throw std::invalid_argument(command + " wants a slot count");
+  SimTime slots = 0;
+  const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), slots);
+  if (ec != std::errc() || end != token.data() + token.size() || slots < 0 ||
+      (ls >> extra)) {
+    throw std::invalid_argument(command + ": slot count must be a non-negative integer, got '" +
+                                token + "'");
+  }
+  return slots;
+}
+
+/// Execute commands from `in`.  A script (`interactive` false) echoes each
+/// command and stops at the first error with exit code 3; the interactive
+/// REPL reports the error and reads on.
+int run_script(Fleet& fleet, std::istream& in, bool interactive) {
   ThreadPool pool;
   std::string line;
   while (std::getline(in, line)) {
@@ -397,16 +420,14 @@ int run_script(Fleet& fleet, std::istream& in, bool echo) {
     std::istringstream ls(line);
     std::string command;
     if (!(ls >> command)) continue;
-    if (echo) std::cout << "> " << line << "\n";
+    if (!interactive) std::cout << "> " << line << "\n";
     try {
       if (command == "quit" || command == "exit") break;
       if (command == "run") {
-        SimTime slots = 0;
-        ls >> slots;
+        const SimTime slots = slot_count(ls, command);
         fleet.parent->run_until(fleet.parent->clock() + slots);
       } else if (command == "advance") {
-        SimTime slots = 0;
-        ls >> slots;
+        const SimTime slots = slot_count(ls, command);
         advance_all(fleet, fleet.parent->clock() + slots, pool);
       } else if (command == "status") {
         print_status(fleet, std::cout);
@@ -442,7 +463,7 @@ int run_script(Fleet& fleet, std::istream& in, bool echo) {
       }
     } catch (const std::exception& e) {
       std::cerr << "error: " << e.what() << "\n";
-      if (!echo) return 3;  // scripts abort; the interactive REPL continues
+      if (!interactive) return 3;
     }
   }
   return 0;
@@ -512,9 +533,9 @@ int main(int argc, char** argv) {
         std::cerr << "cannot open script " << opt.script << "\n";
         return 2;
       }
-      return run_script(fleet, file, /*echo=*/true);
+      return run_script(fleet, file, /*interactive=*/false);
     }
-    if (opt.repl) return run_script(fleet, std::cin, /*echo=*/false);
+    if (opt.repl) return run_script(fleet, std::cin, /*interactive=*/true);
 
     // One-shot: advance to the horizon in pump-sized strides, cutting
     // periodic checkpoints when asked.
