@@ -3,6 +3,7 @@
 #include <iostream>
 #include <stdexcept>
 
+#include "dollymp/common/cli.h"
 #include "dollymp/common/rng.h"
 #include "dollymp/common/table.h"
 #include "dollymp/sched/capacity.h"
@@ -35,7 +36,8 @@ std::unique_ptr<Scheduler> make_scheduler(const std::string& key) {
       config.clone_budget = 2;
       config.smallest_first_clones = false;
     } else {
-      config.clone_budget = std::stoi(key.substr(7));
+      config.clone_budget =
+          cli::parse_number("bench: scheduler key '" + key + "'", key.substr(7), 0);
     }
     return std::make_unique<DollyMPScheduler>(config);
   }

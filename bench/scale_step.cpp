@@ -1,7 +1,7 @@
 // Scale gate for the struct-of-arrays overhaul: the simulator's memory and
 // per-step cost across 30K / 300K / 1M-server google-trace inventories.
 //
-// Two series plus an explicit gate, emitted as BENCH_scale_step.json:
+// Three series plus an explicit gate, emitted as BENCH_scale_step.json:
 //
 //   * BM_ScaleBuild/N — building the inventory (ServerTable appends with
 //     model interning).  The bytes_per_server counter is the fleet's
@@ -11,21 +11,32 @@
 //     fleet.  The steps/s counter is the slot-processing rate; with the
 //     placement index answering queries per *distinct allocation state*
 //     and the event loop touching only active jobs, per-step latency must
-//     grow far slower than the fleet (sub-linear).
+//     grow far slower than the fleet (sub-linear).  loop_ms is the event
+//     loop's wall time.
+//   * BM_ScaleStepAware/N — the same fleets and jobs under DollyMP² with
+//     straggler-aware placement, resilience and crash faults (four crashes
+//     per simulated second across the fleet, whatever its size, so the
+//     fault work does not grow with N).  Reports total_ms (setup plus loop), loop_ms and
+//     slowest_round_ms, the longest schedule() call, timed by a forwarding
+//     scheduler; Section 6.3.3 bounds one round at 50 ms.  No gate reads it:
+//     it is the straggler-aware vs plain comparison in EXPERIMENTS.md.
 //   * BM_ScaleGate — runs last (alphabetical registration does not matter;
 //     it re-reads what the earlier series recorded) and fails the binary
 //     (SkipWithError, exit 1 via micro_main) when bytes-per-server drifts
 //     more than 10% across sizes or per-step latency scales worse than a
 //     third of linear.
 //
-// CI runs the 300K series with an RSS ceiling (scale-smoke job); the 1M
-// point documents headroom and runs in the full local sweep.
+// CI runs the 30K and 300K points with an RSS ceiling (scale-smoke job);
+// the 1M point documents headroom and runs in the full local sweep.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <chrono>
 #include <map>
 
 #include "bench_common.h"
 #include "dollymp/common/stats.h"
+#include "dollymp/sched/dollymp.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
 
@@ -55,6 +66,57 @@ SimConfig scale_config() {
   config.locality.enabled = false;
   return config;
 }
+
+/// Forwards every call to `inner` and times each schedule() call.
+class RoundTimer final : public Scheduler {
+ public:
+  explicit RoundTimer(Scheduler& inner) : inner_(inner) {}
+
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+  void reset() override { inner_.reset(); }
+  void on_job_arrival(SchedulerContext& ctx) override { inner_.on_job_arrival(ctx); }
+  void schedule(SchedulerContext& ctx) override {
+    const auto start = std::chrono::steady_clock::now();
+    inner_.schedule(ctx);
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+    slowest_seconds = std::max(slowest_seconds, took.count());
+  }
+  void on_copy_finished(SchedulerContext& ctx, const JobRuntime& job,
+                        const PhaseRuntime& phase, const TaskRuntime& task,
+                        const CopyRuntime& copy) override {
+    inner_.on_copy_finished(ctx, job, phase, task, copy);
+  }
+  void on_phase_completed(SchedulerContext& ctx, const JobRuntime& job,
+                          const PhaseRuntime& phase) override {
+    inner_.on_phase_completed(ctx, job, phase);
+  }
+  void on_job_completed(SchedulerContext& ctx, const JobRuntime& job) override {
+    inner_.on_job_completed(ctx, job);
+  }
+  void on_server_failed(SchedulerContext& ctx, ServerId server) override {
+    inner_.on_server_failed(ctx, server);
+  }
+  void on_server_repaired(SchedulerContext& ctx, ServerId server) override {
+    inner_.on_server_repaired(ctx, server);
+  }
+  void on_copy_fault(SchedulerContext& ctx, const JobRuntime& job, const PhaseRuntime& phase,
+                     const TaskRuntime& task, ServerId server) override {
+    inner_.on_copy_fault(ctx, job, phase, task, server);
+  }
+  void on_server_degraded(SchedulerContext& ctx, ServerId server, double factor) override {
+    inner_.on_server_degraded(ctx, server, factor);
+  }
+  void on_server_restored(SchedulerContext& ctx, ServerId server) override {
+    inner_.on_server_restored(ctx, server);
+  }
+  void save_state(StateWriter& w) const override { inner_.save_state(w); }
+  void load_state(StateReader& r) override { inner_.load_state(r); }
+
+  double slowest_seconds = 0.0;
+
+ private:
+  Scheduler& inner_;
+};
 
 /// What each size measured, for the gate benchmark.
 struct ScalePoint {
@@ -102,6 +164,7 @@ void BM_ScaleStep(benchmark::State& state) {
   points()[state.range(0)].us_per_step = us_per_step;
   state.counters["steps"] = static_cast<double>(last.slots_visited);
   state.counters["us_per_step"] = us_per_step;
+  state.counters["loop_ms"] = last.wall_clock_seconds * 1e3;
   state.counters["bytes_per_server"] = last.bytes_per_server;
   state.counters["table_mb"] =
       static_cast<double>(last.server_table_bytes) / (1024.0 * 1024.0);
@@ -115,6 +178,41 @@ void BM_ScaleStep(benchmark::State& state) {
   state.counters["slab_alloc_per_step"] =
       static_cast<double>(last.copy_slab_acquires - last.copy_slab_reuses) /
       static_cast<double>(std::max(1LL, last.slots_visited));
+}
+
+void BM_ScaleStepAware(benchmark::State& state) {
+  const auto servers = static_cast<std::size_t>(state.range(0));
+  const Cluster cluster = Cluster::google_trace(servers);
+  const auto jobs = scale_jobs(240);
+  SimConfig config = scale_config();
+  config.failures.enabled = true;
+  config.failures.mean_time_to_failure_seconds = 0.25 * static_cast<double>(servers);
+  config.failures.mean_repair_seconds = 300.0;
+  DollyMPConfig policy;
+  policy.straggler_aware = true;
+  policy.resilience.enabled = true;
+  SimStats last{};
+  double total_seconds = 0.0;
+  double slowest_seconds = 0.0;
+  for (auto _ : state) {
+    DollyMPScheduler scheduler(policy);
+    RoundTimer timer(scheduler);
+    const auto start = std::chrono::steady_clock::now();
+    const SimResult result = simulate(cluster, config, jobs, timer);
+    const std::chrono::duration<double> took = std::chrono::steady_clock::now() - start;
+    benchmark::DoNotOptimize(result.makespan_seconds);
+    last = result.stats;
+    total_seconds = took.count();
+    slowest_seconds = timer.slowest_seconds;
+  }
+  state.counters["total_ms"] = total_seconds * 1e3;
+  state.counters["loop_ms"] = last.wall_clock_seconds * 1e3;
+  state.counters["slowest_round_ms"] = slowest_seconds * 1e3;
+  state.counters["steps"] = static_cast<double>(last.slots_visited);
+  state.counters["crashes"] = static_cast<double>(last.events_server_failure);
+  state.counters["copies_killed"] = static_cast<double>(last.copies_killed_by_faults);
+  state.counters["rss_mb"] =
+      static_cast<double>(last.peak_rss_bytes) / (1024.0 * 1024.0);
 }
 
 /// The gate: consumes what the series recorded.  Only meaningful when the
@@ -160,6 +258,11 @@ BENCHMARK(BM_ScaleBuild)
     ->Arg(1000000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScaleStep)
+    ->Arg(30000)
+    ->Arg(300000)
+    ->Arg(1000000)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ScaleStepAware)
     ->Arg(30000)
     ->Arg(300000)
     ->Arg(1000000)

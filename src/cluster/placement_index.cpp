@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -29,6 +31,10 @@ inline Resources group_free(const Resources& capacity, const Resources& used) {
 }
 
 constexpr std::uint64_t bit(std::size_t i) { return std::uint64_t{1} << (i & 63); }
+
+/// BatchCache score of a pool slot whose group does not fit the demand.
+/// Real scores are dot products of non-negative vectors, never -inf.
+constexpr double kNoFit = -std::numeric_limits<double>::infinity();
 
 }  // namespace
 
@@ -84,7 +90,7 @@ PlacementIndex::PlacementIndex(const Cluster& cluster)
   rank_of_.assign(n, 0);
   group_of_.assign(n, kNoGroup);
   multiplier_.assign(n, 1.0);
-  nonneutral_pos_.assign(n, -1);
+  heap_pos_.assign(n, -1);
   is_dirty_.assign(n, 0);
   // Each server is listed at most once, so the dirty list never outgrows
   // the fleet: reserving it here keeps maintenance free of reallocation.
@@ -127,12 +133,109 @@ std::int32_t PlacementIndex::group_for(ResourceClass& cls, const Resources& used
   Group group;
   group.used = used;
   group.members.reset(cls.ids.size());
-  cls.groups.push_back(std::move(group));
-  cls.lookup.emplace(key, gid);
   // A new pool slot is the one event that can add a candidate the batched
   // walks have not captured; everything else only churns member sets.
-  ++pool_generation_;
+  group.row = static_cast<std::uint32_t>(pool_generation_++);
+  row_group_.emplace_back(static_cast<std::int32_t>(&cls - classes_.data()), gid);
+  cls.groups.push_back(std::move(group));
+  // Room for every slot to be active at once, so the active list never
+  // reallocates while groups drain and refill (the pool's capacity grows
+  // geometrically, so neither does this).
+  cls.active.reserve(cls.groups.capacity());
+  cls.lookup.emplace(key, gid);
   return gid;
+}
+
+void PlacementIndex::join(ResourceClass& cls, std::int32_t gid, std::uint32_t rank) {
+  Group& group = cls.groups[static_cast<std::size_t>(gid)];
+  if (group.members.empty()) {
+    group.active_pos = static_cast<std::int32_t>(cls.active.size());
+    cls.active.push_back(gid);
+  }
+  group.members.insert(rank);
+}
+
+void PlacementIndex::leave(ResourceClass& cls, std::int32_t gid, std::uint32_t rank) {
+  Group& group = cls.groups[static_cast<std::size_t>(gid)];
+  group.members.erase(rank);
+  if (!group.members.empty()) return;
+  const std::int32_t last = cls.active.back();
+  cls.active[static_cast<std::size_t>(group.active_pos)] = last;
+  cls.groups[static_cast<std::size_t>(last)].active_pos = group.active_pos;
+  cls.active.pop_back();
+  group.active_pos = -1;
+}
+
+// ---- learned-member heaps ---------------------------------------------------
+
+bool PlacementIndex::heap_above(ServerId a, ServerId b) const {
+  const double ma = multiplier_[static_cast<std::size_t>(a)];
+  const double mb = multiplier_[static_cast<std::size_t>(b)];
+  return ma > mb || (ma == mb && a < b);
+}
+
+void PlacementIndex::heap_place(Group& group, std::size_t pos, ServerId id) {
+  group.learned[pos] = id;
+  heap_pos_[static_cast<std::size_t>(id)] = static_cast<std::int32_t>(pos);
+}
+
+void PlacementIndex::heap_fix(Group& group, std::size_t pos) {
+  std::vector<ServerId>& heap = group.learned;
+  const ServerId id = heap[pos];
+  while (pos > 0) {
+    const std::size_t parent = (pos - 1) / 2;
+    if (!heap_above(id, heap[parent])) break;
+    heap_place(group, pos, heap[parent]);
+    pos = parent;
+  }
+  for (std::size_t child = 2 * pos + 1; child < heap.size(); child = 2 * pos + 1) {
+    if (child + 1 < heap.size() && heap_above(heap[child + 1], heap[child])) ++child;
+    if (!heap_above(heap[child], id)) break;
+    heap_place(group, pos, heap[child]);
+    pos = child;
+  }
+  heap_place(group, pos, id);
+}
+
+void PlacementIndex::heap_insert(Group& group, ServerId id) {
+  group.learned.push_back(id);
+  heap_fix(group, group.learned.size() - 1);
+}
+
+void PlacementIndex::heap_erase(Group& group, ServerId id) {
+  std::int32_t& pos = heap_pos_[static_cast<std::size_t>(id)];
+  const auto at = static_cast<std::size_t>(pos);
+  pos = -1;
+  const ServerId last = group.learned.back();
+  group.learned.pop_back();
+  if (at == group.learned.size()) return;  // erased the last node
+  heap_place(group, at, last);
+  heap_fix(group, at);
+}
+
+ServerId PlacementIndex::heap_tie_winner(const Group& group, double base, double& product) {
+  const std::vector<ServerId>& heap = group.learned;
+  product = base * multiplier_[static_cast<std::size_t>(heap[0])];
+  ServerId winner = heap[0];
+  // base x m is monotone in m but not strictly (two multipliers can round
+  // to one product), so the top need not hold the lowest id at its score.
+  // Every node tying the top lies in a subtree at the root: a node's
+  // multiplier is never above its parent's, nor therefore its product.
+  tie_stack_.clear();
+  tie_stack_.push_back(0);
+  while (!tie_stack_.empty()) {
+    const std::size_t pos = tie_stack_.back();
+    tie_stack_.pop_back();
+    for (std::size_t child = 2 * pos + 1; child <= 2 * pos + 2 && child < heap.size();
+         ++child) {
+      ++counters_.servers_scanned;
+      const ServerId id = heap[child];
+      if (base * multiplier_[static_cast<std::size_t>(id)] != product) continue;
+      winner = std::min(winner, id);
+      tie_stack_.push_back(static_cast<std::uint32_t>(child));
+    }
+  }
+  return winner;
 }
 
 const PlacementIndex::BatchCache& PlacementIndex::batched_walk(const Resources& demand) {
@@ -150,43 +253,65 @@ const PlacementIndex::BatchCache& PlacementIndex::batched_walk(const Resources& 
   if (slot == nullptr) {
     slot = &batch_[batch_clock_];
     batch_clock_ = (batch_clock_ + 1) % batch_.size();
+    slot->demand = demand;
+    slot->generation = 0;
+    slot->valid = true;
   }
   ++counters_.batch_rebuilds;
-  slot->demand = demand;
+  // Score every pool group — active or drained — the row does not cover
+  // yet: fit and score depend only on the slot's immutable used vector, so
+  // a group draining and refilling later is still answered by this walk,
+  // and rows number the slots in creation order, so a stale row is missing
+  // exactly the slots created since it was last brought up to date.
+  slot->scores.resize(static_cast<std::size_t>(pool_generation_));
+  for (auto row = static_cast<std::size_t>(slot->generation); row < slot->scores.size(); ++row) {
+    const auto [c, g] = row_group_[row];
+    const ResourceClass& cls = classes_[static_cast<std::size_t>(c)];
+    const Group& group = cls.groups[static_cast<std::size_t>(g)];
+    slot->scores[row] = demand.fits_within(cls.capacity) &&
+                                group_fits(group.used, demand, cls.capacity)
+                            ? demand.dot(group_free(cls.capacity, group.used))
+                            : kNoFit;
+  }
   slot->generation = pool_generation_;
-  slot->valid = true;
-  slot->entries.clear();
-  // Capture every pool group — active or drained — that fits: fit and score
-  // depend only on the slot's immutable used vector, so a group draining
-  // and refilling later is still answered by this walk.
-  for (std::size_t c = 0; c < classes_.size(); ++c) {
-    const ResourceClass& cls = classes_[c];
+  return *slot;
+}
+
+template <typename Visit>
+void PlacementIndex::visit_fitting_groups(const Resources& demand, Visit&& visit) {
+  const BatchCache& walk = batched_walk(demand);
+  for (const ResourceClass& cls : classes_) {
     if (!demand.fits_within(cls.capacity)) continue;
-    for (std::size_t g = 0; g < cls.groups.size(); ++g) {
-      const Group& group = cls.groups[g];
-      if (!group_fits(group.used, demand, cls.capacity)) continue;
-      slot->entries.push_back({static_cast<std::int32_t>(c), static_cast<std::int32_t>(g),
-                               demand.dot(group_free(cls.capacity, group.used))});
+    for (const std::int32_t gid : cls.active) {
+      const Group& group = cls.groups[static_cast<std::size_t>(gid)];
+      const double score = walk.scores[group.row];
+      if (score == kNoFit) continue;
+      visit(cls, group, score);
     }
   }
-  return *slot;
 }
 
 void PlacementIndex::regroup(std::size_t i) {
   const Server& server = cluster_->server(i);
   ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
   std::int32_t& gid = group_of_[i];
+  const auto id = static_cast<ServerId>(i);
   if (gid != kNoGroup) {
     Group& group = cls.groups[static_cast<std::size_t>(gid)];
     if (server.placeable() && group.used == server.used()) return;
-    // A drained group keeps its pool slot and bitset words: churn revisits
-    // the same used vectors, so steady-state maintenance never allocates.
-    group.members.erase(rank_of_[i]);
+    // A drained group keeps its pool slot, bitset words and heap capacity:
+    // churn revisits the same used vectors, so steady-state maintenance
+    // never allocates.
+    if (learned_count_ != 0 && heap_pos_[i] >= 0) heap_erase(group, id);
+    leave(cls, gid, rank_of_[i]);
     gid = kNoGroup;
   }
   if (!server.placeable()) return;
   gid = group_for(cls, server.used());
-  cls.groups[static_cast<std::size_t>(gid)].members.insert(rank_of_[i]);
+  join(cls, gid, rank_of_[i]);
+  if (learned_count_ != 0 && multiplier_[i] != 1.0) {
+    heap_insert(cls.groups[static_cast<std::size_t>(gid)], id);
+  }
 }
 
 void PlacementIndex::on_server_changed(ServerId id) {
@@ -207,23 +332,33 @@ void PlacementIndex::flush() {
 }
 
 void PlacementIndex::set_multiplier(ServerId id, double weight) {
-  if (weight < 0.0) {
-    throw std::invalid_argument("PlacementIndex: negative multiplier for server " +
-                                std::to_string(id));
+  if (!(weight >= 0.0) || !std::isfinite(weight)) {
+    throw std::invalid_argument("PlacementIndex: multiplier for server " +
+                                std::to_string(id) + " must be finite and non-negative");
   }
   const auto i = static_cast<std::size_t>(id);
-  std::int32_t& pos = nonneutral_pos_[i];
-  if (weight != 1.0 && pos < 0) {
-    pos = static_cast<std::int32_t>(nonneutral_.size());
-    nonneutral_.push_back(id);
-  } else if (weight == 1.0 && pos >= 0) {
-    const ServerId last = nonneutral_.back();
-    nonneutral_[static_cast<std::size_t>(pos)] = last;
-    nonneutral_pos_[static_cast<std::size_t>(last)] = pos;
-    nonneutral_.pop_back();
-    pos = -1;
+  if ((multiplier_[i] != 1.0) != (weight != 1.0)) {
+    if (weight != 1.0) {
+      ++learned_count_;
+    } else {
+      --learned_count_;
+    }
   }
   multiplier_[i] = weight;
+  // The heap to update is the one of the group the server was last flushed
+  // into, even if it is dirty now: the next regroup moves it from there.
+  const std::int32_t gid = group_of_[i];
+  if (gid == kNoGroup) return;  // regroup inserts it when it rejoins a group
+  Group& group = classes_[static_cast<std::size_t>(class_of_[i])]
+                     .groups[static_cast<std::size_t>(gid)];
+  const std::int32_t pos = heap_pos_[i];
+  if (pos < 0) {
+    if (weight != 1.0) heap_insert(group, id);
+  } else if (weight == 1.0) {
+    heap_erase(group, id);
+  } else {
+    heap_fix(group, static_cast<std::size_t>(pos));
+  }
 }
 
 double PlacementIndex::multiplier(ServerId id) const {
@@ -235,20 +370,17 @@ ServerId PlacementIndex::best_fit(const Resources& demand) {
   flush();
   ServerId best = kInvalidServer;
   double best_score = -1.0;
-  // Replay the cached walk: drained groups drop out via members.empty(),
-  // so the candidate set is exactly the active fitting groups and the
-  // precomputed scores are the linear scan's expressions — same winner.
-  for (const BatchEntry& e : batched_walk(demand).entries) {
-    const ResourceClass& cls = classes_[static_cast<std::size_t>(e.cls)];
-    const Group& group = cls.groups[static_cast<std::size_t>(e.gid)];
-    if (group.members.empty()) continue;
+  // The candidate set is exactly the active fitting groups, and the cached
+  // scores are the linear scan's expressions — same winner.
+  visit_fitting_groups(demand, [&](const ResourceClass& cls, const Group& group,
+                                   double score) {
     ++counters_.servers_scanned;
     const ServerId id = cls.ids[group.members.lowest()];
-    if (beats(e.score, id, best_score, best)) {
-      best_score = e.score;
+    if (beats(score, id, best_score, best)) {
+      best_score = score;
       best = id;
     }
-  }
+  });
   return best;
 }
 
@@ -256,14 +388,12 @@ ServerId PlacementIndex::first_fit(const Resources& demand) {
   ++counters_.queries;
   flush();
   ServerId best = kInvalidServer;
-  for (const BatchEntry& e : batched_walk(demand).entries) {
-    const ResourceClass& cls = classes_[static_cast<std::size_t>(e.cls)];
-    const Group& group = cls.groups[static_cast<std::size_t>(e.gid)];
-    if (group.members.empty()) continue;
+  visit_fitting_groups(demand, [&](const ResourceClass& cls, const Group& group,
+                                   double /*score*/) {
     ++counters_.servers_scanned;
     const ServerId id = cls.ids[group.members.lowest()];
     if (best == kInvalidServer || id < best) best = id;
-  }
+  });
   return best;
 }
 
@@ -282,37 +412,37 @@ ServerId PlacementIndex::weighted_best_fit(const Resources& demand,
   // Three candidate sets, each scored with the linear scan's expressions:
   //   (i)   per active fitting group, its lowest-id member whose multiplier
   //         is exactly 1.0, at the group score (base x 1.0 == base);
-  //   (ii)  every up server whose multiplier is not 1.0 and whose group
-  //         fits, at base x multiplier;
+  //   (ii)  per active fitting group with learned members, the lowest id
+  //         among its heap nodes whose base x multiplier ties the top's, at
+  //         that product;
   //   (iii) every fitting replica of boost_block, at base x multiplier x
   //         1.25.
-  // Every fitting server's true score is matched by a candidate (its own
-  // from (ii) or (iii), or its group's (i) representative, which has the
-  // same score and a lower-or-equal id), and no candidate scores above its
-  // own server's true score (base and multipliers are non-negative, so the
-  // boost only raises a score).  Under `beats` the best candidate is
-  // therefore the linear scan's winner.
-  for (const BatchEntry& e : batched_walk(demand).entries) {
-    const ResourceClass& cls = classes_[static_cast<std::size_t>(e.cls)];
-    const Group& group = cls.groups[static_cast<std::size_t>(e.gid)];
-    std::uint32_t rank = group.members.lowest();
-    while (rank != kNoRank && multiplier_[static_cast<std::size_t>(cls.ids[rank])] != 1.0) {
-      rank = group.members.next(rank + 1);
+  // Every fitting server's true score is matched by a candidate with the
+  // same score and a lower-or-equal id, or beaten outright: a neutral
+  // server by its group's (i) representative; a learned server s by (ii),
+  // since the top's multiplier is at least s's, so its product is at least
+  // s's, and when the two are equal s itself is in the tie set; a replica
+  // by its own (iii) entry.  No candidate scores above its own server's
+  // true score (base and multipliers are non-negative, so the boost only
+  // raises a score).  Under `beats` the best candidate is therefore the
+  // linear scan's winner.
+  visit_fitting_groups(demand, [&](const ResourceClass& cls, const Group& group,
+                                   double score) {
+    if (group.learned.size() < group.members.size()) {
+      std::uint32_t rank = group.members.lowest();
+      while (multiplier_[static_cast<std::size_t>(cls.ids[rank])] != 1.0) {
+        rank = group.members.next(rank + 1);
+      }
+      ++counters_.servers_scanned;
+      consider(cls.ids[rank], score);
     }
-    if (rank == kNoRank) continue;
-    ++counters_.servers_scanned;
-    consider(cls.ids[rank], e.score);
-  }
-  for (const ServerId id : nonneutral_) {
-    ++counters_.servers_scanned;
-    const auto i = static_cast<std::size_t>(id);
-    const std::int32_t gid = group_of_[i];
-    if (gid == kNoGroup) continue;  // not placeable
-    const ResourceClass& cls = classes_[static_cast<std::size_t>(class_of_[i])];
-    const Group& group = cls.groups[static_cast<std::size_t>(gid)];
-    if (!group_fits(group.used, demand, cls.capacity)) continue;
-    consider(id, demand.dot(group_free(cls.capacity, group.used)) * multiplier_[i]);
-  }
+    if (!group.learned.empty()) {
+      ++counters_.servers_scanned;
+      double product = 0.0;
+      const ServerId id = heap_tie_winner(group, score, product);
+      consider(id, product);
+    }
+  });
   if (boost_block != nullptr) {
     for (const ServerId replica : boost_block->replicas) {
       ++counters_.servers_scanned;

@@ -1,6 +1,8 @@
 #include "dollymp/common/cli.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <iostream>
 #include <sstream>
 
 namespace dollymp::cli {
@@ -62,6 +64,11 @@ std::string closest_flag(const std::string& flag,
     }
   }
   return best;
+}
+
+void exit_usage_error(const std::string& message) {
+  std::cerr << message << "\n";
+  std::exit(2);
 }
 
 std::string unknown_flag_message(const std::string& flag,

@@ -6,10 +6,10 @@
 // scheduler invocation O(placements x servers) — fine at the paper's
 // 30-node inventory, hopeless at the 30K-server trace scale of Section 6.3.
 // PlacementIndex maintains a two-level grouping that answers placement
-// queries in time proportional to the number of *distinct allocation
-// states* (plus the servers with a learned weight), not the number of
-// servers; no maintenance hook and no query does work that grows with a
-// group's size:
+// queries in time proportional to the number of *active distinct
+// allocation states* (plus, for the weighted query, the learned servers
+// that tie a group's best learned score), not the number of servers; no
+// maintenance hook and no query does work that grows with the fleet:
 //
 //   * Servers are partitioned into *resource classes* (exact capacity
 //     equality).  Trace inventories have a handful of machine shapes, so a
@@ -33,7 +33,14 @@
 //   * Groups are pooled per class and found through an insert-only map from
 //     used vector to pool slot.  A drained group keeps its slot and its
 //     bitset words, so steady-state maintenance — allocation churn
-//     revisiting the same used vectors — performs no heap allocation.
+//     revisiting the same used vectors — performs no heap allocation.  Each
+//     class also lists its *active* pool slots (at least one member) in a
+//     swap-remove vector, touched only when a group's member count moves
+//     between 0 and 1; queries walk that list, never the drained pool.
+//   * Each group keeps a binary max-heap of its members whose learned
+//     multiplier is not 1.0, ordered by (multiplier descending, id
+//     ascending), with every server's heap position.  The weighted query
+//     reads only the heap top and the nodes whose score ties it.
 //   * Every change is applied lazily through one hook: on_server_changed
 //     only marks the server dirty, and the next query first re-applies the
 //     candidacy rule to every dirty server and moves each candidate to the
@@ -55,6 +62,7 @@
 #include <array>
 #include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
@@ -78,8 +86,11 @@ class PlacementIndex {
 
   /// Per-server score multiplier used by weighted_best_fit (DollyMP's
   /// straggler-aware placement weight).  Defaults to 1.0 for every server.
-  /// Must not be negative (the scorer's weights are reciprocals of positive
-  /// slowdown estimates); a negative weight throws std::invalid_argument.
+  /// Must be finite and not negative (the scorer's weights are reciprocals
+  /// of clamped positive slowdown estimates); any other weight throws
+  /// std::invalid_argument.  The learned-member heaps need the total order
+  /// a NaN would break, and a finite weight keeps base x weight free of the
+  /// 0 x inf NaN.  O(log group learned members).
   void set_multiplier(ServerId id, double weight);
   [[nodiscard]] double multiplier(ServerId id) const;
 
@@ -87,18 +98,16 @@ class PlacementIndex {
   //
   // Every query first applies the pending changes (see on_server_changed),
   // so queries are non-const.  best_fit, first_fit and weighted_best_fit
-  // answer from a batched walk: the capacity-group walk for a demand is
-  // captured once into a cached candidate list and
-  // replayed for every same-demand query until the group pool grows.  A
-  // Group's used vector — and therefore its per-demand fit answer and
-  // score — is immutable for the lifetime of its pool slot; only its
-  // members churn.  So one pass over the pool per (demand, pool generation)
-  // captures every group that can ever fit, with its score precomputed, and
-  // a query is a flat scan of that list skipping currently-drained groups:
-  // the candidate set is the active fitting groups, scores are the
-  // identical float expressions, and `beats` is enumeration-order
-  // independent — bit-identical decisions, one capacity-group walk per
-  // wakeup batch instead of one per task.
+  // walk each fitting class's active groups and read each group's score
+  // from a batched walk: a row per demand holding a score for every pool
+  // slot, or a no-fit marker.  A Group's used vector — and therefore its
+  // per-demand fit answer and score — is immutable for the lifetime of its
+  // pool slot; only its members churn, so a row is computed once per
+  // demand and, when the pool grows, extended by the new slots alone.  The
+  // candidate set is the active fitting groups, scores are the identical
+  // float expressions, and `beats` is enumeration-order independent —
+  // bit-identical decisions, each pool slot scored once per cached demand
+  // instead of once per task, and no query visits a drained group.
 
   /// Equivalent of best_fit_server(cluster, demand).
   [[nodiscard]] ServerId best_fit(const Resources& demand);
@@ -109,11 +118,14 @@ class PlacementIndex {
   /// Equivalent of DollyMP's straggler-aware pick: maximize
   /// demand.dot(free) * multiplier(id), boosted by 1.25 when the server
   /// holds a replica of `boost_block` (pass nullptr for no boost), ties to
-  /// the lowest id.  Three candidate sets cover every server: per active
-  /// fitting group, its lowest-id member with multiplier exactly 1.0 at the
-  /// group score; every server whose multiplier is not 1.0, individually;
-  /// and every fitting replica of `boost_block`, boosted.  A query costs
-  /// O(fitting groups + non-neutral servers + replicas).
+  /// the lowest id.  Three candidate sets cover every server, per active
+  /// fitting group: its lowest-id member with multiplier exactly 1.0 at the
+  /// group score; the top of its learned-member heap at group score x
+  /// multiplier, replaced by the lowest id among the heap nodes whose
+  /// product ties the top's; and, fleet-wide, every fitting replica of
+  /// `boost_block`, boosted.  A query costs O(active fitting groups +
+  /// replicas + exact ties), plus the learned members a group's rank walk
+  /// skips below its lowest neutral member.
   [[nodiscard]] ServerId weighted_best_fit(const Resources& demand,
                                            const BlockPlacement* boost_block);
 
@@ -152,6 +164,7 @@ class PlacementIndex {
     void insert(std::uint32_t rank);
     void erase(std::uint32_t rank);
     [[nodiscard]] bool empty() const { return count_ == 0; }
+    [[nodiscard]] std::uint32_t size() const { return count_; }
     /// Lowest member, kNoRank when empty (cached, O(1)).
     [[nodiscard]] std::uint32_t lowest() const { return lowest_; }
     /// Lowest member >= `from`, kNoRank when there is none.
@@ -169,35 +182,44 @@ class PlacementIndex {
   struct Group {
     Resources used;
     RankSet members;  ///< words kept when drained
+    /// Members whose multiplier is not 1.0: a binary max-heap under
+    /// heap_above (capacity kept when drained).
+    std::vector<ServerId> learned;
+    /// This group's position in its class's active list; -1 when drained.
+    std::int32_t active_pos = -1;
+    /// Fleet-wide pool slot: the group's entry in a BatchCache's scores.
+    std::uint32_t row = 0;
   };
 
   struct ResourceClass {
     Resources capacity;
     std::vector<ServerId> ids;  ///< rank -> server, ascending
     std::vector<Group> groups;  ///< pool; slots are never reclaimed
+    /// Pool slots with at least one member, in no particular order.
+    std::vector<std::int32_t> active;
     /// used -> pool slot.  Insert-only: churn revisits the same used
     /// vectors, so in steady state every lookup hits.
     std::map<std::array<double, Resources::kMaxDims>, std::int32_t> lookup;
   };
 
-  /// One precomputed candidate of a batched walk: pool-slot indices (the
-  /// groups vector reallocates as the pool grows, so no pointers) plus the
-  /// immutable per-demand score.
-  struct BatchEntry {
-    std::int32_t cls;
-    std::int32_t gid;
-    double score;  ///< demand.dot(group_free(capacity, used))
-  };
-  /// Cached capacity-group walk for one exact demand, valid for one pool
-  /// generation (group creation invalidates: a new group could fit).
+  /// Cached capacity-group walk for one exact demand: the scores of the
+  /// first `generation` pool slots.  Group creation leaves it stale (a new
+  /// group could fit) until the next query scores the new slots.
   struct BatchCache {
     Resources demand;
     std::uint64_t generation = 0;
     bool valid = false;
-    std::vector<BatchEntry> entries;  ///< capacity kept across rebuilds
+    /// Per pool slot (Group::row): demand.dot(group_free(capacity, used)),
+    /// or kNoFit.  Capacity kept across rebuilds.
+    std::vector<double> scores;
   };
-  /// The cached walk for `demand`, rebuilt on miss or stale generation.
+  /// The cached walk for `demand`: rebuilt on a miss, and on a stale
+  /// generation extended by the slots created since.
   [[nodiscard]] const BatchCache& batched_walk(const Resources& demand);
+  /// visit(cls, group, score) for every active group of every class whose
+  /// cached score for `demand` is not kNoFit, in no particular order.
+  template <typename Visit>
+  void visit_fitting_groups(const Resources& demand, Visit&& visit);
 
   /// regroup() every dirty server.
   void flush();
@@ -206,6 +228,24 @@ class PlacementIndex {
   void regroup(std::size_t i);
   /// Pool slot for `used`, creating the group on first sight.
   [[nodiscard]] std::int32_t group_for(ResourceClass& cls, const Resources& used);
+  /// Member-set changes that keep the class's active list in step.
+  static void join(ResourceClass& cls, std::int32_t gid, std::uint32_t rank);
+  static void leave(ResourceClass& cls, std::int32_t gid, std::uint32_t rank);
+
+  // Learned-member heap of a group.  Server a sits above b when its
+  // multiplier is larger, or equal with a lower id: a strict total order,
+  // because multipliers are never NaN.
+  [[nodiscard]] bool heap_above(ServerId a, ServerId b) const;
+  void heap_insert(Group& group, ServerId id);
+  void heap_erase(Group& group, ServerId id);
+  /// Restore the heap order around position `pos` after its key changed.
+  void heap_fix(Group& group, std::size_t pos);
+  void heap_place(Group& group, std::size_t pos, ServerId id);
+  /// Lowest id among the heap nodes whose base x multiplier equals the
+  /// top's; `product` receives that score.  The tie set is a subtree at the
+  /// root (a child's product never exceeds its parent's), walked depth
+  /// first over tie_stack_.
+  [[nodiscard]] ServerId heap_tie_winner(const Group& group, double base, double& product);
 
   const Cluster* cluster_;
   std::vector<ResourceClass> classes_;
@@ -213,17 +253,25 @@ class PlacementIndex {
   std::vector<std::uint32_t> rank_of_;  // server -> rank within its class
   std::vector<std::int32_t> group_of_;  // server -> pool slot; kNoGroup = not a candidate
   std::vector<double> multiplier_;
-  /// Servers whose multiplier is not 1.0, in no particular order, and each
-  /// server's position in it (-1 = absent) for O(1) swap-remove.
-  std::vector<ServerId> nonneutral_;
-  std::vector<std::int32_t> nonneutral_pos_;
+  /// Position in the learned heap of group_of_ (the group the server was
+  /// last flushed into, even while it is dirty); -1 = in no heap.
+  std::vector<std::int32_t> heap_pos_;
+  /// Servers whose multiplier is not 1.0.  While it is 0 — every run
+  /// without straggler-aware placement — every heap is empty and regroup
+  /// reads neither heap_pos_ nor multiplier_.
+  std::size_t learned_count_ = 0;
   /// Servers changed since the last flush (each once).
   std::vector<ServerId> dirty_;
   std::vector<std::uint8_t> is_dirty_;
+  /// Scratch stack of heap positions for heap_tie_winner.
+  std::vector<std::uint32_t> tie_stack_;
 
-  /// Bumped whenever any class's group pool grows — the sole event that can
-  /// add a candidate a cached walk does not know about.
+  /// Pool slots created so far across every class: bumped whenever any
+  /// class's pool grows — the sole event that can add a candidate a cached
+  /// walk does not know about — and the next group's row.
   std::uint64_t pool_generation_ = 0;
+  /// Row -> (class index, pool slot in that class), in creation order.
+  std::vector<std::pair<std::int32_t, std::int32_t>> row_group_;
   /// A handful of demand-keyed slots with round-robin eviction: the task
   /// demands in flight per wakeup come from a small palette (the trace
   /// model's grid), so this stays effectively fully associative.

@@ -32,6 +32,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dollymp/sched/scheduler.h"
@@ -86,7 +87,9 @@ class ResiliencePolicy {
   // ---- per-invocation bracket ---------------------------------------------
 
   /// Release quarantines whose term expired (on probation: strikes halved,
-  /// not cleared).  Call at the top of schedule().
+  /// not cleared), in ascending server id.  Call at the top of schedule().
+  /// Due terms come off a min-heap of release slots, so an invocation with
+  /// nothing due costs O(1) and reads no per-server array.
   void begin_invocation(SchedulerContext& ctx);
 
   /// True when `task`'s re-placement is under a backoff hold at `now`.
@@ -108,7 +111,7 @@ class ResiliencePolicy {
   // ---- checkpoint/restore --------------------------------------------------
   /// Serialize backoff holds, strike ledgers and quarantine terms so a
   /// restored run replays identically.  load_state resizes the per-server
-  /// vectors to the serialized fleet size.
+  /// vectors to the serialized fleet size and rebuilds the release heap.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
@@ -145,6 +148,12 @@ class ResiliencePolicy {
   std::vector<SimTime> strike_updated_;
   /// Release slot per server; kNever when not quarantined.
   std::vector<SimTime> quarantine_release_;
+  /// Min-heap of (release slot, server), one entry per term, pushed when
+  /// the term starts.  Derived from quarantine_release_ (load_state
+  /// rebuilds it), so it is not serialized.
+  std::vector<std::pair<SimTime, ServerId>> release_heap_;
+  /// Scratch: the servers begin_invocation releases.
+  std::vector<ServerId> releasing_;
   int quarantined_count_ = 0;
   int down_count_ = 0;
   /// Earliest backoff release observed by should_defer this invocation.

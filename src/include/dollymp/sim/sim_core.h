@@ -193,6 +193,8 @@ class SimCore final : public SchedulerContext {
   /// Materialize jobs into the runtime store and merge them into the
   /// arrival order.  Callable repeatedly, before or after begin(); specs
   /// must outlive the core (the streaming session retains its segments).
+  /// A negative job id throws std::invalid_argument: schedulers index
+  /// per-job state by id.
   void ingest(const std::vector<JobSpec>& specs);
 
   /// Bind the scheduler, seed the fault timers and arm the loop at slot 0.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "dollymp/common/state_io.h"
 #include "dollymp/obs/recorder.h"
@@ -39,6 +40,8 @@ void ResiliencePolicy::add_strike(SchedulerContext& ctx, ServerId server) {
     return;
   }
   quarantine_release_[s] = now + config_.quarantine_slots;
+  release_heap_.emplace_back(quarantine_release_[s], server);
+  std::push_heap(release_heap_.begin(), release_heap_.end(), std::greater<>{});
   ++quarantined_count_;
   ctx.set_server_quarantined(server, true);
   // Make sure an invocation happens at the release slot even on an
@@ -84,15 +87,27 @@ void ResiliencePolicy::on_server_repaired(SchedulerContext& /*ctx*/, ServerId /*
 void ResiliencePolicy::begin_invocation(SchedulerContext& ctx) {
   earliest_release_ = kNever;
   const SimTime now = ctx.now();
-  for (std::size_t s = 0; s < quarantine_release_.size(); ++s) {
-    if (quarantine_release_[s] == kNever || quarantine_release_[s] > now) continue;
+  releasing_.clear();
+  while (!release_heap_.empty() && release_heap_.front().first <= now) {
+    std::pop_heap(release_heap_.begin(), release_heap_.end(), std::greater<>{});
+    const auto [slot, server] = release_heap_.back();
+    release_heap_.pop_back();
+    if (quarantine_release_[static_cast<std::size_t>(server)] == slot) {
+      releasing_.push_back(server);
+    }
+  }
+  // Ascending ids: the order of a scan over the fleet, so the quarantine
+  // exit records and index hooks arrive in the same sequence.
+  std::sort(releasing_.begin(), releasing_.end());
+  for (const ServerId server : releasing_) {
+    const auto s = static_cast<std::size_t>(server);
     quarantine_release_[s] = kNever;
     --quarantined_count_;
     // Probation: release with half the strikes instead of a clean slate —
     // a server that flaps again right away goes straight back in.
-    strikes_[s] = decayed_strikes(static_cast<ServerId>(s), now) * 0.5;
+    strikes_[s] = decayed_strikes(server, now) * 0.5;
     strike_updated_[s] = now;
-    ctx.set_server_quarantined(static_cast<ServerId>(s), false);
+    ctx.set_server_quarantined(server, false);
   }
 }
 
@@ -142,6 +157,13 @@ void ResiliencePolicy::load_state(StateReader& r) {
   r.pod_vec(strikes_);
   r.pod_vec(strike_updated_);
   r.pod_vec(quarantine_release_);
+  release_heap_.clear();
+  for (std::size_t s = 0; s < quarantine_release_.size(); ++s) {
+    if (quarantine_release_[s] != kNever) {
+      release_heap_.emplace_back(quarantine_release_[s], static_cast<ServerId>(s));
+    }
+  }
+  std::make_heap(release_heap_.begin(), release_heap_.end(), std::greater<>{});
   quarantined_count_ = r.i32();
   down_count_ = r.i32();
   earliest_release_ = r.i64();

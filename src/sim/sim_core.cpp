@@ -124,6 +124,12 @@ void SimCore::ingest(const std::vector<JobSpec>& specs) {
   store_.reserve_for(specs);
   const std::size_t order_before = arrival_order_.size();
   for (const auto& spec : specs) {
+    // Schedulers index per-job state by id, so a negative one must not
+    // reach them.
+    if (spec.id < 0) {
+      throw std::invalid_argument("SimCore::ingest: job '" + spec.name + "' has negative id " +
+                                  std::to_string(spec.id));
+    }
     validate_placeable(spec);
     const std::size_t index =
         store_.materialize(spec, config_.slot_seconds, locality_, rng_workload_);
@@ -861,7 +867,9 @@ void SimCore::fail_server(ServerId server_id) {
   // Kill every running copy on the failed machine.  Tasks left with no
   // running copy fall back into the needs-placement pool so schedulers
   // re-place them (from the surviving input-block replica in the locality
-  // model's terms).
+  // model's terms).  Most crashes hit an idle server, where the walk would
+  // kill nothing and call no hook.
+  if (cluster_.server(static_cast<std::size_t>(server_id)).running_copies() == 0) return;
   for (JobRuntime* job : active_) {
     for (auto& phase : job->phases) {
       if (phase.active_copies == 0) continue;

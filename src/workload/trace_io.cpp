@@ -73,7 +73,14 @@ std::vector<JobSpec> trace_from_csv(const std::string& csv_text) {
   std::vector<JobSpec> jobs;
   std::map<long long, std::size_t> index_of;
   for (std::size_t r = 0; r < table.rows(); ++r) {
+    // Range-check before narrowing: 4294967297 would wrap to job 1, and a
+    // negative id would index schedulers' per-job tables out of bounds.
     const long long id = table.cell_int(r, "job_id");
+    if (id < 0 || id > std::numeric_limits<JobId>::max()) {
+      throw std::runtime_error("trace: " + CsvTable::where(r, "job_id") + ": " +
+                               std::to_string(id) + " is outside [0, " +
+                               std::to_string(std::numeric_limits<JobId>::max()) + "]");
+    }
     auto [it, inserted] = index_of.try_emplace(id, jobs.size());
     if (inserted) {
       JobSpec job;

@@ -1,10 +1,14 @@
 // Tests for the shared command-line helpers (common/cli.h): --flag=value
-// normalization, separator splitting, and the did-you-mean rejection
-// message every dollymp_* tool now emits for unknown flags.
+// normalization, separator splitting, strict number parsing, and the
+// did-you-mean rejection message every dollymp_* tool now emits for
+// unknown flags.
 #include "dollymp/common/cli.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -98,6 +102,60 @@ TEST(CliUnknownFlagMessage, OmitsSuggestionWhenNothingIsClose) {
   const std::vector<std::string> known = {"--help"};
   EXPECT_EQ(unknown_flag_message("--zzzzzzzzzzzz", known),
             "unknown option --zzzzzzzzzzzz");
+}
+
+/// The message parse_number throws for `text`, or "" if it parses.
+template <typename T>
+std::string rejection(const std::string& text, T lo = std::numeric_limits<T>::lowest(),
+                      T hi = std::numeric_limits<T>::max()) {
+  try {
+    (void)parse_number("--flag", text, lo, hi);
+  } catch (const std::invalid_argument& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(CliParseNumber, AcceptsWholeTokensUpToEachTypesLimits) {
+  EXPECT_EQ(parse_number<int>("--n", "2147483647"), 2147483647);
+  EXPECT_EQ(parse_number<int>("--n", "-2147483648"), std::numeric_limits<int>::min());
+  EXPECT_EQ(parse_number<std::uint64_t>("--seed", "18446744073709551615"),
+            std::numeric_limits<std::uint64_t>::max());
+  EXPECT_EQ(parse_number<long long>("--slots", "-9223372036854775808"),
+            std::numeric_limits<long long>::min());
+  EXPECT_EQ(parse_number<double>("--gap", "1e308"), 1e308);
+  EXPECT_EQ(parse_number<double>("--gap", "-2.5"), -2.5);
+  EXPECT_EQ(parse_number("--k", "9", 0, 9), 9);
+  EXPECT_EQ(parse_number("--k", "0", 0, 9), 0);
+}
+
+TEST(CliParseNumber, RejectsValuesBeyondTheType) {
+  EXPECT_NE(rejection<int>("2147483648"), "");
+  EXPECT_NE(rejection<int>("-2147483649"), "");
+  EXPECT_NE(rejection<int>("99999999999999999999"), "");
+  EXPECT_NE(rejection<std::uint64_t>("18446744073709551616"), "");
+  EXPECT_NE(rejection<std::uint64_t>("-1"), "");
+  EXPECT_NE(rejection<std::size_t>("-0"), "");
+  EXPECT_NE(rejection<double>("1e309"), "");
+  EXPECT_NE(rejection<double>("inf"), "");
+  EXPECT_NE(rejection<double>("nan"), "");
+}
+
+TEST(CliParseNumber, RejectsValuesOutsideTheRange) {
+  EXPECT_EQ(rejection("10", 0, 9), "--flag: '10' is outside [0, 9]");
+  EXPECT_EQ(rejection("-1", 0, 9), "--flag: '-1' is outside [0, 9]");
+  EXPECT_NE(rejection("-0.5", 0.0, 1.0), "");
+  EXPECT_NE(rejection("1.5", 0.0, 1.0), "");
+  EXPECT_EQ(rejection("1", 0.0, 1.0), "");
+}
+
+TEST(CliParseNumber, RejectsAnythingButOneWholeNumber) {
+  for (const char* text : {"", "abc", "2x", "30000x", "1:x", " 1", "1 ", "+1", "0x10", "1,2"}) {
+    EXPECT_EQ(rejection<int>(text), std::string("--flag: '") + text + "' is not a number")
+        << "'" << text << "'";
+  }
+  EXPECT_NE(rejection<double>("2.5abc"), "");
+  EXPECT_NE(rejection<double>("1e"), "");
 }
 
 }  // namespace

@@ -127,11 +127,19 @@ class FakeContext final : public SchedulerContext {
     return place_copy(job, phase, task, server);
   }
   void request_wakeup(SimTime /*slot*/) override {}
+  void set_server_quarantined(ServerId server, bool quarantined) override {
+    cluster_.server(static_cast<std::size_t>(server)).set_quarantined(quarantined);
+    index_.on_server_changed(server);
+    if (quarantined) quarantined_.push_back(server);
+  }
 
   /// Undo every placement so the next schedule() round starts from
   /// scratch with warm buffers (the index keeps its group pool).
   void reset_placements() {
     cluster_.reset_allocations();
+    for (const ServerId server : quarantined_) {
+      cluster_.server(static_cast<std::size_t>(server)).set_quarantined(true);
+    }
     for (auto& job : jobs_) {
       for (auto& phase : job.phases) {
         for (auto& task : phase.tasks) {
@@ -159,6 +167,7 @@ class FakeContext final : public SchedulerContext {
   RuntimeStore store_;
   std::vector<JobRuntime>& jobs_ = store_.jobs();
   std::vector<JobRuntime*> active_;
+  std::vector<ServerId> quarantined_;  ///< kept out across reset_placements
 };
 
 std::vector<JobSpec> small_workload(int count) {
@@ -179,10 +188,14 @@ SimConfig steady_config() {
   return config;
 }
 
-void expect_steady_state_allocation_free(DollyMPConfig scheduler_config) {
+/// `prepare(ctx, scheduler)` runs once before the warm-up rounds; its
+/// allocations are not counted.
+template <typename Prepare>
+void expect_steady_state_allocation_free(DollyMPConfig scheduler_config, Prepare&& prepare) {
   FakeContext ctx(Cluster::paper30(), small_workload(6), steady_config());
   DollyMPScheduler scheduler(scheduler_config);
   scheduler.on_job_arrival(ctx);  // priority recompute: allocs allowed here
+  prepare(ctx, scheduler);
 
   // Warm-up: populates order_/candidates_ buffers and the copy vectors.
   scheduler.schedule(ctx);
@@ -201,6 +214,11 @@ void expect_steady_state_allocation_free(DollyMPConfig scheduler_config) {
   EXPECT_EQ(running, 0u) << "schedule() with running copies allocated";
 }
 
+void expect_steady_state_allocation_free(DollyMPConfig scheduler_config) {
+  expect_steady_state_allocation_free(scheduler_config,
+                                      [](FakeContext&, DollyMPScheduler&) {});
+}
+
 TEST(DollyMPSteadyState, ScheduleIsAllocationFreeWithIndex) {
   expect_steady_state_allocation_free({});
 }
@@ -209,6 +227,36 @@ TEST(DollyMPSteadyState, ScheduleIsAllocationFreeCorollaryClones) {
   DollyMPConfig config;
   config.corollary_clone_counts = true;
   expect_steady_state_allocation_free(config);
+}
+
+// Straggler-aware, resilient DollyMP²: learned weights already sit in the
+// index's per-group heaps and a quarantine term is in flight on the release
+// heap.  Every round drains the groups and refills them, so the heaps, the
+// active lists, the per-slot score rows and the release heap must all keep
+// their capacity.
+TEST(DollyMPSteadyState, StragglerAwareResilientScheduleIsAllocationFree) {
+  DollyMPConfig config;
+  config.straggler_aware = true;
+  config.resilience.enabled = true;
+  expect_steady_state_allocation_free(config, [](FakeContext& ctx,
+                                                 DollyMPScheduler& scheduler) {
+    const JobRuntime& job = *ctx.active_jobs()[0];
+    const PhaseRuntime& phase = job.phases[0];
+    // A third of the fleet learns a slowdown; each observation pushes the
+    // server's weight into the index.
+    for (ServerId server = 0; server < 30; server += 3) {
+      CopyRuntime copy;
+      copy.server = server;
+      copy.start = -(5 + server);
+      scheduler.on_copy_finished(ctx, job, phase, phase.tasks[0], copy);
+    }
+    // Three strikes quarantine server 1 until slot 240; the clock stays at 0.
+    for (int i = 0; i < 3; ++i) scheduler.on_server_failed(ctx, 1);
+    for (int i = 0; i < 3; ++i) scheduler.on_server_repaired(ctx, 1);
+    ASSERT_TRUE(ctx.cluster().server(1).is_quarantined());
+    ASSERT_NE(ctx.placement_index()->multiplier(0), 1.0);
+    ASSERT_NE(ctx.placement_index()->multiplier(3), ctx.placement_index()->multiplier(6));
+  });
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 // re-placed; all invariants survive.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "dollymp/sched/capacity.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sched/tetris.h"
 #include "dollymp/sim/simulator.h"
+#include "recorded_run.h"
 
 namespace dollymp {
 namespace {
@@ -40,6 +43,58 @@ TEST(Failures, AllJobsStillComplete) {
   for (const auto& j : result.jobs) {
     EXPECT_GT(j.finish_seconds, j.arrival_seconds);
   }
+}
+
+// A crash on a server running copies kills every one of them in the crash's
+// slot, and a crash on an idle server kills nothing; the run must see both
+// kinds.  Replays the record stream, counting running copies per server.
+TEST(Failures, CrashKillsEveryCopyOnTheFailedServer) {
+  const Cluster cluster = Cluster::uniform(16, {8, 16});
+  DollyMPScheduler scheduler;
+  const test_support::RecordedRun run = test_support::simulate_recorded(
+      cluster, failing_config(3, 300.0, 60.0), workload(30), scheduler);
+  std::vector<int> running(cluster.size(), 0);
+  std::vector<bool> down(cluster.size(), false);
+  int busy_crashes = 0;
+  int idle_crashes = 0;
+  SimTime slot = 0;
+  const auto expect_down_servers_empty = [&] {
+    for (std::size_t s = 0; s < cluster.size(); ++s) {
+      if (down[s]) EXPECT_EQ(running[s], 0) << "server " << s << " at slot " << slot;
+    }
+  };
+  for (const TraceRecord& r : run.stream) {
+    if (r.slot != slot) {
+      expect_down_servers_empty();
+      slot = r.slot;
+    }
+    const auto s = static_cast<std::size_t>(r.server);
+    switch (r.type) {
+      case TraceEv::kCopyPlaced:
+      case TraceEv::kClonePlaced:
+      case TraceEv::kSpeculativePlaced:
+        EXPECT_FALSE(down[s]);
+        ++running[s];
+        break;
+      case TraceEv::kCopyFinished:
+      case TraceEv::kCopyKilled:
+        --running[s];
+        break;
+      case TraceEv::kServerFailed:
+        down[s] = true;
+        ++(running[s] > 0 ? busy_crashes : idle_crashes);
+        break;
+      case TraceEv::kServerRepaired:
+        down[s] = false;
+        break;
+      default:
+        break;
+    }
+  }
+  expect_down_servers_empty();
+  EXPECT_GT(busy_crashes, 0);
+  EXPECT_GT(idle_crashes, 0);
+  EXPECT_GT(run.result.stats.copies_killed_by_faults, 0);
 }
 
 TEST(Failures, DeterministicGivenSeed) {

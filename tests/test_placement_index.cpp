@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <vector>
 
@@ -130,7 +131,64 @@ class IndexFuzzHarness {
     quarantine(sid, false);
   }
 
+  /// Drain the group of a random live copy's server — release every copy
+  /// on every server of that class in that allocation state — query, then
+  /// place the same copies back so the group refills, and query again.  A
+  /// drained group left on its class's active list, or a refilled group
+  /// missing from it, shows up as a wrong answer in one of the two checks.
+  void drain_and_refill_group() {
+    if (live_.empty()) return;
+    const Server& pick = cluster_.server(
+        static_cast<std::size_t>(live_[rng_() % live_.size()].server));
+    const Resources capacity = pick.capacity();
+    const Resources used = pick.used();
+    std::vector<LiveCopy> drained;
+    for (std::size_t i = live_.size(); i-- > 0;) {
+      Server& server = cluster_.server(static_cast<std::size_t>(live_[i].server));
+      if (!(server.capacity() == capacity) || !(server.used() == used)) continue;
+      drained.push_back(live_[i]);
+      live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+    }
+    for (const LiveCopy& copy : drained) {
+      cluster_.server(static_cast<std::size_t>(copy.server)).release(copy.demand);
+      index_.on_server_changed(copy.server);
+    }
+    check_all_queries();
+    for (auto it = drained.rbegin(); it != drained.rend(); ++it) {
+      (void)place_on(it->server, it->demand);
+    }
+    ++drains_;
+  }
+
+  /// Give two servers of one class in one allocation state one-ulp-apart
+  /// learned weights, the larger on the higher id: whenever their two
+  /// products round to one value, a weighted query that reads only the
+  /// heap top answers the higher id where the linear scan answers the
+  /// lower.
+  void reweight_tie_pair() {
+    const std::size_t n = cluster_.size();
+    const auto a = static_cast<std::size_t>(rng_() % n);
+    const Server& first = cluster_.server(a);
+    for (std::size_t b = a + 1; b < n; ++b) {
+      const Server& second = cluster_.server(b);
+      if (!(second.capacity() == first.capacity()) || !(second.used() == first.used())) {
+        continue;
+      }
+      const double low = rng_.uniform(1.0, 2.0);
+      const double high = std::nextafter(low, 4.0);
+      multipliers_[a] = low;
+      multipliers_[b] = high;
+      index_.set_multiplier(static_cast<ServerId>(a), low);
+      index_.set_multiplier(static_cast<ServerId>(b), high);
+      return;
+    }
+  }
+
   [[nodiscard]] std::size_t live_copies() const { return live_.size(); }
+  /// Weighted checks whose winner is a learned server tied on score by a
+  /// fitting server of its group with a strictly larger multiplier.
+  [[nodiscard]] std::size_t learned_ties() const { return learned_ties_; }
+  [[nodiscard]] std::size_t drains() const { return drains_; }
 
  private:
   static constexpr std::size_t kQueryKinds = 5;
@@ -150,11 +208,33 @@ class IndexFuzzHarness {
         EXPECT_EQ(index.weighted_best_fit(demand, &block_),
                   weighted_reference(cluster_, demand, multipliers_, &block_));
         break;
-      default:
-        EXPECT_EQ(index.weighted_best_fit(demand, nullptr),
-                  weighted_reference(cluster_, demand, multipliers_, nullptr));
+      default: {
+        const ServerId expected = weighted_reference(cluster_, demand, multipliers_, nullptr);
+        EXPECT_EQ(index.weighted_best_fit(demand, nullptr), expected);
+        if (expected != kInvalidServer && tied_by_larger_multiplier(expected, demand)) {
+          ++learned_ties_;
+        }
         break;
+      }
     }
+  }
+
+  /// Whether a fitting server of `winner`'s group (same class, same used
+  /// vector) has a larger multiplier but the same base x multiplier.
+  [[nodiscard]] bool tied_by_larger_multiplier(ServerId winner, const Resources& demand) const {
+    const Server& w = cluster_.server(static_cast<std::size_t>(winner));
+    const double mw = multipliers_[static_cast<std::size_t>(winner)];
+    if (mw == 1.0) return false;
+    const double base = demand.dot(w.free());
+    for (const auto& other : cluster_.servers()) {
+      const double mo = multipliers_[static_cast<std::size_t>(other.id())];
+      if (mo > mw && mo != 1.0 && other.can_fit(demand) &&
+          other.capacity() == w.capacity() && other.used() == w.used() &&
+          base * mo == base * mw) {
+        return true;
+      }
+    }
+    return false;
   }
 
   /// Allocate `demand` on `sid` if it fits; returns whether it did.
@@ -240,7 +320,7 @@ class IndexFuzzHarness {
     double weight = rng_.uniform(1.0 / 16.0, 2.0);
     const auto kind = rng_() % 4;
     if (kind == 0) {
-      weight = 1.0;  // back to neutral: the server leaves the learned list
+      weight = 1.0;  // back to neutral: the server leaves its learned heap
     } else if (kind == 1) {
       // One ulp from another server's weight, so base x multiplier products
       // of two servers can tie and fall to the lowest-id tie-break.
@@ -261,6 +341,8 @@ class IndexFuzzHarness {
   std::vector<LiveCopy> live_;
   BlockPlacement block_;
   std::size_t checks_ = 0;
+  std::size_t learned_ties_ = 0;
+  std::size_t drains_ = 0;
 };
 
 TEST(PlacementIndex, RandomizedChurnMatchesBruteForce) {
@@ -321,6 +403,53 @@ TEST(PlacementIndex, QuarantineAndCrashInterleavingsMatchBruteForce) {
   }
 }
 
+// Groups drain and refill between queries while pairs of group members take
+// learned weights one ulp apart, the larger on the higher id.  The run must
+// meet at least one exact product tie that only the heap's tie walk
+// resolves to the linear scan's lowest id.
+TEST(PlacementIndex, DrainRefillAndLearnedTieChurnMatchesBruteForce) {
+  for (const std::uint64_t seed : {53u, 59u}) {
+    IndexFuzzHarness harness(Cluster::google_like(80), seed);
+    for (int round = 0; round < 150; ++round) {
+      harness.random_op();
+      harness.reweight_tie_pair();
+      harness.check_all_queries();
+      harness.drain_and_refill_group();
+      harness.check_all_queries();
+    }
+    EXPECT_GT(harness.drains(), 0u);
+    EXPECT_GT(harness.learned_ties(), 0u) << "seed " << seed;
+  }
+}
+
+// Two members of one group whose distinct multipliers give one product on
+// their shared base, the larger multiplier on the higher id: the heap top
+// is the higher id, the linear scan's winner the lower.
+TEST(PlacementIndex, WeightedTieOnSharedBasePicksLowestId) {
+  Cluster cluster = Cluster::uniform(6, {4, 4});
+  PlacementIndex index(cluster);
+  const Resources demand{1, 2};
+  const double base = demand.dot(cluster.server(0).free());
+  double low = 1.5;
+  while (base * low != base * std::nextafter(low, 4.0)) low = std::nextafter(low, 4.0);
+  const double high = std::nextafter(low, 4.0);
+  std::vector<double> multipliers(cluster.size(), 1.0);
+  multipliers[2] = low;
+  multipliers[4] = high;
+  multipliers[5] = high;
+  for (ServerId id = 0; id < 6; ++id) {
+    index.set_multiplier(id, multipliers[static_cast<std::size_t>(id)]);
+  }
+  EXPECT_EQ(weighted_reference(cluster, demand, multipliers, nullptr), 2);
+  EXPECT_EQ(index.weighted_best_fit(demand, nullptr), 2);
+  // Neutral again: the tie now sits between the two equal heap nodes.
+  index.set_multiplier(2, 1.0);
+  multipliers[2] = 1.0;
+  EXPECT_EQ(index.weighted_best_fit(demand, nullptr),
+            weighted_reference(cluster, demand, multipliers, nullptr));
+  EXPECT_EQ(index.weighted_best_fit(demand, nullptr), 4);
+}
+
 TEST(PlacementIndex, QuarantinedServerLeavesEveryQueryUntilReleased) {
   Cluster cluster = Cluster::uniform(4, {4, 4});
   PlacementIndex index(cluster);
@@ -378,6 +507,19 @@ TEST(PlacementIndex, NegativeMultiplierIsRejected) {
   PlacementIndex index(cluster);
   EXPECT_THROW(index.set_multiplier(1, -0.5), std::invalid_argument);
   EXPECT_EQ(index.multiplier(1), 1.0);
+}
+
+// The learned-member heap needs a total order (no NaN) and the products a
+// finite weight (0 x inf is NaN).
+TEST(PlacementIndex, NonFiniteMultiplierIsRejected) {
+  const Cluster cluster = Cluster::uniform(4, {4, 4});
+  PlacementIndex index(cluster);
+  EXPECT_THROW(index.set_multiplier(1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(index.set_multiplier(1, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
+  EXPECT_EQ(index.multiplier(1), 1.0);
+  EXPECT_EQ(index.weighted_best_fit({1, 1}, nullptr), 0);
 }
 
 TEST(PlacementIndex, EmptyClusterAnswersInvalid) {

@@ -5,10 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/cluster/placement_index.h"
+#include "dollymp/common/state_io.h"
 #include "dollymp/sched/dollymp.h"
 #include "dollymp/sched/resilience.h"
 #include "dollymp/sim/simulator.h"
@@ -45,6 +47,7 @@ class FakeResilienceContext final : public SchedulerContext {
 
   void set_server_quarantined(ServerId server, bool quarantined) override {
     quarantined_[static_cast<std::size_t>(server)] = quarantined;
+    quarantine_calls.emplace_back(server, quarantined);
   }
   void defer_retry(SimTime release_slot) override {
     deferred = true;
@@ -59,6 +62,8 @@ class FakeResilienceContext final : public SchedulerContext {
     return quarantined_[static_cast<std::size_t>(server)];
   }
 
+  /// Every set_server_quarantined call, in order.
+  std::vector<std::pair<ServerId, bool>> quarantine_calls;
   SimTime last_wakeup = kNever;
   long long last_backoff = -1;
   int retries = 0;
@@ -193,6 +198,73 @@ TEST(Resilience, ProbationReleasesWithHalvedStrikes) {
   policy.on_copy_fault(ctx, task, 2);
   policy.on_copy_fault(ctx, task, 2);
   EXPECT_TRUE(policy.is_quarantined(2));
+}
+
+// Three terms come due in one invocation, in the reverse order of their
+// server ids: the releases must still reach the context in ascending id,
+// the order of a scan over the fleet.
+TEST(Resilience, DueTermsReleaseInAscendingServerOrder) {
+  FakeResilienceContext ctx(Cluster::uniform(20, {8, 16}));  // room under the 20% cap
+  ResilienceConfig config = enabled_config();
+  config.strike_half_life_slots = 1e12;
+  ResiliencePolicy policy(config, ctx.cluster().size());
+  const TaskRuntime task = orphan_task();
+  const ServerId order[] = {7, 4, 2};  // term starts 0, 5, 10
+  for (const ServerId server : order) {
+    for (int i = 0; i < 3; ++i) policy.on_copy_fault(ctx, task, server);
+    ASSERT_TRUE(policy.is_quarantined(server));
+    ctx.now_value += 5;
+  }
+  ctx.quarantine_calls.clear();
+  ctx.now_value = config.quarantine_slots + 10;  // all three due
+  policy.begin_invocation(ctx);
+  const std::vector<std::pair<ServerId, bool>> expected = {
+      {2, false}, {4, false}, {7, false}};
+  EXPECT_EQ(ctx.quarantine_calls, expected);
+  EXPECT_EQ(policy.quarantined_count(), 0);
+}
+
+// A snapshot taken in the middle of two terms: the restored policy releases
+// each server at the same slot as the live one, and re-saves to the same
+// bytes (the release heap is derived state, not serialized).
+TEST(Resilience, SaveLoadMidTermReleasesAtTheSameSlot) {
+  FakeResilienceContext ctx(Cluster::uniform(10, {8, 16}));
+  ResilienceConfig config = enabled_config();
+  config.strike_half_life_slots = 1e12;
+  ResiliencePolicy live(config, ctx.cluster().size());
+  const TaskRuntime task = orphan_task();
+  for (int i = 0; i < 3; ++i) live.on_copy_fault(ctx, task, 3);  // releases at 240
+  ctx.now_value = 20;
+  for (int i = 0; i < 3; ++i) live.on_copy_fault(ctx, task, 1);  // releases at 260
+  ctx.now_value = 100;
+  live.begin_invocation(ctx);
+
+  StateWriter w;
+  live.save_state(w);
+  const std::vector<std::uint8_t> bytes = w.finish();
+  ResiliencePolicy restored(config, ctx.cluster().size());
+  StateReader r(bytes);
+  restored.load_state(r);
+  EXPECT_NO_THROW(r.expect_done());
+  StateWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(again.finish(), bytes);
+
+  const SimTime release_3 = config.quarantine_slots;
+  const SimTime release_1 = 20 + config.quarantine_slots;
+  for (const SimTime now : {release_3 - 1, release_3, release_1 - 1, release_1}) {
+    ctx.now_value = now;
+    live.begin_invocation(ctx);
+    restored.begin_invocation(ctx);
+    for (const ServerId server : {1, 3}) {
+      EXPECT_EQ(restored.is_quarantined(server), live.is_quarantined(server))
+          << "server " << server << " at slot " << now;
+    }
+  }
+  EXPECT_FALSE(restored.is_quarantined(3));
+  EXPECT_FALSE(restored.is_quarantined(1));
+  EXPECT_EQ(restored.quarantined_count(), 0);
+  EXPECT_NEAR(restored.strikes(1), live.strikes(1), 1e-12);
 }
 
 TEST(Resilience, StrikesDecayWithHalfLife) {

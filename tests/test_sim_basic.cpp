@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "dollymp/sched/dollymp.h"
 #include "dollymp/sched/scheduler.h"
+#include "dollymp/sim/sim_core.h"
 
 namespace dollymp {
 namespace {
@@ -130,6 +132,19 @@ TEST(Simulator, UnplaceableJobThrows) {
   FifoScheduler fifo;
   Simulator sim(cluster, quiet_config());
   EXPECT_THROW((void)sim.run(jobs, fifo), std::invalid_argument);
+}
+
+// A negative id used to reach DollyMP's per-job tables, which index by id:
+// ensure_slot(-1) sized them to 0 and the next write hit index SIZE_MAX.
+TEST(Simulator, NegativeJobIdIsRejectedAtIngest) {
+  const Cluster cluster = Cluster::uniform(2, {4, 8});
+  const std::vector<JobSpec> jobs{JobSpec::single_task(0, {1, 1}, 10.0),
+                                  JobSpec::single_task(-1, {1, 1}, 10.0)};
+  SimCore core(cluster, quiet_config());
+  EXPECT_THROW(core.ingest(jobs), std::invalid_argument);
+  DollyMPScheduler dollymp;
+  Simulator sim(cluster, quiet_config());
+  EXPECT_THROW((void)sim.run(jobs, dollymp), std::invalid_argument);
 }
 
 TEST(Simulator, StallDetection) {

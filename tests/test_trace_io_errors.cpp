@@ -120,6 +120,16 @@ TEST(TraceIoErrors, TaskCountBeyondIntIsRejected) {
   expect_row_rejected("0,j,app,0,0,map,-4294967297,1,2,30,10,\n", "tasks");
 }
 
+// job_id=-1 loaded and crashed DollyMP's per-job tables (SIGSEGV), and
+// job_id=4294967297 wrapped to job 1, so two jobs shared an id.
+TEST(TraceIoErrors, JobIdOutsideInt32IsRejected) {
+  expect_row_rejected("-1,j,app,0,0,map,4,1,2,30,10,\n", "job_id");
+  expect_row_rejected("4294967297,j,app,0,0,map,4,1,2,30,10,\n", "job_id");
+  const auto jobs = trace_from_csv(with_rows("2147483647,j,app,0,0,map,4,1,2,30,10,\n"));
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].id, 2147483647);
+}
+
 // arrival_s=nan loaded, and llround(NaN) put the job's arrival at INT64_MIN,
 // so flowtime arithmetic overflowed in the simulator.
 TEST(TraceIoErrors, NanArrivalIsRejected) {

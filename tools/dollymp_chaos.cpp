@@ -102,17 +102,22 @@ Options parse_options(int argc, char** argv) {
     const std::string& arg = args[static_cast<std::size_t>(i)];
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--inventory") opt.inventory = need_value(i);
-    else if (arg == "--servers") opt.servers = std::stoi(need_value(i));
-    else if (arg == "--jobs") opt.jobs = std::stoi(need_value(i));
-    else if (arg == "--gap") opt.gap = std::stod(need_value(i));
-    else if (arg == "--slot") opt.slot = std::stod(need_value(i));
+    else if (arg == "--servers") opt.servers = cli::parse_flag("--servers", need_value(i), 0);
+    else if (arg == "--jobs") opt.jobs = cli::parse_flag("--jobs", need_value(i), 1);
+    else if (arg == "--gap") opt.gap = cli::parse_flag("--gap", need_value(i), 0.0);
+    else if (arg == "--slot") opt.slot = cli::parse_flag("--slot", need_value(i), 0.0);
     else if (arg == "--seeds") {
       opt.seeds.clear();
-      for (const auto& s : split(need_value(i), ',')) opt.seeds.push_back(std::stoull(s));
+      for (const auto& s : split(need_value(i), ',')) {
+        opt.seeds.push_back(cli::parse_flag("--seeds", s, std::uint64_t{0}));
+      }
     } else if (arg == "--classes") opt.classes = split(need_value(i), ',');
     else if (arg == "--policies") opt.policies = split(need_value(i), ',');
-    else if (arg == "--makespan-factor") opt.makespan_factor = std::stod(need_value(i));
-    else if (arg == "--makespan-slack") opt.makespan_slack = std::stod(need_value(i));
+    else if (arg == "--makespan-factor") {
+      opt.makespan_factor = cli::parse_flag("--makespan-factor", need_value(i), 0.0);
+    } else if (arg == "--makespan-slack") {
+      opt.makespan_slack = cli::parse_flag("--makespan-slack", need_value(i), 0.0);
+    }
     else if (arg == "--out") opt.out = need_value(i);
     else if (arg == "--quiet") opt.quiet = true;
     else {

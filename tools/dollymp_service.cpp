@@ -70,7 +70,6 @@
 //     quit
 // SLOTS is a non-negative integer.  A --script stops at its first failing
 // command and exits 3; --repl reports the error and reads on.
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -190,36 +189,41 @@ Options parse_options(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--cluster") opt.cluster = need_value(i);
     else if (arg == "--policy") opt.policy = need_value(i);
-    else if (arg == "--rate") opt.rate = std::stod(need_value(i));
+    else if (arg == "--rate") opt.rate = cli::parse_flag("--rate", need_value(i), 0.0);
     else if (arg == "--diurnal") {
       const auto parts = cli::split(need_value(i), ':');
-      opt.diurnal_amplitude = std::stod(parts[0]);
-      if (parts.size() > 1) opt.diurnal_period = std::stod(parts[1]);
+      opt.diurnal_amplitude = cli::parse_flag("--diurnal", parts[0], 0.0);
+      if (parts.size() > 1) opt.diurnal_period = cli::parse_flag("--diurnal", parts[1], 0.0);
     } else if (arg == "--flash") {
       const auto parts = cli::split(need_value(i), ':');
       if (parts.size() != 3) {
         std::cerr << "--flash wants MULT:START:DURATION\n";
         usage(2);
       }
-      opt.flash_multiplier = std::stod(parts[0]);
-      opt.flash_start = std::stod(parts[1]);
-      opt.flash_duration = std::stod(parts[2]);
-    } else if (arg == "--mean-gb") opt.mean_gb = std::stod(need_value(i));
-    else if (arg == "--seed") opt.seed = std::stoull(need_value(i));
-    else if (arg == "--arrival-seed") opt.arrival_seed = std::stoull(need_value(i));
-    else if (arg == "--slot") opt.slot = std::stod(need_value(i));
-    else if (arg == "--pump") opt.pump = std::stoll(need_value(i));
+      opt.flash_multiplier = cli::parse_flag("--flash", parts[0], 0.0);
+      opt.flash_start = cli::parse_flag("--flash", parts[1], 0.0);
+      opt.flash_duration = cli::parse_flag("--flash", parts[2], 0.0);
+    } else if (arg == "--mean-gb") opt.mean_gb = cli::parse_flag("--mean-gb", need_value(i), 0.0);
+    else if (arg == "--seed") opt.seed = cli::parse_flag("--seed", need_value(i), std::uint64_t{0});
+    else if (arg == "--arrival-seed") {
+      opt.arrival_seed = cli::parse_flag("--arrival-seed", need_value(i), std::uint64_t{0});
+    } else if (arg == "--slot") opt.slot = cli::parse_flag("--slot", need_value(i), 0.0);
+    else if (arg == "--pump") opt.pump = cli::parse_flag("--pump", need_value(i), SimTime{1});
     else if (arg == "--failures") {
       const auto parts = cli::split(need_value(i), ':');
       if (parts.size() != 2) {
         std::cerr << "--failures wants MTBF:REPAIR seconds\n";
         usage(2);
       }
-      opt.failure_mtbf = std::stod(parts[0]);
-      opt.failure_repair = std::stod(parts[1]);
-    } else if (arg == "--horizon") opt.horizon = std::stoll(need_value(i));
+      opt.failure_mtbf = cli::parse_flag("--failures", parts[0], 0.0);
+      opt.failure_repair = cli::parse_flag("--failures", parts[1], 0.0);
+    } else if (arg == "--horizon") {
+      opt.horizon = cli::parse_flag("--horizon", need_value(i), SimTime{0});
+    }
     else if (arg == "--checkpoint") opt.checkpoint = need_value(i);
-    else if (arg == "--checkpoint-every") opt.checkpoint_every = std::stod(need_value(i));
+    else if (arg == "--checkpoint-every") {
+      opt.checkpoint_every = cli::parse_flag("--checkpoint-every", need_value(i), 0.0);
+    }
     else if (arg == "--restore") opt.restore = need_value(i);
     else if (arg == "--script") opt.script = need_value(i);
     else if (arg == "--repl") opt.repl = true;
@@ -231,37 +235,45 @@ Options parse_options(int argc, char** argv) {
         std::cerr << "--bucket wants RATE:BURST\n";
         usage(2);
       }
-      opt.bucket_rate = std::stod(parts[0]);
-      opt.bucket_burst = std::stod(parts[1]);
+      opt.bucket_rate = cli::parse_flag("--bucket", parts[0], 0.0);
+      opt.bucket_burst = cli::parse_flag("--bucket", parts[1], 0.0);
     } else if (arg == "--watermarks") {
       const auto parts = cli::split(need_value(i), ':');
       if (parts.size() != 2) {
         std::cerr << "--watermarks wants HIGH:LOW\n";
         usage(2);
       }
-      opt.high_watermark = std::stod(parts[0]);
-      opt.low_watermark = std::stod(parts[1]);
-    } else if (arg == "--shed-fraction") opt.shed_fraction = std::stod(need_value(i));
+      opt.high_watermark = cli::parse_flag("--watermarks", parts[0], 0.0);
+      opt.low_watermark = cli::parse_flag("--watermarks", parts[1], 0.0);
+    } else if (arg == "--shed-fraction") {
+      opt.shed_fraction = cli::parse_flag("--shed-fraction", need_value(i), 0.0);
+    }
     else if (arg == "--tenants") {
       const auto parts = cli::split(need_value(i), ':');
       if (parts.size() != 2) {
         std::cerr << "--tenants wants N:PROTECTED\n";
         usage(2);
       }
-      opt.tenant_classes = std::stoi(parts[0]);
-      opt.protected_classes = std::stoi(parts[1]);
+      opt.tenant_classes = cli::parse_flag("--tenants", parts[0], 1);
+      opt.protected_classes = cli::parse_flag("--tenants", parts[1], 0);
     } else if (arg == "--governor") opt.governor = true;
-    else if (arg == "--slo-p99") opt.slo_p99 = std::stod(need_value(i));
-    else if (arg == "--slo-window") opt.slo_window = std::stoi(need_value(i));
+    else if (arg == "--slo-p99") opt.slo_p99 = cli::parse_flag("--slo-p99", need_value(i), 0.0);
+    else if (arg == "--slo-window") {
+      opt.slo_window = cli::parse_flag("--slo-window", need_value(i), 1);
+    }
     else if (arg == "--supervise") opt.supervise = true;
     else if (arg == "--snapshot-base") opt.snapshot_base = need_value(i);
-    else if (arg == "--snapshot-every") opt.snapshot_every = std::stoll(need_value(i));
-    else if (arg == "--max-restarts") opt.max_restarts = std::stoi(need_value(i));
-    else if (arg == "--watchdog") opt.watchdog = std::stod(need_value(i));
+    else if (arg == "--snapshot-every") {
+      opt.snapshot_every = cli::parse_flag("--snapshot-every", need_value(i), SimTime{0});
+    } else if (arg == "--max-restarts") {
+      opt.max_restarts = cli::parse_flag("--max-restarts", need_value(i), 0);
+    } else if (arg == "--watchdog") {
+      opt.watchdog = cli::parse_flag("--watchdog", need_value(i), 0.0);
+    }
     else if (arg == "--resume-from") opt.resume_from = need_value(i);
     else if (arg == "--kill-at") {
       for (const auto& slot : cli::split(need_value(i), ',')) {
-        opt.kill_at.push_back(std::stoll(slot));
+        opt.kill_at.push_back(cli::parse_flag("--kill-at", slot, SimTime{0}));
       }
     } else {
       std::cerr << cli::unknown_flag_message(arg, kKnownFlags) << "\n";
@@ -275,11 +287,12 @@ Cluster make_cluster(const std::string& spec) {
   if (spec == "paper30") return Cluster::paper30();
   const auto parts = cli::split(spec, ':');
   if (parts.size() == 2 && parts[0] == "google") {
-    return Cluster::google_like(static_cast<std::size_t>(std::stoul(parts[1])));
+    return Cluster::google_like(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
   }
   if (parts.size() == 4 && parts[0] == "uniform") {
-    return Cluster::uniform(static_cast<std::size_t>(std::stoul(parts[1])),
-                            {std::stod(parts[2]), std::stod(parts[3])});
+    return Cluster::uniform(cli::parse_flag("--cluster", parts[1], std::size_t{1}),
+                            {cli::parse_flag("--cluster", parts[2], 0.0),
+                             cli::parse_flag("--cluster", parts[3], 0.0)});
   }
   std::cerr << "unknown cluster spec '" << spec << "'\n";
   usage(2);
@@ -397,12 +410,9 @@ SimTime slot_count(std::istringstream& ls, const std::string& command) {
   std::string token;
   std::string extra;
   if (!(ls >> token)) throw std::invalid_argument(command + " wants a slot count");
-  SimTime slots = 0;
-  const auto [end, ec] = std::from_chars(token.data(), token.data() + token.size(), slots);
-  if (ec != std::errc() || end != token.data() + token.size() || slots < 0 ||
-      (ls >> extra)) {
-    throw std::invalid_argument(command + ": slot count must be a non-negative integer, got '" +
-                                token + "'");
+  const SimTime slots = cli::parse_number(command, token, SimTime{0});
+  if (ls >> extra) {
+    throw std::invalid_argument(command + ": unexpected '" + extra + "' after the slot count");
   }
   return slots;
 }
@@ -447,7 +457,7 @@ int run_script(Fleet& fleet, std::istream& in, bool interactive) {
             fork_options.policy = option.substr(7);
           } else if (option.rfind("quarantine=", 0) == 0) {
             for (const auto& id : cli::split(option.substr(11), ',')) {
-              fork_options.quarantine.push_back(std::stoi(id));
+              fork_options.quarantine.push_back(cli::parse_number("quarantine", id, 0));
             }
           } else {
             throw std::invalid_argument("unknown fork option '" + option + "'");

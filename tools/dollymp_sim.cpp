@@ -172,15 +172,15 @@ Options parse_options(int argc, char** argv) {
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--cluster") opt.cluster = need_value(i);
     else if (arg == "--inventory") opt.inventory = need_value(i);
-    else if (arg == "--servers") opt.servers = std::stoi(need_value(i));
+    else if (arg == "--servers") opt.servers = cli::parse_flag("--servers", need_value(i), 0);
     else if (arg == "--scheduler") opt.scheduler = need_value(i);
-    else if (arg == "--jobs") opt.jobs = std::stoi(need_value(i));
-    else if (arg == "--gap") opt.gap = std::stod(need_value(i));
-    else if (arg == "--gpus") opt.gpus = std::stoi(need_value(i));
+    else if (arg == "--jobs") opt.jobs = cli::parse_flag("--jobs", need_value(i), 1);
+    else if (arg == "--gap") opt.gap = cli::parse_flag("--gap", need_value(i), 0.0);
+    else if (arg == "--gpus") opt.gpus = cli::parse_flag("--gpus", need_value(i), 0);
     else if (arg == "--trace") opt.trace = need_value(i);
-    else if (arg == "--seed") opt.seed = std::stoull(need_value(i));
-    else if (arg == "--slot") opt.slot = std::stod(need_value(i));
-    else if (arg == "--clones") opt.clones = std::stoi(need_value(i));
+    else if (arg == "--seed") opt.seed = cli::parse_flag("--seed", need_value(i), std::uint64_t{0});
+    else if (arg == "--slot") opt.slot = cli::parse_flag("--slot", need_value(i), 0.0);
+    else if (arg == "--clones") opt.clones = cli::parse_flag("--clones", need_value(i), 0);
     else if (arg == "--straggler-aware") opt.straggler_aware = true;
     else if (arg == "--failures") {
       const auto parts = split(need_value(i), ':');
@@ -188,39 +188,37 @@ Options parse_options(int argc, char** argv) {
         std::cerr << "--failures wants MTBF:REPAIR seconds\n";
         usage(2);
       }
-      opt.failure_mtbf = std::stod(parts[0]);
-      opt.failure_repair = std::stod(parts[1]);
+      opt.failure_mtbf = cli::parse_flag("--failures", parts[0], 0.0);
+      opt.failure_repair = cli::parse_flag("--failures", parts[1], 0.0);
     } else if (arg == "--rack-faults") {
       const auto parts = split(need_value(i), ':');
       if (parts.size() != 2) {
         std::cerr << "--rack-faults wants MTTF:REPAIR seconds\n";
         usage(2);
       }
-      opt.rack_mttf = std::stod(parts[0]);
-      opt.rack_repair = std::stod(parts[1]);
+      opt.rack_mttf = cli::parse_flag("--rack-faults", parts[0], 0.0);
+      opt.rack_repair = cli::parse_flag("--rack-faults", parts[1], 0.0);
     } else if (arg == "--fail-slow") {
       const auto parts = split(need_value(i), ':');
       if (parts.size() != 3) {
         std::cerr << "--fail-slow wants ONSET:RECOVERY:FACTOR\n";
         usage(2);
       }
-      opt.fail_slow_onset = std::stod(parts[0]);
-      opt.fail_slow_recovery = std::stod(parts[1]);
-      opt.fail_slow_factor = std::stod(parts[2]);
-    } else if (arg == "--copy-faults") opt.copy_fault_mean = std::stod(need_value(i));
-    else if (arg == "--weibull") opt.weibull_shape = std::stod(need_value(i));
+      opt.fail_slow_onset = cli::parse_flag("--fail-slow", parts[0], 0.0);
+      opt.fail_slow_recovery = cli::parse_flag("--fail-slow", parts[1], 0.0);
+      opt.fail_slow_factor = cli::parse_flag("--fail-slow", parts[2], 0.0);
+    } else if (arg == "--copy-faults") {
+      opt.copy_fault_mean = cli::parse_flag("--copy-faults", need_value(i), 0.0);
+    } else if (arg == "--weibull") {
+      opt.weibull_shape = cli::parse_flag("--weibull", need_value(i), 0.0);
+    }
     else if (arg == "--resilience") opt.resilience = true;
     else if (arg == "--out") opt.out = need_value(i);
     else if (arg == "--trace-out") opt.trace_out = need_value(i);
     else if (arg == "--log-out") opt.log_out = need_value(i);
     else if (arg == "--verify-log") opt.verify_log = need_value(i);
     else if (arg == "--flight-recorder") {
-      const long long cap = std::stoll(need_value(i));
-      if (cap <= 0) {
-        std::cerr << "--flight-recorder wants a positive ring capacity\n";
-        usage(2);
-      }
-      opt.flight_recorder = static_cast<std::size_t>(cap);
+      opt.flight_recorder = cli::parse_flag("--flight-recorder", need_value(i), std::size_t{1});
     }
     else if (arg == "--verify-replay") opt.verify_replay = true;
     else if (arg == "--compare") opt.compare = true;
@@ -249,11 +247,12 @@ Cluster make_cluster(const std::string& spec) {
   if (spec == "paper30") return Cluster::paper30();
   const auto parts = split(spec, ':');
   if (parts.size() == 2 && parts[0] == "google") {
-    return Cluster::google_like(static_cast<std::size_t>(std::stoul(parts[1])));
+    return Cluster::google_like(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
   }
   if (parts.size() == 4 && parts[0] == "uniform") {
-    return Cluster::uniform(static_cast<std::size_t>(std::stoul(parts[1])),
-                            {std::stod(parts[2]), std::stod(parts[3])});
+    return Cluster::uniform(cli::parse_flag("--cluster", parts[1], std::size_t{1}),
+                            {cli::parse_flag("--cluster", parts[2], 0.0),
+                             cli::parse_flag("--cluster", parts[3], 0.0)});
   }
   std::cerr << "unknown cluster spec '" << spec << "'\n";
   usage(2);
@@ -280,7 +279,7 @@ std::unique_ptr<Scheduler> make_policy(const Options& opt) {
   }
   if (key.rfind("dollymp", 0) == 0 && key.size() == 8) {
     DollyMPConfig config;
-    config.clone_budget = key[7] - '0';
+    config.clone_budget = cli::parse_flag("--scheduler", key.substr(7), 0, 9);
     if (opt.clones >= 0) config.clone_budget = opt.clones;
     config.straggler_aware = opt.straggler_aware;
     config.resilience.enabled = opt.resilience;

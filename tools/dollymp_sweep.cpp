@@ -102,6 +102,10 @@ std::vector<std::string> split(const std::string& text, char sep) {
   return parts;
 }
 
+/// --threads ceiling: far above any core count, far below what would
+/// exhaust the process table.
+constexpr int kMaxThreads = 1024;
+
 const std::vector<std::string> kKnownFlags = {
     "--help", "--cluster",      "--jobs",  "--gap",      "--gpus",
     "--slot", "--seed", "--replications", "--seeds", "--policies",
@@ -122,26 +126,26 @@ Options parse_options(int argc, char** argv) {
     const std::string& arg = args[static_cast<std::size_t>(i)];
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--cluster") opt.cluster = need_value(i);
-    else if (arg == "--jobs") opt.jobs = std::stoi(need_value(i));
-    else if (arg == "--gap") opt.gap = std::stod(need_value(i));
-    else if (arg == "--gpus") opt.gpus = std::stoi(need_value(i));
-    else if (arg == "--slot") opt.slot = std::stod(need_value(i));
-    else if (arg == "--seed") opt.seed = std::stoull(need_value(i));
-    else if (arg == "--replications") opt.replications = std::stoi(need_value(i));
+    else if (arg == "--jobs") opt.jobs = cli::parse_flag("--jobs", need_value(i), 1);
+    else if (arg == "--gap") opt.gap = cli::parse_flag("--gap", need_value(i), 0.0);
+    else if (arg == "--gpus") opt.gpus = cli::parse_flag("--gpus", need_value(i), 0);
+    else if (arg == "--slot") opt.slot = cli::parse_flag("--slot", need_value(i), 0.0);
+    else if (arg == "--seed") opt.seed = cli::parse_flag("--seed", need_value(i), std::uint64_t{0});
+    else if (arg == "--replications") {
+      opt.replications = cli::parse_flag("--replications", need_value(i), 1);
+    }
     else if (arg == "--seeds") opt.seeds = need_value(i);
     else if (arg == "--policies") opt.policies = need_value(i);
     else if (arg == "--faults") opt.faults = need_value(i);
-    else if (arg == "--threads") opt.threads = std::stoi(need_value(i));
+    else if (arg == "--threads") {
+      opt.threads = cli::parse_flag("--threads", need_value(i), 0, kMaxThreads);
+    }
     else if (arg == "--out") opt.out = need_value(i);
     else if (arg == "--quiet") opt.quiet = true;
     else {
       std::cerr << cli::unknown_flag_message(arg, kKnownFlags) << "\n";
       usage(2);
     }
-  }
-  if (opt.replications < 1) {
-    std::cerr << "--replications wants a positive count\n";
-    usage(2);
   }
   return opt;
 }
@@ -152,13 +156,13 @@ Cluster make_cluster(const std::string& spec) {
   if (spec == "gpu") return Cluster::gpu_pods(64);
   const auto parts = split(spec, ':');
   if (parts.size() == 2 && parts[0] == "google") {
-    return Cluster::google_like(static_cast<std::size_t>(std::stoul(parts[1])));
+    return Cluster::google_like(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
   }
   if (parts.size() == 2 && parts[0] == "google-trace") {
-    return Cluster::google_trace(static_cast<std::size_t>(std::stoul(parts[1])));
+    return Cluster::google_trace(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
   }
   if (parts.size() == 2 && parts[0] == "gpu") {
-    return Cluster::gpu_pods(static_cast<std::size_t>(std::stoul(parts[1])));
+    return Cluster::gpu_pods(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
   }
   std::cerr << "unknown cluster spec '" << spec << "'\n";
   usage(2);
@@ -248,7 +252,7 @@ int main(int argc, char** argv) {
   }
   if (!opt.seeds.empty()) {
     for (const auto& s : split(opt.seeds, ',')) {
-      spec.seeds.push_back(std::stoull(s));
+      spec.seeds.push_back(cli::parse_flag("--seeds", s, std::uint64_t{0}));
     }
   } else {
     for (int r = 0; r < opt.replications; ++r) {
