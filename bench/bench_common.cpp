@@ -3,46 +3,10 @@
 #include <iostream>
 #include <stdexcept>
 
-#include "dollymp/common/cli.h"
 #include "dollymp/common/rng.h"
 #include "dollymp/common/table.h"
-#include "dollymp/sched/capacity.h"
-#include "dollymp/sched/carbyne.h"
-#include "dollymp/sched/dollymp.h"
-#include "dollymp/sched/drf.h"
-#include "dollymp/sched/hopper.h"
-#include "dollymp/sched/simple_priority.h"
-#include "dollymp/sched/tetris.h"
 
 namespace dollymp::bench {
-
-std::unique_ptr<Scheduler> make_scheduler(const std::string& key) {
-  if (key == "capacity") return std::make_unique<CapacityScheduler>();
-  if (key == "hopper") return std::make_unique<HopperScheduler>();
-  if (key == "drf") return std::make_unique<DrfScheduler>();
-  if (key == "tetris") return std::make_unique<TetrisScheduler>();
-  if (key == "carbyne") return std::make_unique<CarbyneScheduler>();
-  if (key == "srpt") {
-    return std::make_unique<SimplePriorityScheduler>(
-        SimplePriorityConfig{SimplePriorityRule::kSrpt, 1.5, 0});
-  }
-  if (key == "svf") {
-    return std::make_unique<SimplePriorityScheduler>(
-        SimplePriorityConfig{SimplePriorityRule::kSvf, 1.5, 0});
-  }
-  if (key.rfind("dollymp", 0) == 0) {
-    DollyMPConfig config;
-    if (key == "dollymp2-naive") {
-      config.clone_budget = 2;
-      config.smallest_first_clones = false;
-    } else {
-      config.clone_budget =
-          cli::parse_number("bench: scheduler key '" + key + "'", key.substr(7), 0);
-    }
-    return std::make_unique<DollyMPScheduler>(config);
-  }
-  throw std::invalid_argument("bench: unknown scheduler key '" + key + "'");
-}
 
 SimConfig deployment_config(std::uint64_t seed) {
   SimConfig config;
@@ -54,9 +18,9 @@ SimConfig deployment_config(std::uint64_t seed) {
 }
 
 SimResult run_workload(const Cluster& cluster, const SimConfig& config,
-                       const std::vector<JobSpec>& jobs,
-                       const std::string& scheduler_key) {
-  auto scheduler = make_scheduler(scheduler_key);
+                       const std::vector<JobSpec>& jobs, const std::string& policy,
+                       std::optional<DollyMPConfig> dollymp) {
+  const auto scheduler = make_named_policy(policy, dollymp);
   return simulate(cluster, config, jobs, *scheduler);
 }
 

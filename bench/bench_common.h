@@ -9,6 +9,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "dollymp/cluster/placement_index.h"
 #include "dollymp/common/stats.h"
 #include "dollymp/metrics/report.h"
+#include "dollymp/sched/policies.h"
 #include "dollymp/sched/scheduler.h"
 #include "dollymp/sim/runtime_store.h"
 #include "dollymp/sim/simulator.h"
@@ -23,19 +25,16 @@
 
 namespace dollymp::bench {
 
-/// Factory over every policy in the library.  Keys: "capacity", "drf",
-/// "tetris", "carbyne", "srpt", "svf", "hopper", "dollymp0".."dollymp3",
-/// "dollymp2-naive" (clones largest-first — the Section 4.1 ablation).
-[[nodiscard]] std::unique_ptr<Scheduler> make_scheduler(const std::string& key);
-
 /// Standard simulation configuration used by the deployment-style benches
 /// (5 s slots, background load + locality on, per Section 6).
 [[nodiscard]] SimConfig deployment_config(std::uint64_t seed);
 
-/// Run one workload under one scheduler key.
+/// Run one workload under one policy, resolved by make_named_policy
+/// (`dollymp` carries DollyMP options for a dollymp<K> name).
 [[nodiscard]] SimResult run_workload(const Cluster& cluster, const SimConfig& config,
                                      const std::vector<JobSpec>& jobs,
-                                     const std::string& scheduler_key);
+                                     const std::string& policy,
+                                     std::optional<DollyMPConfig> dollymp = {});
 
 /// The evaluation's application mix (Section 6.2): `count` jobs, split
 /// evenly between PageRank (half 10 GB, half 1 GB inputs) and WordCount

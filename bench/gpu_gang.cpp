@@ -43,20 +43,8 @@ std::vector<JobSpec> gpu_mix(std::uint64_t seed) {
   TraceModel model({}, seed);
   std::vector<JobSpec> jobs = model.sample_jobs(kAnalyticsJobs);
   assign_poisson_arrivals(jobs, 20.0, seed + 1);
-  std::vector<JobSpec> trainers;
-  trainers.reserve(kTrainJobs);
-  for (int k = 0; k < kTrainJobs; ++k) {
-    trainers.push_back(make_mltrain(static_cast<JobId>(kAnalyticsJobs + k)));
-  }
-  assign_poisson_arrivals(trainers, 80.0, seed + 2);
-  jobs.insert(jobs.end(), trainers.begin(), trainers.end());
+  append_mltrain_mix(jobs, kTrainJobs, 20.0, seed + 2);
   return jobs;
-}
-
-SimConfig gpu_config(std::uint64_t seed) {
-  SimConfig config = deployment_config(seed);
-  config.resource_dims = 3;
-  return config;
 }
 
 void BM_GangPlacementThroughput(benchmark::State& state) {
@@ -66,7 +54,7 @@ void BM_GangPlacementThroughput(benchmark::State& state) {
   long long gang_tasks = 0;
   long long rollbacks = 0;
   for (auto _ : state) {
-    const SimResult result = run_workload(cluster, gpu_config(11), jobs, "dollymp2");
+    const SimResult result = run_workload(cluster, deployment_config(11), jobs, "dollymp2");
     benchmark::DoNotOptimize(result.makespan_seconds);
     gangs += result.stats.gangs_placed;
     gang_tasks += result.stats.gang_tasks_placed;
@@ -86,7 +74,7 @@ void BM_GpuGangGate(benchmark::State& state) {
   const MlTrainConfig train;  // defaults drive make_mltrain above
   for (auto _ : state) {
     for (const char* key : {"dollymp2", "capacity"}) {
-      const SimResult result = run_workload(cluster, gpu_config(11), jobs, key);
+      const SimResult result = run_workload(cluster, deployment_config(11), jobs, key);
       const SimStats& stats = result.stats;
       const std::string tag = std::string(" [") + key + "]";
 

@@ -32,7 +32,7 @@ SimConfig step_config() {
 void run_step(benchmark::State& state, const std::string& key) {
   DryRunContext ctx(Cluster::google_like(static_cast<std::size_t>(state.range(0))),
                     step_jobs(200), step_config());
-  auto scheduler = make_scheduler(key);
+  auto scheduler = make_named_policy(key);
   for (auto _ : state) {
     scheduler->reset();
     scheduler->on_job_arrival(ctx);

@@ -151,7 +151,7 @@ void BM_ScaleStep(benchmark::State& state) {
   SimStats last{};
   double us_per_step = 0.0;
   for (auto _ : state) {
-    auto scheduler = make_scheduler("dollymp2");
+    auto scheduler = make_named_policy("dollymp2");
     const SimResult result = simulate(cluster, config, jobs, *scheduler);
     benchmark::DoNotOptimize(result.makespan_seconds);
     last = result.stats;

@@ -19,9 +19,7 @@
 
 #include "dollymp/common/experiment.h"
 #include "dollymp/common/thread_pool.h"
-#include "dollymp/sched/capacity.h"
-#include "dollymp/sched/dollymp.h"
-#include "dollymp/sched/tetris.h"
+#include "dollymp/sched/policies.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
 
@@ -40,13 +38,9 @@ SweepSpec make_spec() {
   spec.jobs = model.sample_jobs(60);
   assign_poisson_arrivals(spec.jobs, 15.0, 7);
 
-  spec.policies.push_back({"dollymp2", [] {
-                             DollyMPConfig config;
-                             config.clone_budget = 2;
-                             return std::make_unique<DollyMPScheduler>(config);
-                           }});
-  spec.policies.push_back({"capacity", [] { return std::make_unique<CapacityScheduler>(); }});
-  spec.policies.push_back({"tetris", [] { return std::make_unique<TetrisScheduler>(); }});
+  for (const char* name : {"dollymp2", "capacity", "tetris"}) {
+    spec.policies.push_back({name, named_policy_factory(name)});
+  }
   spec.fault_presets.push_back(make_fault_preset("healthy"));
   spec.fault_presets.push_back(make_fault_preset("crash"));
   spec.seeds = {7, 8, 9};

@@ -30,17 +30,18 @@ inline std::vector<JobSpec> trace_jobs(std::uint64_t seed, int count = kTraceJob
   return jobs;
 }
 
-inline SimResult trace_run(const std::string& scheduler_key, std::uint64_t seed = 99,
+inline SimResult trace_run(const std::string& policy, std::uint64_t seed = 99,
                            std::size_t servers = kTraceServers,
-                           int max_copies_per_task = 3, double gap_seconds = 0.31) {
+                           int max_copies_per_task = 3, double gap_seconds = 0.31,
+                           std::optional<DollyMPConfig> dollymp = {}) {
   const Cluster cluster = Cluster::google_like(servers);
   SimConfig config = deployment_config(seed);
   // The system-wide cap defaults to the paper's "at most three concurrent
   // copies"; the Fig. 9 DollyMP^3 ablation raises it so the third clone can
   // actually launch.
   config.max_copies_per_task = max_copies_per_task;
-  return run_workload(cluster, config, trace_jobs(seed, kTraceJobs, gap_seconds),
-                      scheduler_key);
+  return run_workload(cluster, config, trace_jobs(seed, kTraceJobs, gap_seconds), policy,
+                      dollymp);
 }
 
 }  // namespace dollymp::bench

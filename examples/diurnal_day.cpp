@@ -1,17 +1,15 @@
 // A simulated "day" of diurnal load: arrivals follow a day/night cycle and
-// the scheduler comparison is run with the parallel experiment API —
-// demonstrating run_comparison/run_replicated and the diurnal arrival
+// the scheduler comparison is replicated over environment seeds with the
+// parallel sweep API — demonstrating run_sweep and the diurnal arrival
 // process.
 //
 // Build & run:  ./build/examples/diurnal_day
 #include <iostream>
 
 #include "dollymp/cluster/cluster.h"
+#include "dollymp/common/experiment.h"
 #include "dollymp/common/table.h"
-#include "dollymp/metrics/experiment.h"
-#include "dollymp/sched/capacity.h"
-#include "dollymp/sched/dollymp.h"
-#include "dollymp/sched/tetris.h"
+#include "dollymp/sched/policies.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
 
@@ -20,32 +18,30 @@ int main() {
 
   // A compressed "day": 600 trace-model jobs over a 2-hour sinusoidal
   // cycle; load peaks at ~1.8x the mean and troughs at ~0.2x.
-  ComparisonSpec spec;
+  SweepSpec spec;
   spec.cluster = Cluster::google_like(60);
-  spec.config.slot_seconds = 5.0;
-  spec.config.seed = 7;
+  spec.base.slot_seconds = 5.0;
   TraceModel model({}, 7);
   spec.jobs = model.sample_jobs(600);
   assign_diurnal_arrivals(spec.jobs, /*mean_gap=*/12.0, /*amplitude=*/0.8,
                           /*period=*/7200.0, /*seed=*/8);
-
-  const std::vector<ComparisonEntry> entries{
-      {"capacity", [] { return std::make_unique<CapacityScheduler>(); }},
-      {"tetris", [] { return std::make_unique<TetrisScheduler>(); }},
-      {"dollymp^2", [] { return std::make_unique<DollyMPScheduler>(); }},
-  };
+  for (const char* name : {"capacity", "tetris", "dollymp2"}) {
+    spec.policies.push_back({name, named_policy_factory(name)});
+  }
+  spec.seeds = {1, 2, 3, 4, 5};
 
   ThreadPool pool;
-  const auto stats = run_replicated(spec, entries, {1, 2, 3, 4, 5}, &pool);
+  const SweepResult sweep = run_sweep(spec, &pool);
 
   ConsoleTable table({"scheduler", "mean_flow_s (avg±sd)", "makespan_s",
                       "cloned_task_frac"});
-  for (const auto& s : stats) {
-    table.add_row({s.name,
-                   ConsoleTable::format_double(s.mean_flowtime.mean(), 1) + " ± " +
-                       ConsoleTable::format_double(s.mean_flowtime.stddev(), 1),
-                   ConsoleTable::format_double(s.makespan.mean(), 0),
-                   ConsoleTable::format_double(s.cloned_task_fraction.mean(), 3)});
+  for (const SweepCell& cell : sweep.cells) {
+    table.add_row({cell.policy,
+                   ConsoleTable::format_double(cell.mean_flowtime_seconds.mean(), 1) +
+                       " ± " +
+                       ConsoleTable::format_double(cell.mean_flowtime_seconds.stddev(), 1),
+                   ConsoleTable::format_double(cell.makespan_seconds.mean(), 0),
+                   ConsoleTable::format_double(cell.cloned_task_fraction.mean(), 3)});
   }
   std::cout << "diurnal day: 600 jobs, 2h sine cycle, 5 environment seeds\n\n"
             << table.render()

@@ -1,8 +1,26 @@
 #include "dollymp/cluster/cluster.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
+
+#include "dollymp/common/cli.h"
 
 namespace dollymp {
+
+namespace {
+
+/// A number field of a cluster spec, its error naming the whole spec.
+template <typename T>
+T spec_number(const std::string& spec, const std::string& text, T lo, T hi) {
+  try {
+    return cli::parse_number<T>("", text, lo, hi);
+  } catch (const std::invalid_argument& e) {
+    throw std::invalid_argument(std::string(e.what()) + " in cluster spec '" + spec + "'");
+  }
+}
+
+}  // namespace
 
 Cluster::Cluster() : table_(std::make_unique<ServerTable>()) {}
 
@@ -89,6 +107,40 @@ double Cluster::utilization() const {
 
 void Cluster::reset_allocations() {
   for (auto& s : servers_) s.reset();
+}
+
+Cluster Cluster::from_spec(const std::string& spec) {
+  // Split on every ':' and keep empty fields, so "google-trace:" is a
+  // missing count rather than a bare "google-trace".
+  std::vector<std::string> fields;
+  for (std::size_t start = 0;;) {
+    const std::size_t colon = spec.find(':', start);
+    fields.push_back(spec.substr(start, colon - start));
+    if (colon == std::string::npos) break;
+    start = colon + 1;
+  }
+  const std::string& form = fields[0];
+  const auto servers = [&](std::size_t fallback) {
+    if (fields.size() == 1) return fallback;
+    return static_cast<std::size_t>(spec_number<ServerId>(
+        spec, fields[1], 1, std::numeric_limits<ServerId>::max()));
+  };
+  if (form == "paper30" && fields.size() == 1) return paper30();
+  if (fields.size() <= 2) {
+    if (form == "google") return google_like(servers(100));
+    if (form == "google-trace") return google_trace(servers(30'000));
+    if (form == "gpu") return gpu_pods(servers(64));
+  }
+  if (form == "uniform" && fields.size() == 4) {
+    const double hi = std::numeric_limits<double>::max();
+    const std::size_t count = servers(0);
+    const double cpu = spec_number(spec, fields[2], 0.0, hi);
+    const double mem = spec_number(spec, fields[3], 0.0, hi);
+    return uniform(count, {cpu, mem});
+  }
+  throw std::invalid_argument("'" + spec +
+                              "' is not a cluster spec (paper30 | google[:N] | "
+                              "google-trace[:N] | gpu[:N] | uniform:N:CPU:MEM)");
 }
 
 Cluster Cluster::paper30() {

@@ -34,24 +34,15 @@ ReplicationSample run_one(const SweepSpec& spec, std::size_t policy,
   const SimResult result = simulate(spec.cluster, config, spec.jobs, *scheduler);
 
   ReplicationSample sample;
+  sample.total_flowtime = result.total_flowtime();
+  sample.mean_flowtime = result.mean_flowtime();
   sample.makespan = result.makespan_seconds;
+  sample.cloned_task_fraction = result.cloned_task_fraction();
   sample.flowtimes.reserve(result.jobs.size());
   sample.running_times.reserve(result.jobs.size());
-  long long tasks = 0;
-  long long cloned = 0;
   for (const auto& job : result.jobs) {
-    const double flow = job.finish_seconds - job.arrival_seconds;
-    sample.flowtimes.push_back(flow);
-    sample.running_times.push_back(job.finish_seconds - job.first_start_seconds);
-    sample.total_flowtime += flow;
-    tasks += job.total_tasks;
-    cloned += job.tasks_with_clones;
-  }
-  if (!result.jobs.empty()) {
-    sample.mean_flowtime = sample.total_flowtime / static_cast<double>(result.jobs.size());
-  }
-  if (tasks > 0) {
-    sample.cloned_task_fraction = static_cast<double>(cloned) / static_cast<double>(tasks);
+    sample.flowtimes.push_back(job.flowtime());
+    sample.running_times.push_back(job.running_time());
   }
   return sample;
 }
@@ -96,8 +87,27 @@ void append_cdf(std::string& out, const char* name, const Cdf& cdf) {
 
 }  // namespace
 
+std::vector<SimResult> run_comparison(const ComparisonSpec& spec,
+                                      const std::vector<ComparisonEntry>& entries,
+                                      ThreadPool* pool) {
+  const auto run_entry = [&](std::size_t i) {
+    const ComparisonEntry& entry = entries[i];
+    const auto scheduler = entry.factory();
+    if (!scheduler) throw std::invalid_argument("run_comparison: factory returned null");
+    SimResult result = simulate(spec.cluster, spec.config, spec.jobs, *scheduler);
+    result.scheduler = entry.name;
+    return result;
+  };
+  if (pool != nullptr) return parallel_map(*pool, entries.size(), run_entry);
+  std::vector<SimResult> results;
+  results.reserve(entries.size());
+  for (std::size_t i = 0; i < entries.size(); ++i) results.push_back(run_entry(i));
+  return results;
+}
+
 SweepFaultPreset make_fault_preset(const std::string& name) {
-  // Rates mirror the chaos harness's classes (tools/dollymp_chaos.cpp):
+  // The one fault-class table: the sweep's presets and the chaos harness's
+  // --classes (tools/dollymp_chaos.cpp) both resolve here.  Rates are
   // aggressive relative to typical task durations so every preset actually
   // exercises its class.
   SweepFaultPreset preset;

@@ -65,6 +65,15 @@ class Cluster {
 
   // ----- standard inventories ---------------------------------------------
 
+  /// The one cluster grammar, spoken by every tool's --cluster flag:
+  ///   paper30 | google[:N] | google-trace[:N] | gpu[:N] | uniform:N:CPU:MEM
+  /// A bare google is google_like(100), google-trace google_trace(30000)
+  /// and gpu gpu_pods(64).  Numbers are parsed whole; a server count lies
+  /// in [1, max ServerId].  A malformed spec throws std::invalid_argument
+  /// whose message starts with the bad text quoted, so a tool can prefix
+  /// its flag:  'abc' is not a number in cluster spec 'google:abc'
+  static Cluster from_spec(const std::string& spec);
+
   /// The paper's private 30-node cluster (Section 6.1): 2 servers with 24
   /// cores / 48 GB, 7 servers with 16 cores / 32-64 GB, 21 servers with 8
   /// cores / 16 GB; 328 cores total, two racks.  Fast servers get a higher
@@ -88,9 +97,9 @@ class Cluster {
   /// Mixed ML/analytics inventory for the GPU gang-scheduling scenario:
   /// per 8 machines, 2 are 8-GPU training nodes (64 cores / 256 GB / 8
   /// GPUs) and 6 are CPU-only 16-core workers, over racks of 16.  GPUs are
-  /// the scarce integral third resource dimension (SimConfig::resource_dims
-  /// = 3); gang-scheduled training steps compete with CPU analytics jobs
-  /// for the hosts.
+  /// the scarce integral third resource dimension (Resources::kGpuDim);
+  /// gang-scheduled training steps compete with CPU analytics jobs for the
+  /// hosts.
   static Cluster gpu_pods(std::size_t servers);
 
   /// Single server with the given (normalized) capacity — the transient

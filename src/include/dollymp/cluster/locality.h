@@ -54,11 +54,6 @@ class LocalityModel {
   /// Runtime penalty multiplier (>= 1) of the given level.
   [[nodiscard]] double penalty(LocalityLevel level) const;
 
-  /// Penalty of placing on `server` directly.
-  [[nodiscard]] double placement_penalty(const BlockPlacement& block, ServerId server) const {
-    return penalty(classify(block, server));
-  }
-
  private:
   LocalityConfig config_;
   std::size_t num_servers_;

@@ -147,7 +147,6 @@ class PlacementIndex {
   };
   [[nodiscard]] const Counters& counters() const { return counters_; }
 
-  [[nodiscard]] std::size_t class_count() const { return classes_.size(); }
   [[nodiscard]] std::size_t size() const { return class_of_.size(); }
 
  private:

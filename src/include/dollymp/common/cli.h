@@ -7,7 +7,9 @@
 // "unknown option".  The helpers here are the one implementation of that
 // dialect; the tools keep their own flag dispatch (the flag sets differ)
 // but share normalization, value splitting, number parsing and the
-// rejection message.
+// rejection message.  Flag values with a grammar of their own (policy
+// names, cluster specs, fault presets) are parsed by the library, and
+// parse_with turns its errors into the same usage error.
 #pragma once
 
 #include <charconv>
@@ -49,21 +51,24 @@ namespace dollymp::cli {
 /// quoting `text`:
 ///   --jobs: 'abc' is not a number
 ///   --jobs: '-3' is outside [1, 2147483647]
+/// An empty `field` leaves the message starting at the quoted text, for
+/// library parsers whose caller names the flag (Cluster::from_spec).
 template <typename T>
 [[nodiscard]] T parse_number(const std::string& field, const std::string& text,
                              T lo = std::numeric_limits<T>::lowest(),
                              T hi = std::numeric_limits<T>::max()) {
   static_assert(std::is_integral_v<T> || std::is_same_v<T, double>);
+  const std::string prefix = field.empty() ? "" : field + ": ";
   T value{};
   const char* const end = text.data() + text.size();
   const auto [stop, ec] = std::from_chars(text.data(), end, value);
   if (text.empty() || stop != end || ec == std::errc::invalid_argument) {
-    throw std::invalid_argument(field + ": '" + text + "' is not a number");
+    throw std::invalid_argument(prefix + "'" + text + "' is not a number");
   }
   // !(lo <= value <= hi) also catches NaN.
   if (ec == std::errc::result_out_of_range || !(lo <= value && value <= hi)) {
     std::ostringstream message;
-    message << field << ": '" << text << "' is outside [" << lo << ", " << hi << "]";
+    message << prefix << "'" << text << "' is outside [" << lo << ", " << hi << "]";
     throw std::invalid_argument(message.str());
   }
   return value;
@@ -80,6 +85,18 @@ template <typename T>
     return parse_number(field, text, lo, hi);
   } catch (const std::invalid_argument& e) {
     exit_usage_error(e.what());
+  }
+}
+
+/// `parse()` for a tool's command line: the std::invalid_argument a library
+/// parser throws (Cluster::from_spec, make_named_policy, make_fault_preset)
+/// becomes a usage error prefixed with `flag`.
+template <typename Parse>
+[[nodiscard]] auto parse_with(const std::string& flag, Parse&& parse) -> decltype(parse()) {
+  try {
+    return parse();
+  } catch (const std::invalid_argument& e) {
+    exit_usage_error(flag + ": " + e.what());
   }
 }
 

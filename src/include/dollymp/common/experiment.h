@@ -1,15 +1,16 @@
-// Experiment sweep driver: whole-replication parallelism.
+// The experiment runner: paired comparisons and the replication sweep,
+// both with whole-run parallelism.
 //
-// One simulation runs on one core.  This driver parallelizes the figure
-// grid of the paper's §6 evaluation instead: seeds × policies × fault
-// matrices are independent replications, so they fan across the owned
-// thread pool with no shared mutable state at all (each replication copies
-// the cluster prototype and builds a fresh scheduler from its factory).
-// Aggregation happens on the calling thread in fixed grid order, so the
-// aggregate — including the rendered JSON, byte for byte — is identical
-// for every thread count.
-// That invariant is what test_sweep.cpp pins and what lets the chaos and
-// comparison matrices run as one command (tools/dollymp_sweep.cpp).
+// One simulation runs on one core.  This module parallelizes the figure
+// grid of the paper's §6 evaluation instead: policies, seeds and fault
+// matrices are independent runs, so they fan across a thread pool with no
+// shared mutable state at all (each run copies the cluster prototype and
+// builds a fresh scheduler from its factory).  Results come back in input
+// order, and the sweep aggregates on the calling thread in fixed grid
+// order, so the aggregate — including the rendered JSON, byte for byte —
+// is identical for every thread count.  That invariant is what
+// test_sweep.cpp pins and what lets the chaos and comparison matrices run
+// as one command (tools/dollymp_sweep.cpp).
 #pragma once
 
 #include <cstdint>
@@ -19,10 +20,30 @@
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/stats.h"
 #include "dollymp/common/thread_pool.h"
-#include "dollymp/metrics/experiment.h"
+#include "dollymp/metrics/records.h"
+#include "dollymp/sched/scheduler.h"
 #include "dollymp/sim/types.h"
 
 namespace dollymp {
+
+struct ComparisonEntry {
+  std::string name;          ///< label carried into the results
+  SchedulerFactory factory;  ///< invoked once per run (thread safety)
+};
+
+struct ComparisonSpec {
+  Cluster cluster;
+  SimConfig config;
+  std::vector<JobSpec> jobs;
+};
+
+/// Run every scheduler on the same workload and environment seed (the
+/// paired-comparison setup of Figs. 8-11).  `pool` may be null for serial
+/// execution.  Results are in `entries` order, each labelled with its
+/// entry's name.
+[[nodiscard]] std::vector<SimResult> run_comparison(
+    const ComparisonSpec& spec, const std::vector<ComparisonEntry>& entries,
+    ThreadPool* pool = nullptr);
 
 /// One fault environment of the sweep grid: a named override of the base
 /// config's failure/fault matrix (the chaos harness's fault classes, plus

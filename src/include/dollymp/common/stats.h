@@ -76,7 +76,6 @@ class Histogram {
   Histogram(double lo, double hi, std::size_t buckets);
 
   void add(double x);
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
   [[nodiscard]] std::size_t count() const { return total_; }
   [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_.at(i); }
   [[nodiscard]] double bucket_low(std::size_t i) const;

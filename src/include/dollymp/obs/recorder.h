@@ -106,9 +106,8 @@ class Recorder {
 /// that once held the producing run's worker-thread count (always written
 /// as 1, skipped on read), record count, then `count` packed records
 /// (kTraceRecordWireBytes each, little-endian on every platform this
-/// project targets).  load_log also accepts legacy "DMPTRC01" files, which
-/// lack that field.  Throws std::runtime_error on I/O failure or a
-/// malformed/foreign file.
+/// project targets).  Throws std::runtime_error on I/O failure or a
+/// malformed/foreign file (an older "DMPTRC01" log included).
 struct TraceLog {
   double slot_seconds = 5.0;
   std::vector<TraceRecord> records;

@@ -11,7 +11,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -45,8 +44,6 @@ struct DivergenceReport {
 /// self-contained even for streams loaded from disk.
 [[nodiscard]] DivergenceReport compare_streams(const std::vector<TraceRecord>& a,
                                                const std::vector<TraceRecord>& b);
-
-using SchedulerFactory = std::function<std::unique_ptr<Scheduler>()>;
 
 /// Run `(cluster, config, jobs)` twice with fresh scheduler instances from
 /// `factory`, each under an unbounded recorder, and compare the streams.

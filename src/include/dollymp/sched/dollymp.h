@@ -34,9 +34,6 @@ struct DollyMPConfig {
   int clone_budget = 2;
   /// Sigma weighting r in e_j^k = theta + r*sigma (Section 6.1: r = 1.5).
   double sigma_factor = 1.5;
-  /// Weight of the shortness term when breaking ties between equally
-  /// aligned placements (the delta = 0.3 of Section 6.1).
-  double delta = 0.3;
   /// Prefer replica / rack-local servers when placing copies.
   bool locality_aware = true;
   /// Clone in priority (smallest-job-first) order per Section 4.1; false

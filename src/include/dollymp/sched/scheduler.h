@@ -16,6 +16,7 @@
 // empty slots unconditionally.
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -201,6 +202,10 @@ class Scheduler {
   virtual void save_state(StateWriter& /*w*/) const {}
   virtual void load_state(StateReader& /*r*/) {}
 };
+
+/// Builds a fresh scheduler per call: every run (and every side of a
+/// replay or paired comparison) owns its policy instance.
+using SchedulerFactory = std::function<std::unique_ptr<Scheduler>()>;
 
 // ---- shared helpers used by several policies -------------------------------
 

@@ -83,7 +83,6 @@ class ArrivalSource {
   /// emit_until(b) because the RNG is consumed in emission order.
   std::size_t emit_until(double horizon_seconds, std::vector<JobSpec>& out);
 
-  [[nodiscard]] JobId next_job_id() const { return next_id_; }
   [[nodiscard]] const ArrivalConfig& config() const { return config_; }
 
   /// Instantaneous rate lambda(t) — exposed for tests.

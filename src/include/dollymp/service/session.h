@@ -33,18 +33,13 @@
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/metrics/slo_window.h"
 #include "dollymp/obs/recorder.h"
+#include "dollymp/sched/policies.h"
 #include "dollymp/sched/scheduler.h"
 #include "dollymp/service/arrival_source.h"
 #include "dollymp/service/overload.h"
 #include "dollymp/sim/sim_core.h"
 
 namespace dollymp {
-
-/// The shared policy-name factory (the dialect of tools/dollymp_sim):
-/// capacity, hopper, drf, tetris, carbyne, srpt, svf, dollymp0..dollymp3.
-/// Throws std::invalid_argument listing the known names on a miss.
-[[nodiscard]] std::unique_ptr<Scheduler> make_named_policy(const std::string& name);
-[[nodiscard]] const std::vector<std::string>& known_policy_names();
 
 struct ServiceConfig {
   SimConfig sim;

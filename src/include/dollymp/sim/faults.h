@@ -62,10 +62,6 @@ class FaultEngine {
   FaultEngine(const Cluster& cluster, const FailureConfig& crash,
               const FaultConfig& faults, double slot_seconds, Rng& rng);
 
-  [[nodiscard]] bool crash_enabled() const { return crash_.enabled; }
-  [[nodiscard]] bool rack_enabled() const { return faults_.rack.enabled; }
-  [[nodiscard]] bool fail_slow_enabled() const { return faults_.fail_slow.enabled; }
-  [[nodiscard]] bool copy_fault_enabled() const { return faults_.copy.enabled; }
   [[nodiscard]] double slowdown_factor() const { return faults_.fail_slow.slowdown_factor; }
 
   /// Draw the initial timer for every enabled fault class.  Crash timers

@@ -20,18 +20,18 @@
 // invocation) and throws the same stall / max_slots / time-advance errors
 // with the same messages.
 //
-// Streaming differences are opt-in flags, all off for batch runs:
-//   * set_streaming(true): jobs_remaining_ == 0 no longer ends the run
-//     (more arrivals may be ingested later; fault timers keep ticking) and
-//     step_until returns kIdle when truly nothing is pending.
-//   * set_recycle_jobs(true): a completed job's runtime slot is handed back
-//     to the RuntimeStore for the next materialize of the same shape once
-//     its last in-flight heap event has drained, so resident memory tracks
-//     *live* jobs instead of total arrivals.  Recycled (ingest_seq, JobId)
-//     pairs are surfaced via take_recycled for id reuse upstream.
-//   * set_source_exhausted(false): suppresses the stall throw while the
-//     arrival source can still produce (the streaming session flips it to
-//     true when the source ends, restoring the batch stall semantics).
+// Streaming is one opt-in flag, off for batch runs.  set_streaming(true)
+// changes three things:
+//   * jobs_remaining_ == 0 no longer ends the run (more arrivals may be
+//     ingested later; fault timers keep ticking) and step_until returns
+//     kIdle when truly nothing is pending.
+//   * a completed job's runtime slot is handed back to the RuntimeStore for
+//     the next materialize of the same shape once its last in-flight heap
+//     event has drained, so resident memory tracks *live* jobs instead of
+//     total arrivals.  Recycled (ingest_seq, JobId) pairs are surfaced via
+//     take_recycled for id reuse upstream.
+//   * the stall throw is off: an open-ended arrival source can always
+//     produce more work.
 //
 // A run is single-threaded; cores are used only by running independent
 // replications side by side (common/experiment.h).
@@ -185,10 +185,9 @@ class SimCore final : public SchedulerContext {
 
   SimCore(Cluster cluster, const SimConfig& config);
 
-  // ---- streaming knobs (set before begin(); all off for batch) -----------
+  /// Service mode (see the header comment); set before begin(), off for
+  /// batch runs.
   void set_streaming(bool streaming) { streaming_ = streaming; }
-  void set_recycle_jobs(bool recycle) { recycle_ = recycle; }
-  void set_source_exhausted(bool exhausted) { source_exhausted_ = exhausted; }
 
   /// Materialize jobs into the runtime store and merge them into the
   /// arrival order.  Callable repeatedly, before or after begin(); specs
@@ -206,18 +205,13 @@ class SimCore final : public SchedulerContext {
   /// legacy stall / max_slots / time-advance errors.
   StepOutcome step_until(SimTime horizon);
 
-  /// Build the SimResult tail (records, leak accounting, counters).  In
-  /// recycle mode per-job records are skipped — use totals() instead.
+  /// Build the SimResult tail (records, leak accounting, counters).  A
+  /// streaming core skips per-job records — use totals() instead.
   [[nodiscard]] SimResult finish();
 
   // ---- streaming observability -------------------------------------------
   [[nodiscard]] const StreamTotals& totals() const { return totals_; }
   [[nodiscard]] int jobs_remaining() const { return jobs_remaining_; }
-  [[nodiscard]] std::size_t pending_arrivals() const {
-    return arrival_order_.size() - next_arrival_;
-  }
-  [[nodiscard]] std::size_t events_pending() const { return events_.size(); }
-  [[nodiscard]] std::size_t job_slots() const { return jobs_.size(); }
   /// Ingest sequence number the next ingested job will receive — lets the
   /// session map take_recycled identities back to its spec segments.
   [[nodiscard]] std::int64_t next_ingest_seq() const { return next_ingest_seq_; }
@@ -325,6 +319,16 @@ class SimCore final : public SchedulerContext {
   void apply_server_down(ServerId server_id);
   void apply_server_up(ServerId server_id);
   void inject_copy_fault();
+  /// The shared half of both fault kills (machine loss, copy fault): accrue
+  /// the copy's work-model progress, end it as killed and charge the
+  /// fault counters.  Callers add their own trace record and hook.
+  void kill_copy_by_fault(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
+                          CopyRuntime& copy);
+  /// After a fault killed copies of task `t`: unless the task already
+  /// finished, re-predict its work-model completion and return it to the
+  /// needs-placement pool when no copy survives.
+  void requeue_after_fault(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
+                           std::size_t t);
   void push_machine_event(SimTime delay, EvKind kind, std::int32_t target);
   [[nodiscard]] bool any_copy_active() const { return active_copy_count_ > 0; }
   /// True when the heap holds anything that can change simulation state
@@ -384,8 +388,6 @@ class SimCore final : public SchedulerContext {
 
   // ---- service-mode state --------------------------------------------------
   bool streaming_ = false;
-  bool recycle_ = false;
-  bool source_exhausted_ = true;  ///< batch: the full workload is up front
   bool first_visit_ = true;       ///< slot 0 is visited unconditionally
   bool started_ = false;
   std::int64_t next_ingest_seq_ = 0;

@@ -156,14 +156,6 @@ struct SimConfig {
   FailureConfig failures;
   FaultConfig faults;
 
-  /// Runtime resource dimensionality: how many of the Resources vector's
-  /// kMaxDims slots this run provisions/ingests/displays.  Dims 0 and 1 are
-  /// always CPU cores and memory GB; dim 2 is GPUs.  Every arithmetic path
-  /// loops all kMaxDims unconditionally with unused dims held at exactly
-  /// 0.0, so 2 (the default) reproduces the historical two-resource decision
-  /// stream bit for bit — this knob only widens reporting and validation.
-  int resource_dims = 2;
-
   /// Duration penalty factor per extra rack a gang phase is split across:
   /// every task of a gang placed on R distinct racks runs with factor
   /// 1 + gang_spread_penalty * (R - 1) (all-reduce traffic crossing rack

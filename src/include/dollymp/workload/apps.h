@@ -10,6 +10,9 @@
 // matching Fig. 1's y-axis scale.
 #pragma once
 
+#include <cstdint>
+#include <vector>
+
 #include "dollymp/job/job.h"
 
 namespace dollymp {
@@ -57,8 +60,7 @@ struct MlTrainConfig {
   int world_size = 8;    ///< data-parallel ranks; the gang width of each step
   int steps = 4;         ///< chained synchronous training steps
   /// Per-rank demand: GPU-integral (dim 2), with the CPU/host-memory
-  /// sidecar each rank pins.  Requires SimConfig::resource_dims >= 3 to be
-  /// visible in reports; the arithmetic carries it regardless.
+  /// sidecar each rank pins.
   Resources rank_demand{4.0, 24.0, 1.0};
   double setup_theta_seconds = 90.0;  ///< data download + graph compile
   double step_theta_seconds = 150.0;  ///< mean seconds per synchronous step
@@ -75,5 +77,13 @@ struct MlTrainConfig {
 /// superstep structure; each step depends on the previous one.
 [[nodiscard]] JobSpec make_mltrain(JobId id, double arrival_seconds = 0.0,
                                    const MlTrainConfig& config = {});
+
+/// The GPU scenario's workload mix (the tools' --gpus K): append `count`
+/// default make_mltrain jobs to `jobs`, numbered past its largest id.  They
+/// arrive as a Poisson stream seeded by `seed` whose mean gap is four times
+/// `analytics_gap_seconds`: training jobs trickle in more slowly than the
+/// analytics stream.
+void append_mltrain_mix(std::vector<JobSpec>& jobs, int count,
+                        double analytics_gap_seconds, std::uint64_t seed);
 
 }  // namespace dollymp

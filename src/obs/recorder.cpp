@@ -33,8 +33,6 @@ void Recorder::dump(std::ostream& os) const {
 namespace {
 
 constexpr char kMagic[8] = {'D', 'M', 'P', 'T', 'R', 'C', '0', '2'};
-/// Legacy header without the unused int64 field; still readable.
-constexpr char kMagicV1[8] = {'D', 'M', 'P', 'T', 'R', 'C', '0', '1'};
 
 // Field-by-field packing: the in-memory struct has padding, so raw memcpy
 // of the whole struct would serialize (and hash) indeterminate bytes.
@@ -88,17 +86,13 @@ TraceLog load_log(const std::string& path) {
   std::string blob((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
   const char* p = blob.data();
   const char* end = p + blob.size();
-  const bool v2 = blob.size() >= sizeof(kMagic) &&
-                  std::memcmp(p, kMagic, sizeof(kMagic)) == 0;
-  const bool v1 = !v2 && blob.size() >= sizeof(kMagicV1) &&
-                  std::memcmp(p, kMagicV1, sizeof(kMagicV1)) == 0;
-  if (!v2 && !v1) {
+  if (blob.size() < sizeof(kMagic) || std::memcmp(p, kMagic, sizeof(kMagic)) != 0) {
     throw std::runtime_error("load_log: " + path + " is not a dollymp trace log");
   }
   p += sizeof(kMagic);
   TraceLog log;
   log.slot_seconds = take<double>(p, end);
-  if (v2) (void)take<std::int64_t>(p, end);  // the former thread-count field
+  (void)take<std::int64_t>(p, end);  // the former thread-count field
   const auto count = take<std::uint64_t>(p, end);
   // Compare by division: a crafted count could wrap
   // count * kTraceRecordWireBytes past a multiplied check.

@@ -5,13 +5,6 @@
 #include <utility>
 
 #include "dollymp/common/state_io.h"
-#include "dollymp/sched/capacity.h"
-#include "dollymp/sched/carbyne.h"
-#include "dollymp/sched/dollymp.h"
-#include "dollymp/sched/drf.h"
-#include "dollymp/sched/hopper.h"
-#include "dollymp/sched/simple_priority.h"
-#include "dollymp/sched/tetris.h"
 
 namespace dollymp {
 
@@ -21,50 +14,11 @@ namespace {
 constexpr std::size_t kServiceRingCapacity = 4096;
 }  // namespace
 
-const std::vector<std::string>& known_policy_names() {
-  static const std::vector<std::string> names = {
-      "capacity", "hopper",   "drf",      "tetris",   "carbyne", "srpt",
-      "svf",      "dollymp0", "dollymp1", "dollymp2", "dollymp3"};
-  return names;
-}
-
-std::unique_ptr<Scheduler> make_named_policy(const std::string& name) {
-  if (name == "capacity") return std::make_unique<CapacityScheduler>();
-  if (name == "hopper") return std::make_unique<HopperScheduler>();
-  if (name == "drf") return std::make_unique<DrfScheduler>();
-  if (name == "tetris") return std::make_unique<TetrisScheduler>();
-  if (name == "carbyne") return std::make_unique<CarbyneScheduler>();
-  if (name == "srpt") {
-    return std::make_unique<SimplePriorityScheduler>(
-        SimplePriorityConfig{SimplePriorityRule::kSrpt, 1.5, 0});
-  }
-  if (name == "svf") {
-    return std::make_unique<SimplePriorityScheduler>(
-        SimplePriorityConfig{SimplePriorityRule::kSvf, 1.5, 0});
-  }
-  if (name.rfind("dollymp", 0) == 0 && name.size() == 8 && name[7] >= '0' &&
-      name[7] <= '3') {
-    DollyMPConfig config;
-    config.clone_budget = name[7] - '0';
-    return std::make_unique<DollyMPScheduler>(config);
-  }
-  std::string known;
-  for (const std::string& candidate : known_policy_names()) {
-    if (!known.empty()) known += ", ";
-    known += candidate;
-  }
-  throw std::invalid_argument("unknown policy '" + name + "' (known: " + known + ")");
-}
-
 void ServiceConfig::validate() const {
   sim.validate();
   arrivals.validate();
   overload.validate();
-  const auto& names = known_policy_names();
-  if (std::find(names.begin(), names.end(), policy) == names.end()) {
-    // Re-derive the factory's message (it lists the known names).
-    (void)make_named_policy(policy);
-  }
+  (void)make_named_policy(policy);  // an unknown name throws listing the known ones
   if (pump_slots <= 0) {
     throw std::invalid_argument("ServiceConfig: pump_slots must be > 0");
   }
@@ -93,8 +47,6 @@ Session::Session(Cluster cluster, ServiceConfig config)
   scheduler_ = make_named_policy(config_.policy);
   core_ = std::make_unique<SimCore>(prototype_, config_.sim);
   core_->set_streaming(true);
-  core_->set_recycle_jobs(true);
-  core_->set_source_exhausted(false);
   // The response-time window only feeds the governor; leave the completion
   // hot path untouched when the ladder is off.
   if (config_.overload.governor_enabled) core_->set_slo_window(&slo_);

@@ -210,7 +210,7 @@ StepOutcome SimCore::step_until(SimTime horizon) {
           next_arrival_ >= arrival_order_.size()) {
         return StepOutcome::kIdle;
       }
-      if (jobs_remaining_ > 0 && source_exhausted_ && !any_copy_active() &&
+      if (jobs_remaining_ > 0 && !streaming_ && !any_copy_active() &&
           next_arrival_ >= arrival_order_.size() && !state_events_pending()) {
         // Pending work, no running copies, no future arrivals, and nothing
         // in the heap that could change state (pending timer wakeups do not
@@ -265,10 +265,10 @@ void SimCore::visit_slot() {
 }
 
 SimResult SimCore::finish() {
-  // Build records.  In recycle mode the per-job runtime slots no longer
-  // cover every arrival (that is the point), so the aggregate totals_ are
-  // the outcome record instead.
-  if (!recycle_) {
+  // Build records.  A streaming core recycles job slots, so they no
+  // longer cover every arrival (that is the point), and the aggregate
+  // totals_ are the outcome record instead.
+  if (!streaming_) {
     result_.jobs.reserve(jobs_.size());
     double makespan = 0.0;
     for (const auto& job : jobs_) {
@@ -331,7 +331,7 @@ SimResult SimCore::finish() {
 }
 
 void SimCore::maybe_recycle(JobRuntime& job) {
-  if (!recycle_ || !job.finished || job.pending_events > 0) return;
+  if (!streaming_ || !job.finished || job.pending_events > 0) return;
   recycled_.push_back(RecycledJob{job.ingest_seq, job.id});
   store_.release_job(static_cast<std::size_t>(&job - jobs_.data()));
 }
@@ -878,36 +878,44 @@ void SimCore::fail_server(ServerId server_id) {
         bool killed_any = false;
         for (auto& copy : task.copies) {
           if (copy.active && copy.server == server_id) {
-            if (config_.model == ExecutionModel::kWorkBased) {
-              accrue_work(task, phase, now_, config_.slot_seconds);
-            }
-            end_copy(*job, phase, task, copy, /*killed=*/true);
-            ++result_.stats.copies_killed_by_faults;
-            result_.stats.work_seconds_lost +=
-                static_cast<double>(now_ - copy.start) * config_.slot_seconds;
+            kill_copy_by_fault(*job, phase, task, copy);
             if (scheduler_ != nullptr) {
               scheduler_->on_copy_fault(*this, *job, phase, task, server_id);
             }
             killed_any = true;
           }
         }
-        if (!killed_any || task.finished) continue;
-        if (config_.model == ExecutionModel::kWorkBased) {
-          ++task.generation;
-          const SimTime finish =
-              predict_work_finish(task, phase, now_, config_.slot_seconds);
-          if (finish != kNever) {
-            push_completion(finish, *job, phase.index, task.ref.task, -1,
-                            task.generation);
-          }
-        }
-        if (task.needs_placement()) {
-          ++phase.unscheduled_tasks;
-          phase.first_unscheduled_hint =
-              std::min(phase.first_unscheduled_hint, static_cast<int>(t));
-        }
+        if (killed_any) requeue_after_fault(*job, phase, task, t);
       }
     }
+  }
+}
+
+void SimCore::kill_copy_by_fault(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
+                                 CopyRuntime& copy) {
+  if (config_.model == ExecutionModel::kWorkBased) {
+    accrue_work(task, phase, now_, config_.slot_seconds);
+  }
+  end_copy(job, phase, task, copy, /*killed=*/true);
+  ++result_.stats.copies_killed_by_faults;
+  result_.stats.work_seconds_lost +=
+      static_cast<double>(now_ - copy.start) * config_.slot_seconds;
+}
+
+void SimCore::requeue_after_fault(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
+                                  std::size_t t) {
+  if (task.finished) return;
+  if (config_.model == ExecutionModel::kWorkBased) {
+    ++task.generation;
+    const SimTime finish = predict_work_finish(task, phase, now_, config_.slot_seconds);
+    if (finish != kNever) {
+      push_completion(finish, job, phase.index, task.ref.task, -1, task.generation);
+    }
+  }
+  if (task.needs_placement()) {
+    ++phase.unscheduled_tasks;
+    phase.first_unscheduled_hint =
+        std::min(phase.first_unscheduled_hint, static_cast<int>(t));
   }
 }
 
@@ -1017,13 +1025,7 @@ void SimCore::inject_copy_fault() {
               if (k-- > 0) continue;
               const auto copy_index = static_cast<std::int32_t>(&copy - task.copies.data());
               const ServerId server_id = copy.server;
-              if (config_.model == ExecutionModel::kWorkBased) {
-                accrue_work(task, phase, now_, config_.slot_seconds);
-              }
-              end_copy(*job, phase, task, copy, /*killed=*/true);
-              ++result_.stats.copies_killed_by_faults;
-              result_.stats.work_seconds_lost +=
-                  static_cast<double>(now_ - copy.start) * config_.slot_seconds;
+              kill_copy_by_fault(*job, phase, task, copy);
               // end_copy already recorded the kill itself; this record
               // names the cause.
               trace(TraceEv::kCopyFault, job->id, phase.index, task.ref.task,
@@ -1031,22 +1033,7 @@ void SimCore::inject_copy_fault() {
               if (scheduler_ != nullptr) {
                 scheduler_->on_copy_fault(*this, *job, phase, task, server_id);
               }
-              if (!task.finished) {
-                if (config_.model == ExecutionModel::kWorkBased) {
-                  ++task.generation;
-                  const SimTime finish =
-                      predict_work_finish(task, phase, now_, config_.slot_seconds);
-                  if (finish != kNever) {
-                    push_completion(finish, *job, phase.index, task.ref.task, -1,
-                                    task.generation);
-                  }
-                }
-                if (task.needs_placement()) {
-                  ++phase.unscheduled_tasks;
-                  phase.first_unscheduled_hint =
-                      std::min(phase.first_unscheduled_hint, static_cast<int>(t));
-                }
-              }
+              requeue_after_fault(*job, phase, task, t);
               return;
             }
           }
@@ -1136,8 +1123,6 @@ void SimCore::save_state(StateWriter& w) const {
   w.i64(now_);
   w.b(first_visit_);
   w.b(streaming_);
-  w.b(recycle_);
-  w.b(source_exhausted_);
   w.i32(jobs_remaining_);
   w.i64(active_copy_count_);
   w.b(placed_this_invocation_);
@@ -1228,8 +1213,6 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   now_ = r.i64();
   first_visit_ = r.b();
   streaming_ = r.b();
-  recycle_ = r.b();
-  source_exhausted_ = r.b();
   jobs_remaining_ = r.i32();
   active_copy_count_ = r.i64();
   placed_this_invocation_ = r.b();

@@ -59,9 +59,6 @@ void SimConfig::validate() const {
   require(threads == 1,
           "SimConfig: threads must be 1 (the intra-run parallel core was removed; "
           "replications run in parallel through the sweep driver)");
-  require(resource_dims >= 2 &&
-              resource_dims <= static_cast<int>(Resources::kMaxDims),
-          "SimConfig: resource_dims must be in [2, Resources::kMaxDims]");
   require(gang_spread_penalty >= 0.0 && std::isfinite(gang_spread_penalty),
           "SimConfig: gang_spread_penalty must be finite and >= 0");
   // Infinity slips past the `> 0` checks above; a non-finite slot length or

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "dollymp/workload/arrivals.h"
+
 namespace dollymp {
 
 namespace {
@@ -223,6 +225,17 @@ JobSpec make_mltrain(JobId id, double arrival_seconds, const MlTrainConfig& conf
 
   job.validate();
   return job;
+}
+
+void append_mltrain_mix(std::vector<JobSpec>& jobs, int count,
+                        double analytics_gap_seconds, std::uint64_t seed) {
+  JobId next_id = 0;
+  for (const auto& job : jobs) next_id = std::max(next_id, job.id + 1);
+  std::vector<JobSpec> trainers;
+  trainers.reserve(static_cast<std::size_t>(std::max(0, count)));
+  for (int k = 0; k < count; ++k) trainers.push_back(make_mltrain(next_id + k));
+  assign_poisson_arrivals(trainers, analytics_gap_seconds * 4.0, seed);
+  jobs.insert(jobs.end(), trainers.begin(), trainers.end());
 }
 
 }  // namespace dollymp

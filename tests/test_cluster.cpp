@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
 namespace dollymp {
 namespace {
 
@@ -124,6 +129,56 @@ TEST(Cluster, ServerIdsAreIndices) {
   const Cluster c = Cluster::uniform(5, {1, 1});
   for (std::size_t i = 0; i < c.size(); ++i) {
     EXPECT_EQ(c.server(i).id(), static_cast<ServerId>(i));
+  }
+}
+
+/// Same size, racks and per-server capacity, speed and rack.
+void expect_same_table(const Cluster& a, const Cluster& b, const std::string& spec) {
+  ASSERT_EQ(a.size(), b.size()) << spec;
+  EXPECT_EQ(a.rack_count(), b.rack_count()) << spec;
+  EXPECT_EQ(a.total_capacity(), b.total_capacity()) << spec;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a.server(i).capacity(), b.server(i).capacity()) << spec << " server " << i;
+    EXPECT_EQ(a.server(i).rack(), b.server(i).rack()) << spec << " server " << i;
+    EXPECT_EQ(a.server(i).base_speed(), b.server(i).base_speed()) << spec << " server " << i;
+  }
+}
+
+TEST(ClusterSpec, EveryFormBuildsItsNamedInventory) {
+  const std::vector<std::pair<std::string, Cluster>> cases = {
+      {"paper30", Cluster::paper30()},
+      {"google", Cluster::google_like(100)},
+      {"google:300", Cluster::google_like(300)},
+      {"google-trace", Cluster::google_trace(30'000)},
+      {"google-trace:99", Cluster::google_trace(99)},
+      {"gpu", Cluster::gpu_pods(64)},
+      {"gpu:16", Cluster::gpu_pods(16)},
+      {"uniform:41:8:16.5", Cluster::uniform(41, {8, 16.5})},
+  };
+  for (const auto& [spec, named] : cases) {
+    expect_same_table(Cluster::from_spec(spec), named, spec);
+  }
+}
+
+TEST(ClusterSpec, MalformedSpecsThrowQuotingTheBadText) {
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"google:abc", "'abc'"},       {"google:-5", "'-5'"},
+      {"google:0", "'0'"},           {"uniform:3:x:4", "'x'"},
+      {"gpu:16x", "'16x'"},          {"google-trace:", "'' is not a number"},
+      {"nope", "'nope'"},            {"", "'' is not a cluster spec"},
+      {"paper30:5", "'paper30:5'"},  {"uniform:3:4", "'uniform:3:4'"},
+      {"google:1:2", "'google:1:2'"}, {"google-trace:99999999999999999999",
+                                       "'99999999999999999999'"},
+  };
+  for (const auto& [spec, quoted] : cases) {
+    try {
+      (void)Cluster::from_spec(spec);
+      ADD_FAILURE() << "accepted '" << spec << "'";
+    } catch (const std::invalid_argument& e) {
+      const std::string what = e.what();
+      // The message starts with the bad text, so a tool can prefix its flag.
+      EXPECT_EQ(what.find(quoted), 0u) << spec << ": " << what;
+    }
   }
 }
 

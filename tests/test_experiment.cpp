@@ -1,6 +1,6 @@
 // The experiment runner: paired comparisons and seed replication, serial
 // and parallel paths.
-#include "dollymp/metrics/experiment.h"
+#include "dollymp/common/experiment.h"
 
 #include <gtest/gtest.h>
 
@@ -69,35 +69,34 @@ TEST(Experiment, PairedEnvironment) {
   EXPECT_DOUBLE_EQ(results[0].total_flowtime(), results[1].total_flowtime());
 }
 
+// Seed replication is run_sweep with no fault presets: one pass-through
+// "base" cell per policy, aggregated over the seeds.
 TEST(Experiment, ReplicatedStatsShape) {
+  const ComparisonSpec comparison = make_spec();
+  SweepSpec spec;
+  spec.cluster = comparison.cluster;
+  spec.base = comparison.config;
+  spec.jobs = comparison.jobs;
+  spec.policies = entries();
+  spec.seeds = {1, 2, 3, 4};
   ThreadPool pool(4);
-  const auto stats =
-      run_replicated(make_spec(), entries(), {1, 2, 3, 4}, &pool);
-  ASSERT_EQ(stats.size(), 3u);
-  for (const auto& s : stats) {
-    EXPECT_EQ(s.total_flowtime.count(), 4u);
-    EXPECT_GT(s.total_flowtime.mean(), 0.0);
-    EXPECT_GT(s.makespan.min(), 0.0);
+  const SweepResult result = run_sweep(spec, &pool);
+  ASSERT_EQ(result.cells.size(), 3u);
+  for (const SweepCell& cell : result.cells) {
+    EXPECT_EQ(cell.fault, "base");
+    EXPECT_EQ(cell.total_flowtime_seconds.count(), 4u);
+    EXPECT_GT(cell.total_flowtime_seconds.mean(), 0.0);
+    EXPECT_GT(cell.makespan_seconds.min(), 0.0);
     // Different seeds produce at least some variation.
-    EXPECT_GT(s.total_flowtime.max(), s.total_flowtime.min());
+    EXPECT_GT(cell.total_flowtime_seconds.max(), cell.total_flowtime_seconds.min());
   }
   // DollyMP^2 proactively clones far more tasks than Capacity's reactive
   // speculation backs up (tasks_with_clones counts either kind of second
   // copy).
-  EXPECT_GT(stats[2].cloned_task_fraction.mean(),
-            stats[0].cloned_task_fraction.mean());
+  EXPECT_GT(result.cells[2].cloned_task_fraction.mean(),
+            result.cells[0].cloned_task_fraction.mean());
   // Tetris has neither cloning nor speculation.
-  EXPECT_DOUBLE_EQ(stats[1].cloned_task_fraction.mean(), 0.0);
-}
-
-TEST(Experiment, ReplicatedSerialMatchesParallel) {
-  ThreadPool pool(3);
-  const auto serial = run_replicated(make_spec(), entries(), {5, 6});
-  const auto parallel = run_replicated(make_spec(), entries(), {5, 6}, &pool);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (std::size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_DOUBLE_EQ(serial[i].total_flowtime.mean(), parallel[i].total_flowtime.mean());
-  }
+  EXPECT_DOUBLE_EQ(result.cells[1].cloned_task_fraction.mean(), 0.0);
 }
 
 TEST(Experiment, NullFactoryThrows) {

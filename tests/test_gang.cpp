@@ -68,7 +68,6 @@ SimConfig gpu_config(std::uint64_t seed) {
   SimConfig config;
   config.slot_seconds = 5.0;
   config.seed = seed;
-  config.resource_dims = 3;
   return config;
 }
 

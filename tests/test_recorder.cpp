@@ -158,9 +158,9 @@ TEST(TraceLog, SaveLoadRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(TraceLog, ReadsLegacyV1Header) {
-  // A DMPTRC01 file lacks DMPTRC02's int64 field after slot_seconds: the
-  // record count follows directly.  Hand-assemble an empty one.
+TEST(TraceLog, RejectsLegacyV1Header) {
+  // Every build writes DMPTRC02; an older DMPTRC01 file (no int64 field
+  // after slot_seconds) is refused like any foreign file.
   const std::string path = ::testing::TempDir() + "dollymp_trace_legacy.dmptrc";
   {
     std::ofstream out(path, std::ios::binary);
@@ -170,9 +170,13 @@ TEST(TraceLog, ReadsLegacyV1Header) {
     const std::uint64_t count = 0;
     out.write(reinterpret_cast<const char*>(&count), sizeof(count));
   }
-  const TraceLog loaded = load_log(path);
-  EXPECT_DOUBLE_EQ(loaded.slot_seconds, 3.0);
-  EXPECT_TRUE(loaded.records.empty());
+  try {
+    (void)load_log(path);
+    ADD_FAILURE() << "load_log accepted a DMPTRC01 file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("is not a dollymp trace log"), std::string::npos)
+        << e.what();
+  }
   std::remove(path.c_str());
 }
 

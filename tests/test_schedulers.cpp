@@ -191,7 +191,6 @@ TEST(DollyMP, RecomputeOnlyOnArrivalByDefault) {
   EXPECT_FALSE(scheduler.config().recompute_on_completion);
   EXPECT_EQ(scheduler.config().clone_budget, 2);
   EXPECT_DOUBLE_EQ(scheduler.config().sigma_factor, 1.5);
-  EXPECT_DOUBLE_EQ(scheduler.config().delta, 0.3);
 }
 
 // Carbyne sits between DRF and a pure packer: it must complete everything

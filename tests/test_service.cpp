@@ -180,7 +180,7 @@ TEST(ServiceValidation, ArrivalConfigRejectsNonsense) {
 TEST(ServiceValidation, ServiceConfigRejectsNonsense) {
   {
     ServiceConfig config;
-    config.policy = "dollymp9";
+    config.policy = "dollymp10";
     EXPECT_THROW(config.validate(), std::invalid_argument);
   }
   {

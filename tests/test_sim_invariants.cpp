@@ -4,13 +4,8 @@
 
 #include <memory>
 
-#include "dollymp/sched/capacity.h"
-#include "dollymp/sched/carbyne.h"
 #include "dollymp/sched/dollymp.h"
-#include "dollymp/sched/drf.h"
-#include "dollymp/sched/hopper.h"
-#include "dollymp/sched/simple_priority.h"
-#include "dollymp/sched/tetris.h"
+#include "dollymp/sched/policies.h"
 #include "dollymp/sim/simulator.h"
 #include "dollymp/workload/apps.h"
 #include "dollymp/workload/arrivals.h"
@@ -19,29 +14,15 @@
 namespace dollymp {
 namespace {
 
-std::unique_ptr<Scheduler> make_scheduler(const std::string& kind) {
-  if (kind == "capacity") return std::make_unique<CapacityScheduler>();
-  if (kind == "drf") return std::make_unique<DrfScheduler>();
-  if (kind == "tetris") return std::make_unique<TetrisScheduler>();
-  if (kind == "carbyne") return std::make_unique<CarbyneScheduler>();
-  if (kind == "srpt") {
-    return std::make_unique<SimplePriorityScheduler>(
-        SimplePriorityConfig{SimplePriorityRule::kSrpt, 1.5, 0});
-  }
-  if (kind == "svf") {
-    return std::make_unique<SimplePriorityScheduler>(
-        SimplePriorityConfig{SimplePriorityRule::kSvf, 1.5, 0});
-  }
-  if (kind == "dollymp0") return std::make_unique<DollyMPScheduler>(DollyMPConfig{0});
-  if (kind == "dollymp2") return std::make_unique<DollyMPScheduler>(DollyMPConfig{2});
+/// A registry policy by name; "dollymp2-aware" is DollyMP^2 with learned
+/// straggler-aware scoring.
+std::unique_ptr<Scheduler> named_policy(const std::string& kind) {
   if (kind == "dollymp2-aware") {
     DollyMPConfig config;
-    config.clone_budget = 2;
     config.straggler_aware = true;
-    return std::make_unique<DollyMPScheduler>(config);
+    return make_named_policy("dollymp2", config);
   }
-  if (kind == "hopper") return std::make_unique<HopperScheduler>();
-  throw std::invalid_argument("unknown scheduler " + kind);
+  return make_named_policy(kind);
 }
 
 std::vector<JobSpec> mixed_workload(std::uint64_t seed) {
@@ -77,7 +58,7 @@ TEST_P(SchedulerInvariantSweep, CompletesAllJobsWithInvariantsIntact) {
   config.record_utilization = true;
   config.record_tasks = true;
 
-  auto scheduler = make_scheduler(kind);
+  auto scheduler = named_policy(kind);
   const SimResult result = simulate(cluster, config, jobs, *scheduler);
 
   // Every job completes exactly once.
@@ -117,8 +98,8 @@ TEST_P(SchedulerInvariantSweep, DeterministicAcrossRuns) {
   config.slot_seconds = 5.0;
   config.seed = seed;
 
-  auto s1 = make_scheduler(kind);
-  auto s2 = make_scheduler(kind);
+  auto s1 = named_policy(kind);
+  auto s2 = named_policy(kind);
   const SimResult a = simulate(cluster, config, jobs, *s1);
   const SimResult b = simulate(cluster, config, jobs, *s2);
   ASSERT_DOUBLE_EQ(a.total_flowtime(), b.total_flowtime()) << kind;
@@ -160,7 +141,7 @@ TEST_P(FailureInvariantSweep, InvariantsSurviveCrashes) {
   config.failures.mean_time_to_failure_seconds = 900.0;
   config.failures.mean_repair_seconds = 150.0;
 
-  auto scheduler = make_scheduler(kind);
+  auto scheduler = named_policy(kind);
   const SimResult result = simulate(cluster, config, jobs, *scheduler);
   ASSERT_EQ(result.jobs.size(), jobs.size());
   for (const auto& u : result.utilization) {
@@ -215,7 +196,7 @@ TEST_P(WorkModelSweep, CompletesUnderWorkModel) {
   config.model = ExecutionModel::kWorkBased;
   config.record_utilization = true;
 
-  auto scheduler = make_scheduler(GetParam());
+  auto scheduler = named_policy(GetParam());
   const SimResult result = simulate(cluster, config, jobs, *scheduler);
   ASSERT_EQ(result.jobs.size(), jobs.size());
   for (const auto& u : result.utilization) {

@@ -145,17 +145,20 @@ TEST(StateIo, PayloadsOfEveryLengthUpTo100RoundTrip) {
 }
 
 TEST(StateIo, RejectsVersionOneEnvelope) {
-  // A version-1 file: the current layout with the old version number.
-  auto bytes = sample_envelope();
-  const std::uint32_t v1 = 1;
-  std::memcpy(bytes.data() + 9, &v1, sizeof(v1));
-  try {
-    StateReader r(bytes);
-    FAIL() << "version-1 envelope accepted";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported DMPCKPT01 version 1"),
-              std::string::npos)
-        << e.what();
+  // Version-1 and version-2 files: the current layout with an old version
+  // number (version 3 dropped two SimCore streaming flags).
+  for (const std::uint32_t version : {1u, 2u}) {
+    auto bytes = sample_envelope();
+    std::memcpy(bytes.data() + 9, &version, sizeof(version));
+    try {
+      StateReader r(bytes);
+      ADD_FAILURE() << "version-" << version << " envelope accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported DMPCKPT01 version " +
+                                           std::to_string(version)),
+                std::string::npos)
+          << e.what();
+    }
   }
 }
 

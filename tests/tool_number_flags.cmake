@@ -19,13 +19,15 @@ set(cases
   "SIM|--jobs|-3|-3"
   "SIM|--seed|x|x"
   "SIM|--failures|1:x|x"
-  "SIM|--servers|99999999999999999999|99999999999999999999"
-  "SIM|--clones|2x|2x"
+  "SIM|--cluster|google-trace:99999999999999999999|99999999999999999999"
   "SIM|--cluster|google:30000x|30000x"
+  "SIM|--cluster|google:abc|abc"
   "SIM|--scheduler|dollympz|z"
   "SWEEP|--threads|-1|-1"
   "SWEEP|--seeds|1,x|x"
-  "CHAOS|--gap|1.5s|1.5s")
+  "SWEEP|--cluster|google:abc|abc"
+  "CHAOS|--gap|1.5s|1.5s"
+  "CHAOS|--cluster|google:abc|abc")
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" fields "${case}")
   list(GET fields 0 tool)

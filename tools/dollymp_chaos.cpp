@@ -15,15 +15,16 @@
 // and optionally written to a file for artifact upload.
 //
 //   dollymp_chaos [options]
-//     --inventory paper30|google|google-trace   cluster shape (default paper30)
-//     --servers N          server count for --inventory
+//     --cluster paper30 | google[:N] | google-trace[:N] | gpu[:N] |
+//               uniform:N:CPU:MEM                       (default paper30)
 //     --jobs N             trace-model jobs per scenario        (default 40)
 //     --gap SECONDS        mean Poisson inter-arrival gap       (default 10)
 //     --slot SECONDS       slot length                          (default 5)
 //     --seeds S1,S2,...    environment seeds                    (default 1,2)
-//     --classes LIST       comma list of crash,rack,failslow,copyfault,all
-//                          (default: all five entries)
-//     --policies LIST      comma list of base,resilient         (default both)
+//     --classes LIST       comma list of fault presets: crash,rack,
+//                          failslow,copyfault,all (default: all five)
+//     --policies LIST      comma list of base,resilient         (default both):
+//                          dollymp2, and dollymp2 with resilience
 //     --makespan-factor F  invariant 4 multiplier               (default 50)
 //     --makespan-slack S   invariant 4 additive slack, seconds  (default 1800)
 //     --out FILE           also write the report to FILE
@@ -42,8 +43,9 @@
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/cli.h"
+#include "dollymp/common/experiment.h"
 #include "dollymp/obs/replay.h"
-#include "dollymp/sched/dollymp.h"
+#include "dollymp/sched/policies.h"
 #include "dollymp/sim/simulator.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
@@ -53,8 +55,7 @@ namespace {
 using namespace dollymp;
 
 struct Options {
-  std::string inventory = "paper30";
-  int servers = 0;
+  std::string cluster = "paper30";
   int jobs = 40;
   double gap = 10.0;
   double slot = 5.0;
@@ -69,7 +70,8 @@ struct Options {
 
 [[noreturn]] void usage(int code) {
   std::cout <<
-      "usage: dollymp_chaos [--inventory paper30|google|google-trace] [--servers N]\n"
+      "usage: dollymp_chaos [--cluster paper30|google[:N]|google-trace[:N]|gpu[:N]|\n"
+      "                               uniform:N:CPU:MEM]\n"
       "                     [--jobs N] [--gap SECONDS] [--slot SECONDS]\n"
       "                     [--seeds S1,S2,...]\n"
       "                     [--classes crash,rack,failslow,copyfault,all]\n"
@@ -82,10 +84,9 @@ struct Options {
 using cli::split;
 
 const std::vector<std::string> kKnownFlags = {
-    "--help",      "--inventory",       "--servers",        "--jobs",
-    "--gap",       "--slot",            "--seeds",          "--classes",
-    "--policies",  "--makespan-factor", "--makespan-slack", "--out",
-    "--quiet"};
+    "--help",      "--cluster",         "--jobs",           "--gap",
+    "--slot",      "--seeds",           "--classes",        "--policies",
+    "--makespan-factor", "--makespan-slack", "--out",       "--quiet"};
 
 Options parse_options(int argc, char** argv) {
   Options opt;
@@ -101,8 +102,7 @@ Options parse_options(int argc, char** argv) {
   for (int i = 0; i < n; ++i) {
     const std::string& arg = args[static_cast<std::size_t>(i)];
     if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--inventory") opt.inventory = need_value(i);
-    else if (arg == "--servers") opt.servers = cli::parse_flag("--servers", need_value(i), 0);
+    else if (arg == "--cluster") opt.cluster = need_value(i);
     else if (arg == "--jobs") opt.jobs = cli::parse_flag("--jobs", need_value(i), 1);
     else if (arg == "--gap") opt.gap = cli::parse_flag("--gap", need_value(i), 0.0);
     else if (arg == "--slot") opt.slot = cli::parse_flag("--slot", need_value(i), 0.0);
@@ -132,56 +132,14 @@ Options parse_options(int argc, char** argv) {
   return opt;
 }
 
-Cluster make_cluster(const Options& opt) {
-  const auto servers = static_cast<std::size_t>(opt.servers);
-  if (opt.inventory == "paper30") return Cluster::paper30();
-  if (opt.inventory == "google") return Cluster::google_like(servers > 0 ? servers : 100);
-  if (opt.inventory == "google-trace") {
-    return servers > 0 ? Cluster::google_trace(servers) : Cluster::google_trace();
-  }
-  std::cerr << "unknown inventory '" << opt.inventory << "'\n";
-  usage(2);
-}
-
-/// Enable one fault class (or all of them) on top of a healthy config.
-/// Rates are aggressive relative to typical task durations so every
-/// scenario actually exercises the injected class.
-void apply_fault_class(SimConfig& config, const std::string& cls) {
-  if (cls == "crash" || cls == "all") {
-    config.failures.enabled = true;
-    config.failures.mean_time_to_failure_seconds = 600.0;
-    config.failures.mean_repair_seconds = 120.0;
-  }
-  if (cls == "rack" || cls == "all") {
-    config.faults.rack.enabled = true;
-    config.faults.rack.time_to_failure.mean_seconds = 1500.0;
-    config.faults.rack.repair.mean_seconds = 200.0;
-  }
-  if (cls == "failslow" || cls == "all") {
-    config.faults.fail_slow.enabled = true;
-    config.faults.fail_slow.slowdown_factor = 3.0;
-    config.faults.fail_slow.time_to_onset.mean_seconds = 600.0;
-    config.faults.fail_slow.recovery.mean_seconds = 300.0;
-  }
-  if (cls == "copyfault" || cls == "all") {
-    config.faults.copy.enabled = true;
-    config.faults.copy.inter_fault.mean_seconds = 120.0;
-  }
-  if (cls != "crash" && cls != "rack" && cls != "failslow" && cls != "copyfault" &&
-      cls != "all") {
-    std::cerr << "unknown fault class '" << cls << "'\n";
-    usage(2);
-  }
-}
-
+/// The two chaos policies are registry calls: "base" is dollymp2,
+/// "resilient" dollymp2 with the resilience policies on.
 SchedulerFactory make_factory(const std::string& policy) {
-  if (policy == "base") {
-    return [] { return std::make_unique<DollyMPScheduler>(); };
-  }
+  if (policy == "base") return named_policy_factory("dollymp2");
   if (policy == "resilient") {
     DollyMPConfig config;
     config.resilience.enabled = true;
-    return [config] { return std::make_unique<DollyMPScheduler>(config); };
+    return named_policy_factory("dollymp2", config);
   }
   std::cerr << "unknown policy '" << policy << "'\n";
   usage(2);
@@ -286,7 +244,12 @@ ScenarioReport run_scenario(const Cluster& cluster, const SimConfig& faulty_conf
 
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
-  const Cluster cluster = make_cluster(opt);
+  const Cluster cluster =
+      cli::parse_with("--cluster", [&] { return Cluster::from_spec(opt.cluster); });
+  std::vector<SweepFaultPreset> presets;
+  for (const auto& cls : opt.classes) {
+    presets.push_back(cli::parse_with("--classes", [&] { return make_fault_preset(cls); }));
+  }
 
   std::ostringstream report_text;
   bool all_passed = true;
@@ -310,14 +273,15 @@ int main(int argc, char** argv) {
           simulate(cluster, healthy, jobs, *scheduler).makespan_seconds;
     }
 
-    for (const auto& cls : opt.classes) {
+    for (const SweepFaultPreset& preset : presets) {
       SimConfig faulty = healthy;
-      apply_fault_class(faulty, cls);
+      faulty.failures = preset.failures;
+      faulty.faults = preset.faults;
       faulty.validate();
       for (const auto& policy : opt.policies) {
         ScenarioReport report =
             run_scenario(cluster, faulty, healthy_makespan[policy], jobs, policy, opt);
-        report.name = cls + "/" + policy + "/seed" + std::to_string(seed);
+        report.name = preset.name + "/" + policy + "/seed" + std::to_string(seed);
         ++scenario_count;
         all_passed = all_passed && report.passed();
         const std::string line = render(report);

@@ -11,9 +11,10 @@
 //     thread pool, and emit byte-deterministic comparison JSON.
 //
 //   dollymp_service [options]
-//     --cluster paper30|google:N|uniform:N:CPU:MEM   (default google:100)
+//     --cluster paper30 | google[:N] | google-trace[:N] | gpu[:N] |
+//               uniform:N:CPU:MEM                      (default google:100)
 //     --policy NAME         capacity|hopper|drf|tetris|carbyne|srpt|svf|
-//                           dollymp0-3                (default dollymp2)
+//                           dollymp0-9                (default dollymp2)
 //     --rate R              mean arrivals per second   (default 0.05)
 //     --diurnal AMP[:PERIOD]  sinusoidal rate modulation (amplitude in
 //                           [0,1); period seconds, default 86400)
@@ -139,7 +140,8 @@ struct Options {
 
 [[noreturn]] void usage(int code) {
   std::cout <<
-      "usage: dollymp_service [--cluster paper30|google:N|uniform:N:CPU:MEM]\n"
+      "usage: dollymp_service [--cluster paper30|google[:N]|google-trace[:N]|gpu[:N]|\n"
+      "                                 uniform:N:CPU:MEM]\n"
       "                       [--policy NAME] [--rate R] [--diurnal AMP[:PERIOD]]\n"
       "                       [--flash MULT:START:DURATION] [--mean-gb X]\n"
       "                       [--seed S] [--arrival-seed S] [--slot SECONDS]\n"
@@ -281,21 +283,6 @@ Options parse_options(int argc, char** argv) {
     }
   }
   return opt;
-}
-
-Cluster make_cluster(const std::string& spec) {
-  if (spec == "paper30") return Cluster::paper30();
-  const auto parts = cli::split(spec, ':');
-  if (parts.size() == 2 && parts[0] == "google") {
-    return Cluster::google_like(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
-  }
-  if (parts.size() == 4 && parts[0] == "uniform") {
-    return Cluster::uniform(cli::parse_flag("--cluster", parts[1], std::size_t{1}),
-                            {cli::parse_flag("--cluster", parts[2], 0.0),
-                             cli::parse_flag("--cluster", parts[3], 0.0)});
-  }
-  std::cerr << "unknown cluster spec '" << spec << "'\n";
-  usage(2);
 }
 
 ServiceConfig make_service_config(const Options& opt) {
@@ -516,7 +503,8 @@ int run_supervise(const Options& opt, const ServiceConfig& config,
 int main(int argc, char** argv) {
   const Options opt = parse_options(argc, argv);
   const ServiceConfig config = make_service_config(opt);
-  const Cluster cluster = make_cluster(opt.cluster);
+  const Cluster cluster =
+      cli::parse_with("--cluster", [&] { return Cluster::from_spec(opt.cluster); });
 
   if (opt.supervise) {
     try {

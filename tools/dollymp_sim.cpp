@@ -4,23 +4,19 @@
 // summary on stdout plus (optionally) per-job records as CSV.
 //
 //   dollymp_sim [options]
-//     --cluster  paper30 | google:<N> | uniform:<N>:<cpu>:<mem>   (default paper30)
-//     --inventory paper30 | google | google-trace   named inventory; combine
-//                        with --servers to scale it (google-trace defaults
-//                        to the full 30,000-server trace shape)
-//     --servers N        server count for --inventory
-//     --scheduler capacity|hopper|drf|tetris|carbyne|srpt|svf|dollymp<0-3> (default dollymp2)
+//     --cluster  paper30 | google[:N] | google-trace[:N] | gpu[:N] |
+//                uniform:N:CPU:MEM   (default paper30; gpu with --gpus)
+//     --scheduler capacity|hopper|drf|tetris|carbyne|srpt|svf|dollymp<0-9>
+//                        (default dollymp2; K of dollymp<K> is the clone budget)
 //     --jobs N           synthesize N trace-model jobs          (default 200)
 //     --gap SECONDS      mean Poisson inter-arrival gap         (default 20)
 //     --gpus K           mix K gang-scheduled ML training jobs into the
-//                        workload, report GPUs as a third resource dimension,
-//                        and (unless a cluster was named) run on the mixed
-//                        gpu-pod inventory; --inventory gpu selects it alone
+//                        workload and, unless --cluster names one, run on
+//                        the mixed gpu-pod inventory
 //     --trace FILE       replay a trace CSV instead of synthesizing
 //     --seed S           environment seed                        (default 1)
 //     --slot SECONDS     slot length                             (default 5)
-//     --clones K         DollyMP clone budget override
-//     --straggler-aware  enable learned server scoring (DollyMP only)
+//     --straggler-aware  enable learned server scoring (dollymp<K> only)
 //     --failures MTBF:REPAIR  enable machine failures (seconds)
 //     --rack-faults MTTF:REPAIR   enable rack-correlated outages (seconds)
 //     --fail-slow ONSET:RECOVERY:FACTOR  enable fail-slow servers: mean
@@ -30,7 +26,8 @@
 //                        shape instead of the exponential (k<1: infant
 //                        mortality; k>1: wear-out; k=1: exponential)
 //     --resilience       enable the DollyMP resilience policies (retry
-//                        backoff, quarantine, clone degradation)
+//                        backoff, quarantine, clone degradation;
+//                        dollymp<K> only)
 //     --out FILE         write per-job records as CSV
 //     --trace-out FILE   record the run and write Chrome trace JSON
 //                        (load it at https://ui.perfetto.dev)
@@ -45,36 +42,31 @@
 //     --quiet            summary line only
 //     --help
 //
-// Flags also accept --flag=value.  Unknown flags are rejected.
+// Flags also accept --flag=value.  Unknown flags are rejected, and so is
+// a DollyMP-only flag with a baseline scheduler (exit 2).
 //
 // Examples:
 //   dollymp_sim --scheduler tetris --jobs 500 --gap 10
 //   dollymp_sim --cluster google:300 --trace mytrace.csv --out results.csv
 //   dollymp_sim --jobs 50 --trace-out run.trace.json
-//   dollymp_sim --inventory google-trace --servers 3000 --verify-replay
-#include <algorithm>
+//   dollymp_sim --cluster google-trace:3000 --verify-replay
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/cli.h"
-#include "dollymp/metrics/experiment.h"
+#include "dollymp/common/experiment.h"
 #include "dollymp/metrics/report.h"
 #include "dollymp/obs/chrome_trace.h"
 #include "dollymp/obs/recorder.h"
 #include "dollymp/obs/replay.h"
-#include "dollymp/sched/capacity.h"
-#include "dollymp/sched/carbyne.h"
-#include "dollymp/sched/dollymp.h"
-#include "dollymp/sched/drf.h"
-#include "dollymp/sched/hopper.h"
-#include "dollymp/sched/simple_priority.h"
-#include "dollymp/sched/tetris.h"
+#include "dollymp/sched/policies.h"
 #include "dollymp/sim/simulator.h"
 #include "dollymp/workload/apps.h"
 #include "dollymp/workload/arrivals.h"
@@ -86,9 +78,7 @@ namespace {
 using namespace dollymp;
 
 struct Options {
-  std::string cluster = "paper30";
-  std::string inventory;
-  int servers = 0;
+  std::optional<std::string> cluster;  ///< absent: paper30, or gpu with --gpus
   std::string scheduler = "dollymp2";
   int jobs = 200;
   double gap = 20.0;
@@ -96,7 +86,6 @@ struct Options {
   std::string trace;
   std::uint64_t seed = 1;
   double slot = 5.0;
-  int clones = -1;
   bool straggler_aware = false;
   double failure_mtbf = 0.0;
   double failure_repair = 0.0;
@@ -120,15 +109,17 @@ struct Options {
 
 [[noreturn]] void usage(int code) {
   std::cout <<
-      "usage: dollymp_sim [--cluster paper30|google:N|uniform:N:CPU:MEM]\n"
-      "                   [--inventory paper30|google|google-trace|gpu] [--servers N]\n"
-      "                   [--scheduler capacity|hopper|drf|tetris|carbyne|srpt|svf|dollymp0-3]\n"
+      "usage: dollymp_sim [--cluster paper30|google[:N]|google-trace[:N]|gpu[:N]|\n"
+      "                             uniform:N:CPU:MEM]\n"
+      "                   [--scheduler capacity|hopper|drf|tetris|carbyne|srpt|svf|dollymp0-9]\n"
       "                   [--jobs N] [--gap SECONDS] [--gpus K] [--trace FILE] [--seed S]\n"
-      "                   [--slot SECONDS] [--clones K] [--straggler-aware]\n"
+      "                   [--slot SECONDS] [--straggler-aware]\n"
       "                   [--failures MTBF:REPAIR] [--rack-faults MTTF:REPAIR]\n"
       "                   [--fail-slow ONSET:RECOVERY:FACTOR] [--copy-faults MEAN]\n"
       "                   [--weibull SHAPE] [--resilience]\n"
       "                   [--out FILE] [--compare] [--quiet]\n"
+      "\n"
+      "--straggler-aware and --resilience apply to the dollymp<K> schedulers only.\n"
       "\n"
       "flight recorder / tracing (flags also accept --flag=value):\n"
       "  --trace-out FILE     record the run and write Chrome trace JSON with\n"
@@ -147,10 +138,9 @@ using cli::split;
 
 /// Every flag the dispatch loop below accepts — the did-you-mean corpus.
 const std::vector<std::string> kKnownFlags = {
-    "--help",          "--cluster",      "--inventory",       "--servers",
-    "--scheduler",     "--jobs",         "--gap",             "--gpus",
-    "--trace",
-    "--seed",          "--slot",         "--clones",
+    "--help",          "--cluster",      "--scheduler",       "--jobs",
+    "--gap",           "--gpus",         "--trace",           "--seed",
+    "--slot",
     "--straggler-aware", "--failures",   "--rack-faults",     "--fail-slow",
     "--copy-faults",   "--weibull",      "--resilience",      "--out",
     "--trace-out",     "--log-out",      "--verify-log",      "--flight-recorder",
@@ -171,8 +161,6 @@ Options parse_options(int argc, char** argv) {
     const std::string& arg = args[static_cast<std::size_t>(i)];
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--cluster") opt.cluster = need_value(i);
-    else if (arg == "--inventory") opt.inventory = need_value(i);
-    else if (arg == "--servers") opt.servers = cli::parse_flag("--servers", need_value(i), 0);
     else if (arg == "--scheduler") opt.scheduler = need_value(i);
     else if (arg == "--jobs") opt.jobs = cli::parse_flag("--jobs", need_value(i), 1);
     else if (arg == "--gap") opt.gap = cli::parse_flag("--gap", need_value(i), 0.0);
@@ -180,7 +168,6 @@ Options parse_options(int argc, char** argv) {
     else if (arg == "--trace") opt.trace = need_value(i);
     else if (arg == "--seed") opt.seed = cli::parse_flag("--seed", need_value(i), std::uint64_t{0});
     else if (arg == "--slot") opt.slot = cli::parse_flag("--slot", need_value(i), 0.0);
-    else if (arg == "--clones") opt.clones = cli::parse_flag("--clones", need_value(i), 0);
     else if (arg == "--straggler-aware") opt.straggler_aware = true;
     else if (arg == "--failures") {
       const auto parts = split(need_value(i), ':');
@@ -231,76 +218,26 @@ Options parse_options(int argc, char** argv) {
   return opt;
 }
 
-Cluster make_cluster_from_inventory(const Options& opt) {
-  const auto servers = static_cast<std::size_t>(opt.servers);
-  if (opt.inventory == "paper30") return Cluster::paper30();
-  if (opt.inventory == "google") return Cluster::google_like(servers > 0 ? servers : 100);
-  if (opt.inventory == "google-trace") {
-    return servers > 0 ? Cluster::google_trace(servers) : Cluster::google_trace();
-  }
-  if (opt.inventory == "gpu") return Cluster::gpu_pods(servers > 0 ? servers : 64);
-  std::cerr << "unknown inventory '" << opt.inventory << "'\n";
-  usage(2);
-}
-
-Cluster make_cluster(const std::string& spec) {
-  if (spec == "paper30") return Cluster::paper30();
-  const auto parts = split(spec, ':');
-  if (parts.size() == 2 && parts[0] == "google") {
-    return Cluster::google_like(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
-  }
-  if (parts.size() == 4 && parts[0] == "uniform") {
-    return Cluster::uniform(cli::parse_flag("--cluster", parts[1], std::size_t{1}),
-                            {cli::parse_flag("--cluster", parts[2], 0.0),
-                             cli::parse_flag("--cluster", parts[3], 0.0)});
-  }
-  std::cerr << "unknown cluster spec '" << spec << "'\n";
-  usage(2);
-}
-
-std::unique_ptr<Scheduler> make_policy(const Options& opt) {
-  const std::string& key = opt.scheduler;
-  if (opt.resilience && key.rfind("dollymp", 0) != 0) {
-    std::cerr << "--resilience only applies to the dollymp schedulers\n";
-    usage(2);
-  }
-  if (key == "capacity") return std::make_unique<CapacityScheduler>();
-  if (key == "hopper") return std::make_unique<HopperScheduler>();
-  if (key == "drf") return std::make_unique<DrfScheduler>();
-  if (key == "tetris") return std::make_unique<TetrisScheduler>();
-  if (key == "carbyne") return std::make_unique<CarbyneScheduler>();
-  if (key == "srpt") {
-    return std::make_unique<SimplePriorityScheduler>(
-        SimplePriorityConfig{SimplePriorityRule::kSrpt, 1.5, 0});
-  }
-  if (key == "svf") {
-    return std::make_unique<SimplePriorityScheduler>(
-        SimplePriorityConfig{SimplePriorityRule::kSvf, 1.5, 0});
-  }
-  if (key.rfind("dollymp", 0) == 0 && key.size() == 8) {
-    DollyMPConfig config;
-    config.clone_budget = cli::parse_flag("--scheduler", key.substr(7), 0, 9);
-    if (opt.clones >= 0) config.clone_budget = opt.clones;
-    config.straggler_aware = opt.straggler_aware;
-    config.resilience.enabled = opt.resilience;
-    return std::make_unique<DollyMPScheduler>(config);
-  }
-  std::cerr << "unknown scheduler '" << key << "'\n";
-  usage(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse_options(argc, argv);
-  // The GPU scenario defaults to the mixed gpu-pod inventory, but an
-  // explicit --cluster/--inventory choice wins.
-  if (opt.gpus > 0 && opt.inventory.empty() && opt.cluster == "paper30") {
-    opt.inventory = "gpu";
+  const Options opt = parse_options(argc, argv);
+  // DollyMP options exist only when a DollyMP-only flag asks for them, so
+  // the registry rejects such a flag given with a baseline.
+  std::optional<DollyMPConfig> dollymp;
+  if (opt.straggler_aware || opt.resilience) {
+    dollymp.emplace();
+    dollymp->straggler_aware = opt.straggler_aware;
+    dollymp->resilience.enabled = opt.resilience;
   }
-
+  const SchedulerFactory factory = cli::parse_with(
+      "--scheduler", [&] { return named_policy_factory(opt.scheduler, dollymp); });
+  // The GPU scenario defaults to the mixed gpu-pod inventory; an explicit
+  // --cluster wins.
+  const std::string cluster_spec = opt.cluster.value_or(opt.gpus > 0 ? "gpu" : "paper30");
   const Cluster cluster =
-      opt.inventory.empty() ? make_cluster(opt.cluster) : make_cluster_from_inventory(opt);
+      cli::parse_with("--cluster", [&] { return Cluster::from_spec(cluster_spec); });
+
   std::vector<JobSpec> jobs;
   if (!opt.trace.empty()) {
     jobs = load_trace(opt.trace);
@@ -309,23 +246,11 @@ int main(int argc, char** argv) {
     jobs = model.sample_jobs(opt.jobs);
     assign_poisson_arrivals(jobs, opt.gap, opt.seed + 1);
   }
-  if (opt.gpus > 0) {
-    JobId next_id = 0;
-    for (const auto& job : jobs) next_id = std::max(next_id, job.id + 1);
-    std::vector<JobSpec> trainers;
-    trainers.reserve(static_cast<std::size_t>(opt.gpus));
-    for (int k = 0; k < opt.gpus; ++k) {
-      trainers.push_back(make_mltrain(next_id + k));
-    }
-    // Training jobs trickle in more slowly than the analytics stream.
-    assign_poisson_arrivals(trainers, opt.gap * 4.0, opt.seed + 2);
-    jobs.insert(jobs.end(), trainers.begin(), trainers.end());
-  }
+  if (opt.gpus > 0) append_mltrain_mix(jobs, opt.gpus, opt.gap, opt.seed + 2);
 
   SimConfig config;
   config.slot_seconds = opt.slot;
   config.seed = opt.seed;
-  if (opt.gpus > 0) config.resource_dims = 3;
   if (opt.failure_mtbf > 0.0) {
     config.failures.enabled = true;
     config.failures.mean_time_to_failure_seconds = opt.failure_mtbf;
@@ -377,11 +302,7 @@ int main(int argc, char** argv) {
     std::vector<ComparisonEntry> entries;
     for (const char* key :
          {"capacity", "drf", "tetris", "carbyne", "srpt", "svf", "dollymp0", "dollymp2"}) {
-      entries.push_back({key, [key] {
-                           Options o;
-                           o.scheduler = key;
-                           return make_policy(o);
-                         }});
+      entries.push_back({key, named_policy_factory(key)});
     }
     ThreadPool pool;
     const auto results = run_comparison(spec, entries, &pool);
@@ -398,7 +319,6 @@ int main(int argc, char** argv) {
   // divergent record decoded on both sides.  Exit 1 on any divergence so CI
   // can gate on determinism.
   if (opt.verify_replay || !opt.verify_log.empty()) {
-    const SchedulerFactory factory = [&opt] { return make_policy(opt); };
     bool identical = true;
     if (opt.verify_replay) {
       const DivergenceReport report = verify_replay(cluster, config, jobs, factory);
@@ -427,7 +347,7 @@ int main(int argc, char** argv) {
   }
   config.recorder = recorder.get();
 
-  auto scheduler = make_policy(opt);
+  const auto scheduler = factory();
   SimResult result;
   try {
     result = simulate(cluster, config, jobs, *scheduler);

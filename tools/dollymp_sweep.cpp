@@ -9,18 +9,20 @@
 // fixed grid order and the document carries no wall-clock/host fields.
 //
 //   dollymp_sweep [options]
-//     --cluster paper30 | google:<N> | google-trace[:<N>] | gpu[:<N>]
-//                                                           (default paper30)
+//     --cluster paper30 | google[:N] | google-trace[:N] | gpu[:N] |
+//               uniform:N:CPU:MEM   (default paper30; gpu with --gpus)
 //     --jobs N           synthesize N trace-model jobs       (default 200)
 //     --gap SECONDS      mean Poisson inter-arrival gap      (default 20)
 //     --gpus K           mix K gang-scheduled ML training jobs into the
-//                        workload, report GPUs as a third dimension, and
-//                        default --cluster to the gpu-pod inventory
+//                        workload and, unless --cluster names one, run on
+//                        the gpu-pod inventory
 //     --slot SECONDS     slot length                         (default 5)
 //     --seed S           workload seed / first environment seed (default 1)
 //     --replications R   environment seeds S, S+1, ..., S+R-1  (default 3)
 //     --seeds A,B,...    explicit environment seed list (overrides -R)
-//     --policies a,b,... scheduler keys                      (default: all 9)
+//     --policies a,b,... policy names: capacity hopper drf tetris carbyne
+//                        srpt svf dollymp0-9 (default: the first seven,
+//                        dollymp0 and dollymp2)
 //     --faults a,b,...   fault presets: healthy,crash,rack,failslow,
 //                        copyfault,all                       (default healthy)
 //     --threads N        replications run concurrently on N workers
@@ -39,7 +41,7 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,13 +49,7 @@
 #include "dollymp/common/cli.h"
 #include "dollymp/common/experiment.h"
 #include "dollymp/common/thread_pool.h"
-#include "dollymp/sched/capacity.h"
-#include "dollymp/sched/carbyne.h"
-#include "dollymp/sched/dollymp.h"
-#include "dollymp/sched/drf.h"
-#include "dollymp/sched/hopper.h"
-#include "dollymp/sched/simple_priority.h"
-#include "dollymp/sched/tetris.h"
+#include "dollymp/sched/policies.h"
 #include "dollymp/workload/apps.h"
 #include "dollymp/workload/arrivals.h"
 #include "dollymp/workload/trace_model.h"
@@ -63,7 +59,7 @@ namespace {
 using namespace dollymp;
 
 struct Options {
-  std::string cluster = "paper30";
+  std::optional<std::string> cluster;  ///< absent: paper30, or gpu with --gpus
   int jobs = 200;
   double gap = 20.0;
   int gpus = 0;
@@ -80,13 +76,14 @@ struct Options {
 
 [[noreturn]] void usage(int code) {
   std::cout <<
-      "usage: dollymp_sweep [--cluster paper30|google:N|google-trace[:N]|gpu[:N]]\n"
+      "usage: dollymp_sweep [--cluster paper30|google[:N]|google-trace[:N]|gpu[:N]|\n"
+      "                               uniform:N:CPU:MEM]\n"
       "                     [--jobs N] [--gap SECONDS] [--gpus K] [--slot SECONDS]\n"
       "                     [--seed S] [--replications R] [--seeds A,B,...]\n"
       "                     [--policies a,b,...] [--faults a,b,...]\n"
       "                     [--threads N] [--out FILE] [--quiet]\n"
       "\n"
-      "policies: capacity hopper drf tetris carbyne srpt svf dollymp0-3\n"
+      "policies: capacity hopper drf tetris carbyne srpt svf dollymp0-9\n"
       "faults:   healthy crash rack failslow copyfault all\n"
       "\n"
       "The JSON is byte-identical for every --threads value; only the\n"
@@ -150,105 +147,35 @@ Options parse_options(int argc, char** argv) {
   return opt;
 }
 
-Cluster make_cluster(const std::string& spec) {
-  if (spec == "paper30") return Cluster::paper30();
-  if (spec == "google-trace") return Cluster::google_trace();
-  if (spec == "gpu") return Cluster::gpu_pods(64);
-  const auto parts = split(spec, ':');
-  if (parts.size() == 2 && parts[0] == "google") {
-    return Cluster::google_like(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
-  }
-  if (parts.size() == 2 && parts[0] == "google-trace") {
-    return Cluster::google_trace(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
-  }
-  if (parts.size() == 2 && parts[0] == "gpu") {
-    return Cluster::gpu_pods(cli::parse_flag("--cluster", parts[1], std::size_t{1}));
-  }
-  std::cerr << "unknown cluster spec '" << spec << "'\n";
-  usage(2);
-}
-
-ComparisonEntry make_policy(const std::string& key) {
-  if (key == "capacity") {
-    return {key, [] { return std::make_unique<CapacityScheduler>(); }};
-  }
-  if (key == "hopper") {
-    return {key, [] { return std::make_unique<HopperScheduler>(); }};
-  }
-  if (key == "drf") {
-    return {key, [] { return std::make_unique<DrfScheduler>(); }};
-  }
-  if (key == "tetris") {
-    return {key, [] { return std::make_unique<TetrisScheduler>(); }};
-  }
-  if (key == "carbyne") {
-    return {key, [] { return std::make_unique<CarbyneScheduler>(); }};
-  }
-  if (key == "srpt") {
-    return {key, [] {
-              return std::make_unique<SimplePriorityScheduler>(
-                  SimplePriorityConfig{SimplePriorityRule::kSrpt, 1.5, 0});
-            }};
-  }
-  if (key == "svf") {
-    return {key, [] {
-              return std::make_unique<SimplePriorityScheduler>(
-                  SimplePriorityConfig{SimplePriorityRule::kSvf, 1.5, 0});
-            }};
-  }
-  if (key.rfind("dollymp", 0) == 0 && key.size() == 8 && key[7] >= '0' && key[7] <= '3') {
-    const int budget = key[7] - '0';
-    return {key, [budget] {
-              DollyMPConfig config;
-              config.clone_budget = budget;
-              return std::make_unique<DollyMPScheduler>(config);
-            }};
-  }
-  std::cerr << "unknown policy '" << key << "'\n";
-  usage(2);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt = parse_options(argc, argv);
-  if (opt.gpus > 0 && opt.cluster == "paper30") opt.cluster = "gpu";
+  const Options opt = parse_options(argc, argv);
 
   SweepSpec spec;
-  spec.cluster = make_cluster(opt.cluster);
+  // The GPU scenario defaults to the gpu-pod inventory; an explicit
+  // --cluster wins.
+  const std::string cluster = opt.cluster.value_or(opt.gpus > 0 ? "gpu" : "paper30");
+  spec.cluster = cli::parse_with("--cluster", [&] { return Cluster::from_spec(cluster); });
   spec.base.slot_seconds = opt.slot;
   spec.base.seed = opt.seed;
-  if (opt.gpus > 0) spec.base.resource_dims = 3;
 
   TraceModel model({}, opt.seed);
   spec.jobs = model.sample_jobs(opt.jobs);
   assign_poisson_arrivals(spec.jobs, opt.gap, opt.seed);
-  if (opt.gpus > 0) {
-    JobId next_id = 0;
-    for (const auto& job : spec.jobs) next_id = std::max(next_id, job.id + 1);
-    std::vector<JobSpec> trainers;
-    trainers.reserve(static_cast<std::size_t>(opt.gpus));
-    for (int k = 0; k < opt.gpus; ++k) {
-      trainers.push_back(make_mltrain(next_id + k));
-    }
-    assign_poisson_arrivals(trainers, opt.gap * 4.0, opt.seed + 2);
-    spec.jobs.insert(spec.jobs.end(), trainers.begin(), trainers.end());
-  }
+  if (opt.gpus > 0) append_mltrain_mix(spec.jobs, opt.gpus, opt.gap, opt.seed + 2);
 
-  for (const auto& key : split(opt.policies, ',')) {
-    spec.policies.push_back(make_policy(key));
+  for (const auto& name : split(opt.policies, ',')) {
+    spec.policies.push_back(
+        {name, cli::parse_with("--policies", [&] { return named_policy_factory(name); })});
   }
   if (spec.policies.empty()) {
     std::cerr << "--policies selected nothing\n";
     usage(2);
   }
   for (const auto& name : split(opt.faults, ',')) {
-    try {
-      spec.fault_presets.push_back(make_fault_preset(name));
-    } catch (const std::invalid_argument& e) {
-      std::cerr << e.what() << "\n";
-      usage(2);
-    }
+    spec.fault_presets.push_back(
+        cli::parse_with("--faults", [&] { return make_fault_preset(name); }));
   }
   if (!opt.seeds.empty()) {
     for (const auto& s : split(opt.seeds, ',')) {
@@ -265,7 +192,13 @@ int main(int argc, char** argv) {
     pool = std::make_unique<ThreadPool>(static_cast<std::size_t>(opt.threads));
   }
 
-  const SweepResult result = run_sweep(spec, pool.get());
+  SweepResult result;
+  try {
+    result = run_sweep(spec, pool.get());
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 3;
+  }
   const std::string json = render_sweep_json(result);
 
   if (opt.out.empty()) {
