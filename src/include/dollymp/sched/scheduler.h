@@ -154,7 +154,7 @@ class Scheduler {
                                 const CopyRuntime& /*copy*/) {}
 
   // Typed event notifications.  All fire while the simulator is draining
-  // the event heap, before the schedule() invocation of the same slot, so
+  // the slot's events, before the schedule() invocation of the same slot, so
   // a policy can update incremental state (dirty flags, learned scores)
   // instead of rescanning every active job on each invocation.  Like
   // on_copy_finished, these are observation channels: implementations must

@@ -1,9 +1,9 @@
 // The fault-injection matrix: delay draws and down-state bookkeeping for
 // the four injectable fault classes.
 //
-// The simulator owns the event heap; this engine owns (a) the delay draws
+// The simulator owns the event queues; this engine owns (a) the delay draws
 // for every fault timer — all from the single dedicated failure RNG, so the
-// realization is a pure function of (seed, heap pop order) and replay
+// realization is a pure function of (seed, event pop order) and replay
 // determinism is preserved — and (b) the per-server down-source bookkeeping
 // that makes overlapping fault classes idempotent: a server downed by both
 // an independent crash and its rack's outage comes back only when the last
@@ -29,6 +29,7 @@
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/rng.h"
+#include "dollymp/sim/machine_queue.h"
 #include "dollymp/sim/types.h"
 
 namespace dollymp {
@@ -47,30 +48,23 @@ enum class FaultClass : std::uint8_t {
 
 class FaultEngine {
  public:
-  /// One initial fault timer produced by seed(): the simulator translates
-  /// these into heap events.  `target` is a ServerId for kCrash/kFailSlow,
-  /// a rack index for kRack, and unused (-1) for kCopyFault.
-  struct Timer {
-    SimTime slot = 0;
-    FaultClass cls = FaultClass::kCrash;
-    std::int32_t target = -1;
-  };
-
   /// @param rng  the dedicated failure stream (Rng split 4); held by
   ///             reference — every delay draw and victim pick goes through
-  ///             it in heap-pop order, which is deterministic.
+  ///             it in event-pop order, which is deterministic.
   FaultEngine(const Cluster& cluster, const FailureConfig& crash,
               const FaultConfig& faults, double slot_seconds, Rng& rng);
 
   [[nodiscard]] double slowdown_factor() const { return faults_.fail_slow.slowdown_factor; }
 
-  /// Draw the initial timer for every enabled fault class.  Crash timers
-  /// are drawn first, one per server in id order — exactly the legacy
-  /// seed_failures() draw sequence, so a crash-only configuration consumes
-  /// the failure stream identically to the pre-fault-matrix simulator.
-  /// Then one failure timer per rack, one onset timer per server
-  /// (fail-slow), and a single cluster-wide copy-fault timer.
-  [[nodiscard]] std::vector<Timer> seed();
+  /// Draw the initial timer for every enabled fault class, counted from
+  /// slot 0.  Crash timers are drawn first, one per server in id order —
+  /// exactly the legacy seed_failures() draw sequence, so a crash-only
+  /// configuration consumes the failure stream identically to the
+  /// pre-fault-matrix simulator.  Then one failure timer per rack and one
+  /// onset timer per server (fail-slow), all pushed straight into
+  /// `machine`, and last the single cluster-wide copy-fault timer, whose
+  /// slot is returned (kNever when copy faults are off).
+  [[nodiscard]] SimTime seed(MachineQueue& machine);
 
   // Per-class delay draws (slots, >= 1), consumed at event-pop time to
   // schedule the follow-up event.  Each consumes exactly one uniform draw.

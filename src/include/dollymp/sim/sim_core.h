@@ -36,19 +36,28 @@
 // A run is single-threaded; cores are used only by running independent
 // replications side by side (common/experiment.h).
 //
-// Pending events live in one binary min-heap (a std::vector ordered by
-// std::push_heap/std::pop_heap with std::greater<>).  The event comparator
-// is a total order over every payload field, so the pop sequence is a pure
-// function of the pending set.
+// Pending events live in two queues.  Machine events — crash, rack and
+// fail-slow timers, one or two per server with those faults on — sit in a
+// slot-bucketed MachineQueue (sim/machine_queue.h).  Everything else sits
+// in one binary min-heap (a std::vector ordered by std::push_heap/
+// std::pop_heap with std::greater<>): copy and work completions, timer
+// wakeups and the one copy-fault timer.  A visited slot first takes the
+// machine queue's batch for that slot, sorted by (target, kind), and then
+// drains the heap.  That is the order one heap over both used to give,
+// with machine events ahead of every other event of their slot, because
+// every fault delay is at least one slot: a re-armed timer never joins the
+// batch being drained.  Both orders are total over every payload field, so
+// the pop sequence is a pure function of the pending sets.
 //
 // Checkpoint/restore: save_state serializes the complete mutable state —
-// clock, RNG positions, cluster hot state, runtime store, the heap array,
-// fault masks, background-load processes, recorder stream position and a
-// length-prefixed scheduler blob — and load_state reproduces a run that
-// pops the same events in the same order and appends the same trace
-// records (docs/ALGORITHMS.md §19).  Restore re-pushes the heap array in
-// stored order, which rebuilds the identical array, so a restored core
-// re-serializes to the same bytes.
+// clock, RNG positions, cluster hot state, runtime store, both event
+// queues, fault masks, background-load processes, recorder stream position
+// and a length-prefixed scheduler blob — and load_state reproduces a run
+// that pops the same events in the same order and appends the same trace
+// records (docs/ALGORITHMS.md §19).  Restore validates every event and
+// re-pushes the heap array and the machine queue's buckets in stored
+// order, which rebuilds the identical array and buckets, so a restored
+// core re-serializes to the same bytes.
 #pragma once
 
 #include <array>
@@ -67,6 +76,7 @@
 #include "dollymp/obs/recorder.h"
 #include "dollymp/sched/scheduler.h"
 #include "dollymp/sim/faults.h"
+#include "dollymp/sim/machine_queue.h"
 #include "dollymp/sim/runtime_store.h"
 #include "dollymp/sim/types.h"
 
@@ -75,75 +85,43 @@ namespace dollymp {
 class StateWriter;
 class StateReader;
 
-/// Everything that can make the simulator visit a slot, in one typed heap.
-/// Kind values double as the same-slot processing order: repairs before
-/// failures (a machine that bounces within one slot ends up alive),
-/// failures before completions (a copy cannot finish on a machine that
-/// died the same instant), completions before timer wakeups (the scheduler
-/// invocation a timer triggers must observe the slot's completions).
+/// Everything but machine events that can make the simulator visit a slot,
+/// in one typed heap.  A slot's machine events come before all of these (a
+/// copy cannot finish on a machine that died the same instant), and the
+/// kind values are the same-slot order after them: the copy-fault timer
+/// first (a victim's same-slot natural finish is stale by the time it
+/// pops), then completions, then timer wakeups (the scheduler invocation a
+/// timer triggers must observe the slot's completions).
 enum class EvKind : std::uint8_t {
-  kServerRepair = 0,
-  kServerFailure = 1,
-  kCompletion = 2,  ///< copy finish (stochastic) or work prediction (work-based)
-  kTimer = 3,       ///< scheduler wakeup requested via request_wakeup()
-  // Fault-matrix events (sim/faults.h).  Rack events carry the rack index
-  // in the `server` field.  Recover/repair kinds sort before their
-  // onset/failure counterparts so a machine that bounces within one slot
-  // ends up healthy, matching the crash-class convention above.
-  kRackRepair = 4,
-  kRackFailure = 5,
-  kFailSlowRecover = 6,
-  kFailSlowOnset = 7,
-  kCopyFault = 8,   ///< cluster-wide transient copy-fault timer
+  kCopyFault = 0,   ///< cluster-wide transient copy-fault timer
+  kCompletion = 1,  ///< copy finish (stochastic) or work prediction (work-based)
+  kTimer = 2,       ///< scheduler wakeup requested via request_wakeup()
 };
+inline constexpr int kEvKinds = 3;
 
 /// One heap entry.  Completion events come in two flavours sharing the
 /// kind: per-copy events (copy >= 0; stale when the copy was killed) and
 /// per-task work predictions (copy == -1; stale when the task's generation
 /// moved on).  Fields a kind does not use hold fixed sentinels so the
-/// comparator defines one deterministic total order over all events.
+/// comparator defines one deterministic total order over all events.  32
+/// bytes with explicit, zeroed padding: snapshots copy it byte for byte.
 struct SimEvent {
   SimTime slot = 0;
   EvKind kind = EvKind::kTimer;
+  std::uint8_t pad[3] = {};
   std::int32_t job_index = -1;
   PhaseIndex phase = -1;
   std::int32_t task = -1;
   std::int32_t copy = -1;        // -1 for work-based task events and non-completions
   std::uint32_t generation = 0;  // work-based staleness check, also a tie breaker
-  ServerId server = kInvalidServer;
 
-  // Repairs and failures form one group so same-slot machine events across
-  // servers pop server-major with the repair first per server (each pop
-  // draws the machine's next lifetime from the failure RNG, so this order
-  // is part of the deterministic realization).
-  [[nodiscard]] int group() const {
-    switch (kind) {
-      case EvKind::kServerRepair:
-      case EvKind::kServerFailure:
-      case EvKind::kRackRepair:
-      case EvKind::kRackFailure:
-      case EvKind::kFailSlowRecover:
-      case EvKind::kFailSlowOnset:
-        return 0;
-      case EvKind::kCopyFault:
-        return 1;  // after machine state settles, before completions
-      case EvKind::kCompletion:
-        return 2;
-      case EvKind::kTimer:
-        return 3;
-    }
-    return 4;  // unreachable
-  }
-
-  // Min-heap by slot with a fully deterministic total order: kind group,
-  // then every payload field.  `generation` participates so two work-based
+  // Min-heap by slot with a fully deterministic total order: kind, then
+  // every payload field.  `generation` participates so two work-based
   // predictions for the same task (pushed by successive copy-set changes
   // landing on the same slot) pop in generation order instead of an
   // implementation-defined one.
   friend bool operator>(const SimEvent& a, const SimEvent& b) {
     if (a.slot != b.slot) return a.slot > b.slot;
-    if (a.group() != b.group()) return a.group() > b.group();
-    if (a.server != b.server) return a.server > b.server;
     if (a.kind != b.kind) return a.kind > b.kind;
     if (a.job_index != b.job_index) return a.job_index > b.job_index;
     if (a.phase != b.phase) return a.phase > b.phase;
@@ -152,12 +130,13 @@ struct SimEvent {
     return a.generation > b.generation;
   }
 };
+static_assert(sizeof(SimEvent) == 32);
 
 /// Why step_until returned.
 enum class StepOutcome : std::uint8_t {
   kFinished,        ///< batch mode: every ingested job completed
   kHorizonReached,  ///< the next due slot lies beyond the horizon
-  kIdle,            ///< streaming: no live jobs, no pending arrivals, empty heap
+  kIdle,            ///< streaming: no live jobs, no pending arrivals, no events
 };
 
 /// Aggregate outcome counters for streaming runs, where per-job records
@@ -329,13 +308,19 @@ class SimCore final : public SchedulerContext {
   /// needs-placement pool when no copy survives.
   void requeue_after_fault(JobRuntime& job, PhaseRuntime& phase, TaskRuntime& task,
                            std::size_t t);
-  void push_machine_event(SimTime delay, EvKind kind, std::int32_t target);
+  void push_machine_event(SimTime delay, MachineEv kind, std::int32_t target);
+  void push_copy_fault(SimTime slot);
   [[nodiscard]] bool any_copy_active() const { return active_copy_count_ > 0; }
-  /// True when the heap holds anything that can change simulation state
-  /// (timer wakeups alone cannot: they only re-invoke the scheduler).
+  /// True when either queue holds anything that can change simulation
+  /// state (timer wakeups alone cannot: they only re-invoke the scheduler).
   [[nodiscard]] bool state_events_pending() const {
-    return events_.size() > pending_timer_count_;
+    return events_.size() > pending_timer_count_ || !machine_.empty();
   }
+  [[nodiscard]] bool no_events_pending() const { return events_.empty() && machine_.empty(); }
+  /// Check one restored heap event against the restored clock and runtime
+  /// store (`free_slots`: its free mask); throws a `snapshot:`
+  /// std::runtime_error naming the field.
+  void validate_event(const SimEvent& e, const std::vector<std::uint8_t>& free_slots) const;
 
   Cluster cluster_;
   SimConfig config_;
@@ -363,10 +348,15 @@ class SimCore final : public SchedulerContext {
   std::vector<std::int32_t> arrival_order_;  // job indices by arrival slot
   std::size_t next_arrival_ = 0;
   std::vector<JobRuntime*> active_;
-  /// The event heap: completions, failures, repairs and timer wakeups in a
-  /// single deterministic total order (a min-heap under std::greater<>, so
+  /// The event heap: completions, timer wakeups and the copy-fault timer in
+  /// a deterministic total order (a min-heap under std::greater<>, so
   /// front() is the next event due).
   std::vector<SimEvent> events_;
+  /// Crash, rack and fail-slow timers; each visited slot drains its batch
+  /// before the heap.  machine_batch_ is the drained batch, a member so the
+  /// steady state allocates nothing.
+  MachineQueue machine_;
+  std::vector<MachineEvent> machine_batch_;
   std::size_t pending_timer_count_ = 0;
   SimTime pending_timer_slot_ = kNever;  ///< dedupe: last timer slot still queued
 

@@ -75,34 +75,30 @@ SimTime FaultEngine::fail_slow_recovery_delay() {
 }
 SimTime FaultEngine::copy_fault_delay() { return delay_slots(faults_.copy.inter_fault); }
 
-std::vector<FaultEngine::Timer> FaultEngine::seed() {
-  std::vector<Timer> timers;
+SimTime FaultEngine::seed(MachineQueue& machine) {
   // Order is load-bearing: crash per-server draws come first so a
   // crash-only run consumes the failure stream exactly like the legacy
   // seed_failures() loop did.
   if (crash_.enabled) {
     for (std::size_t s = 0; s < down_mask_.size(); ++s) {
-      timers.push_back({crash_failure_delay(), FaultClass::kCrash,
-                        static_cast<std::int32_t>(s)});
+      machine.push({crash_failure_delay(), static_cast<std::int32_t>(s),
+                    MachineEv::kServerFailure});
     }
   }
   if (faults_.rack.enabled) {
     for (std::size_t r = 0; r < rack_members_.size(); ++r) {
       if (rack_members_[r].empty()) continue;
-      timers.push_back({rack_failure_delay(), FaultClass::kRack,
-                        static_cast<std::int32_t>(r)});
+      machine.push({rack_failure_delay(), static_cast<std::int32_t>(r),
+                    MachineEv::kRackFailure});
     }
   }
   if (faults_.fail_slow.enabled) {
     for (std::size_t s = 0; s < down_mask_.size(); ++s) {
-      timers.push_back({fail_slow_onset_delay(), FaultClass::kFailSlow,
-                        static_cast<std::int32_t>(s)});
+      machine.push({fail_slow_onset_delay(), static_cast<std::int32_t>(s),
+                    MachineEv::kFailSlowOnset});
     }
   }
-  if (faults_.copy.enabled) {
-    timers.push_back({copy_fault_delay(), FaultClass::kCopyFault, -1});
-  }
-  return timers;
+  return faults_.copy.enabled ? copy_fault_delay() : kNever;
 }
 
 bool FaultEngine::mark_down(ServerId server, FaultClass source) {

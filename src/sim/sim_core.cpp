@@ -187,7 +187,7 @@ StepOutcome SimCore::step_until(SimTime horizon) {
       // Slot 0 is visited unconditionally, exactly like the legacy loop's
       // first iteration (a scheduler may have work even before arrivals).
       if (!streaming_ && jobs_remaining_ == 0) return StepOutcome::kFinished;
-      if (streaming_ && jobs_remaining_ == 0 && events_.empty() &&
+      if (streaming_ && jobs_remaining_ == 0 && no_events_pending() &&
           next_arrival_ >= arrival_order_.size()) {
         return StepOutcome::kIdle;
       }
@@ -197,23 +197,24 @@ StepOutcome SimCore::step_until(SimTime horizon) {
       if (!streaming_ && jobs_remaining_ == 0) return StepOutcome::kFinished;
 
       // Fast-forward to the next slot anything can happen at: the earliest
-      // of the next arrival and the event heap's top (completions,
-      // failures, repairs and requested timer wakeups all live there).
+      // of the next arrival, the event heap's top (completions, copy faults
+      // and requested timer wakeups) and the machine queue's next batch.
       SimTime next = config_.max_slots + 1;
       if (next_arrival_ < arrival_order_.size()) {
         next = std::min(
             next, jobs_[static_cast<std::size_t>(arrival_order_[next_arrival_])].arrival);
       }
       if (!events_.empty()) next = std::min(next, events_.front().slot);
+      if (!machine_.empty()) next = std::min(next, machine_.min_slot());
 
-      if (streaming_ && jobs_remaining_ == 0 && events_.empty() &&
+      if (streaming_ && jobs_remaining_ == 0 && no_events_pending() &&
           next_arrival_ >= arrival_order_.size()) {
         return StepOutcome::kIdle;
       }
       if (jobs_remaining_ > 0 && !streaming_ && !any_copy_active() &&
           next_arrival_ >= arrival_order_.size() && !state_events_pending()) {
-        // Pending work, no running copies, no future arrivals, and nothing
-        // in the heap that could change state (pending timer wakeups do not
+        // Pending work, no running copies, no future arrivals, and no
+        // pending event that could change state (pending timer wakeups do not
         // count: re-invoking a scheduler that just declined to place on an
         // idle cluster cannot help): if the policy also placed nothing we
         // are stuck — unless it explicitly deferred via defer_retry, in
@@ -538,13 +539,11 @@ void SimCore::push_completion(SimTime slot, JobRuntime& job, PhaseIndex phase,
   push_event(e);
 }
 
-void SimCore::push_machine_event(SimTime delay, EvKind kind, std::int32_t target) {
-  SimEvent e;
-  e.slot = now_ + delay;
-  e.kind = kind;
-  e.server = target;
-  push_event(e);
+void SimCore::push_machine_event(SimTime delay, MachineEv kind, std::int32_t target) {
+  machine_.push({now_ + delay, target, kind});
 }
+
+void SimCore::push_copy_fault(SimTime slot) { push_event(SimEvent{slot, EvKind::kCopyFault}); }
 
 void SimCore::trace(TraceEv type, JobId job, PhaseIndex phase, std::int32_t task,
                     std::int32_t copy, std::int32_t server, std::int64_t aux) {
@@ -851,16 +850,9 @@ void SimCore::handle_work_event(JobRuntime& job, PhaseRuntime& phase, TaskRuntim
 
 void SimCore::seed_failures() {
   if (!faults_) return;
-  for (const auto& timer : faults_->seed()) {
-    EvKind kind = EvKind::kServerFailure;
-    switch (timer.cls) {
-      case FaultClass::kCrash: kind = EvKind::kServerFailure; break;
-      case FaultClass::kRack: kind = EvKind::kRackFailure; break;
-      case FaultClass::kFailSlow: kind = EvKind::kFailSlowOnset; break;
-      case FaultClass::kCopyFault: kind = EvKind::kCopyFault; break;
-    }
-    push_machine_event(timer.slot, kind, timer.target);
-  }
+  // begin() runs at slot 0, so the seeded delays are the timers' slots.
+  const SimTime copy_fault = faults_->seed(machine_);
+  if (copy_fault != kNever) push_copy_fault(copy_fault);
 }
 
 void SimCore::fail_server(ServerId server_id) {
@@ -937,68 +929,69 @@ void SimCore::apply_server_up(ServerId server_id) {
 }
 
 void SimCore::drain_failures() {
-  // Machine-state events sort before everything else at a slot, so they
-  // form a prefix of the heap's due events.  Every branch re-arms its fault
-  // process unconditionally — even when the FaultEngine absorbed the edge
-  // (server already down via another class, or a duplicate event) — so the
+  // Machine-state events come before everything else at a slot, as one
+  // batch in (target, kind) order.  Every branch re-arms its fault process
+  // unconditionally — even when the FaultEngine absorbed the edge (server
+  // already down via another class, or a duplicate event) — so the
   // per-class timer chains stay self-sustaining and the failure stream's
-  // draw order is a pure function of heap pop order.
-  while (!events_.empty() && events_.front().slot <= now_ &&
-         events_.front().group() == 0) {
-    const SimEvent e = pop_event();
-    switch (e.kind) {
-      case EvKind::kServerRepair: {
-        ++result_.stats.events_server_repair;
-        if (faults_->mark_up(e.server, FaultClass::kCrash)) apply_server_up(e.server);
-        push_machine_event(faults_->crash_failure_delay(), EvKind::kServerFailure,
-                           e.server);
-        break;
-      }
-      case EvKind::kServerFailure: {
-        ++result_.stats.events_server_failure;
-        if (faults_->mark_down(e.server, FaultClass::kCrash)) apply_server_down(e.server);
-        push_machine_event(faults_->crash_repair_delay(), EvKind::kServerRepair,
-                           e.server);
-        break;
-      }
-      case EvKind::kRackRepair: {
-        ++result_.stats.events_rack_repair;
-        for (const ServerId member : faults_->rack_members(e.server)) {
-          if (faults_->mark_up(member, FaultClass::kRack)) apply_server_up(member);
+  // draw order is a pure function of the pop order.  Every re-arm lies at
+  // least one slot ahead, so none joins the batch being drained.
+  while (!machine_.empty() && machine_.min_slot() <= now_) {
+    machine_.take(machine_batch_);
+    for (const MachineEvent& e : machine_batch_) {
+      switch (e.kind) {
+        case MachineEv::kServerRepair: {
+          ++result_.stats.events_server_repair;
+          if (faults_->mark_up(e.target, FaultClass::kCrash)) apply_server_up(e.target);
+          push_machine_event(faults_->crash_failure_delay(), MachineEv::kServerFailure,
+                             e.target);
+          break;
         }
-        push_machine_event(faults_->rack_failure_delay(), EvKind::kRackFailure, e.server);
-        break;
-      }
-      case EvKind::kRackFailure: {
-        ++result_.stats.events_rack_failure;
-        for (const ServerId member : faults_->rack_members(e.server)) {
-          if (faults_->mark_down(member, FaultClass::kRack)) apply_server_down(member);
+        case MachineEv::kServerFailure: {
+          ++result_.stats.events_server_failure;
+          if (faults_->mark_down(e.target, FaultClass::kCrash)) apply_server_down(e.target);
+          push_machine_event(faults_->crash_repair_delay(), MachineEv::kServerRepair,
+                             e.target);
+          break;
         }
-        push_machine_event(faults_->rack_repair_delay(), EvKind::kRackRepair, e.server);
-        break;
+        case MachineEv::kRackRepair: {
+          ++result_.stats.events_rack_repair;
+          for (const ServerId member : faults_->rack_members(e.target)) {
+            if (faults_->mark_up(member, FaultClass::kRack)) apply_server_up(member);
+          }
+          push_machine_event(faults_->rack_failure_delay(), MachineEv::kRackFailure,
+                             e.target);
+          break;
+        }
+        case MachineEv::kRackFailure: {
+          ++result_.stats.events_rack_failure;
+          for (const ServerId member : faults_->rack_members(e.target)) {
+            if (faults_->mark_down(member, FaultClass::kRack)) apply_server_down(member);
+          }
+          push_machine_event(faults_->rack_repair_delay(), MachineEv::kRackRepair, e.target);
+          break;
+        }
+        case MachineEv::kFailSlowRecover: {
+          ++result_.stats.events_fail_slow_recover;
+          cluster_.server(static_cast<std::size_t>(e.target)).set_slow_factor(1.0);
+          trace(TraceEv::kServerRestored, -1, -1, -1, -1, e.target);
+          if (scheduler_ != nullptr) scheduler_->on_server_restored(*this, e.target);
+          push_machine_event(faults_->fail_slow_onset_delay(), MachineEv::kFailSlowOnset,
+                             e.target);
+          break;
+        }
+        case MachineEv::kFailSlowOnset: {
+          ++result_.stats.events_fail_slow_onset;
+          const double factor = faults_->slowdown_factor();
+          cluster_.server(static_cast<std::size_t>(e.target)).set_slow_factor(factor);
+          trace(TraceEv::kServerDegraded, -1, -1, -1, -1, e.target,
+                static_cast<std::int64_t>(factor * 100.0));
+          if (scheduler_ != nullptr) scheduler_->on_server_degraded(*this, e.target, factor);
+          push_machine_event(faults_->fail_slow_recovery_delay(), MachineEv::kFailSlowRecover,
+                             e.target);
+          break;
+        }
       }
-      case EvKind::kFailSlowRecover: {
-        ++result_.stats.events_fail_slow_recover;
-        cluster_.server(static_cast<std::size_t>(e.server)).set_slow_factor(1.0);
-        trace(TraceEv::kServerRestored, -1, -1, -1, -1, e.server);
-        if (scheduler_ != nullptr) scheduler_->on_server_restored(*this, e.server);
-        push_machine_event(faults_->fail_slow_onset_delay(), EvKind::kFailSlowOnset,
-                           e.server);
-        break;
-      }
-      case EvKind::kFailSlowOnset: {
-        ++result_.stats.events_fail_slow_onset;
-        const double factor = faults_->slowdown_factor();
-        cluster_.server(static_cast<std::size_t>(e.server)).set_slow_factor(factor);
-        trace(TraceEv::kServerDegraded, -1, -1, -1, -1, e.server,
-              static_cast<std::int64_t>(factor * 100.0));
-        if (scheduler_ != nullptr) scheduler_->on_server_degraded(*this, e.server, factor);
-        push_machine_event(faults_->fail_slow_recovery_delay(), EvKind::kFailSlowRecover,
-                           e.server);
-        break;
-      }
-      default:
-        break;  // unreachable: group 0 holds only the kinds above
     }
   }
 }
@@ -1043,7 +1036,7 @@ void SimCore::inject_copy_fault() {
   }
   // Re-arm the cluster-wide timer whether or not a victim existed, so the
   // process keeps ticking through idle stretches.
-  push_machine_event(faults_->copy_fault_delay(), EvKind::kCopyFault, kInvalidServer);
+  push_copy_fault(now_ + faults_->copy_fault_delay());
 }
 
 // ---- per-slot draining -----------------------------------------------------
@@ -1072,7 +1065,7 @@ void SimCore::drain_completions() {
       continue;  // a timer's only effect is that this slot is visited
     }
     if (e.kind == EvKind::kCopyFault) {
-      // Sorts after machine events and before completions at a slot: a
+      // Pops after the slot's machine events and before its completions: a
       // victim's same-slot natural finish is stale by the time it pops.
       inject_copy_fault();
       continue;
@@ -1169,13 +1162,15 @@ void SimCore::save_state(StateWriter& w) const {
     w.i32(static_cast<std::int32_t>(j - jobs_.data()));
   }
 
-  // The heap array as it stands: re-pushing it in this order rebuilds the
-  // identical array (every element already sits below its parent), and the
-  // comparator is a total order over every payload field, so the pop
-  // sequence is the uninterrupted run's (docs/ALGORITHMS.md §19).
+  // The heap array as it stands, then the machine queue's floor and its
+  // buckets in order.  Re-pushing both in stored order rebuilds the
+  // identical array (every element already sits below its parent) and the
+  // identical buckets (each event lands where it was), and both orders are
+  // total over every payload field, so the pop sequence is the
+  // uninterrupted run's (docs/ALGORITHMS.md §19).
   w.section(kTagHeap);
-  w.u64(events_.size());
-  for (const SimEvent& e : events_) w.pod(e);
+  w.pod_vec(events_);
+  machine_.save_state(w);
 
   w.b(rec_ != nullptr);
   if (rec_) {
@@ -1197,6 +1192,59 @@ void SimCore::save_state(StateWriter& w) const {
   const std::size_t before = w.size();
   scheduler_->save_state(w);
   w.patch_u64(len_at, w.size() - before);
+}
+
+void SimCore::validate_event(const SimEvent& e,
+                             const std::vector<std::uint8_t>& free_slots) const {
+  const auto reject = [](const std::string& what) {
+    throw std::runtime_error("snapshot: event " + what);
+  };
+  const auto kind = static_cast<int>(e.kind);
+  if (kind >= kEvKinds) {
+    reject("kind " + std::to_string(kind) + " outside the " + std::to_string(kEvKinds) +
+           " kinds");
+  }
+  if (e.slot <= now_) {
+    reject("slot " + std::to_string(e.slot) + " not after the saved clock " +
+           std::to_string(now_));
+  }
+  if (e.kind != EvKind::kCompletion) {
+    // Timers and the copy-fault timer carry nothing but their slot.
+    if (e.job_index != -1 || e.phase != -1 || e.task != -1 || e.copy != -1 ||
+        e.generation != 0) {
+      reject("timer of kind " + std::to_string(kind) + " carries a job payload");
+    }
+    if (e.kind == EvKind::kCopyFault && !faults_) {
+      reject("copy-fault timer without a fault engine");
+    }
+    return;
+  }
+  if (e.job_index < 0 || static_cast<std::size_t>(e.job_index) >= jobs_.size()) {
+    reject("job index " + std::to_string(e.job_index) + " outside the " +
+           std::to_string(jobs_.size()) + " job slots");
+  }
+  const auto slot = static_cast<std::size_t>(e.job_index);
+  if (free_slots[slot] != 0) {
+    reject("job index " + std::to_string(slot) + " names a recycled slot");
+  }
+  const JobRuntime& job = jobs_[slot];
+  if (e.phase < 0 || static_cast<std::size_t>(e.phase) >= job.phases.size()) {
+    reject("phase " + std::to_string(e.phase) + " outside job slot " + std::to_string(slot) +
+           "'s " + std::to_string(job.phases.size()) + " phases");
+  }
+  const PhaseRuntime& phase = job.phases[static_cast<std::size_t>(e.phase)];
+  if (e.task < 0 || static_cast<std::size_t>(e.task) >= phase.tasks.size()) {
+    reject("task " + std::to_string(e.task) + " outside phase " + std::to_string(e.phase) +
+           "'s " + std::to_string(phase.tasks.size()) + " tasks");
+  }
+  // A finished job's copy storage is released; its events pop as stale
+  // without reading it.
+  const std::size_t copies = phase.tasks[static_cast<std::size_t>(e.task)].copies.size();
+  if (!job.finished &&
+      (e.copy < -1 || (e.copy >= 0 && static_cast<std::size_t>(e.copy) >= copies))) {
+    reject("copy " + std::to_string(e.copy) + " outside the task's " + std::to_string(copies) +
+           " copies");
+  }
 }
 
 std::vector<const JobSpec*> SimCore::job_spec_pointers() const {
@@ -1280,27 +1328,37 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   for (auto& job : active_) job = jobs_.data() + job_slot(r.i32(), "active");
 
   r.section(kTagHeap);
+  std::vector<SimEvent> stored;
+  r.pod_vec(stored);
+  const std::vector<std::uint8_t> free_slots = store_.free_mask();
+  std::size_t timers = 0;
   events_.clear();
-  const std::size_t event_count = r.count("event", 4 + sizeof(SimEvent));
-  for (std::size_t i = 0; i < event_count; ++i) {
-    SimEvent e;
-    r.pod(e);
-    if (e.job_index != -1) (void)job_slot(e.job_index, "event");
-    // Rack events carry a rack index in `server`.
-    const bool rack_event =
-        e.kind == EvKind::kRackRepair || e.kind == EvKind::kRackFailure;
-    const std::size_t servers =
-        rack_event ? static_cast<std::size_t>(faults_ ? faults_->rack_count() : 0)
-                   : cluster_.size();
-    if (e.server != kInvalidServer &&
-        (e.server < 0 || static_cast<std::size_t>(e.server) >= servers)) {
-      const std::string unit = rack_event ? "rack" : "server";
-      throw std::runtime_error("snapshot: event " + unit + " " +
-                               std::to_string(e.server) + " outside the " +
-                               std::to_string(servers) + " " + unit + "s");
-    }
+  events_.reserve(stored.size());
+  for (const SimEvent& e : stored) {
+    validate_event(e, free_slots);
+    if (e.kind == EvKind::kTimer) ++timers;
     push_event(e);
   }
+  if (timers != pending_timer_count_) {
+    throw std::runtime_error("snapshot: " + std::to_string(timers) +
+                             " timer events but a pending timer count of " +
+                             std::to_string(pending_timer_count_));
+  }
+  // Each live job counts its queued completions (the recycling guard).
+  std::vector<std::int64_t> queued(jobs_.size(), 0);
+  for (const SimEvent& e : events_) {
+    if (e.kind == EvKind::kCompletion) ++queued[static_cast<std::size_t>(e.job_index)];
+  }
+  for (std::size_t i = 0; i < jobs_.size(); ++i) {
+    if (queued[i] != jobs_[i].pending_events) {
+      throw std::runtime_error("snapshot: job slot " + std::to_string(i) + " has " +
+                               std::to_string(queued[i]) + " queued completions but counts " +
+                               std::to_string(jobs_[i].pending_events));
+    }
+  }
+  // Without a fault engine no machine event may exist: zero targets.
+  machine_.load_state(r, now_, faults_ ? cluster_.size() : 0,
+                      faults_ ? static_cast<std::size_t>(faults_->rack_count()) : 0);
 
   const bool had_recorder = r.b();
   std::uint64_t rec_records = 0;

@@ -7,7 +7,8 @@
 // std::runtime_error instead of a length_error, a huge allocation or a wild
 // write.  The first group pins one regression per decoder site; the mutation
 // fuzz then throws a few thousand re-sealed mutations of real mid-run
-// SimCore and Session snapshots at the loaders.
+// SimCore and Session snapshots at the loaders, and one fuzz confined to the
+// event blocks runs every mutation that loads to the end of its run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
@@ -270,22 +272,86 @@ TEST(CheckpointDecoders, SimCoreRejectsActiveJobIndexOutOfRange) {
   expect_rejected([&] { load_core(seal(payload)); }, "active job index -7");
 }
 
-/// Rewrite the first heap event that `pick` accepts with `edit`.
-template <typename Pick, typename Edit>
-std::vector<std::uint8_t> edit_first_event(Pick&& pick, Edit&& edit) {
-  auto payload = payload_of(core_snapshot());
+// ---- the HEAP section's two event blocks -----------------------------------
+
+/// Payload offsets inside the HEAP section: the main heap's SimEvent array
+/// and the machine queue's floor and MachineEvent array.  Each array is a
+/// pod_vec block (u32 record size, u64 count, records).
+struct EventBlocks {
+  std::size_t heap = 0;  ///< first SimEvent
+  std::uint64_t heap_count = 0;
+  std::size_t floor = 0;    ///< the machine queue's i64 floor
+  std::size_t machine = 0;  ///< first MachineEvent
+  std::uint64_t machine_count = 0;
+  std::size_t end = 0;  ///< one past the last MachineEvent
+};
+
+EventBlocks event_blocks(const std::vector<std::uint8_t>& payload) {
+  EventBlocks b;
   const std::size_t at = after_section(payload, kTagHeap);
-  const auto count = read_at<std::uint64_t>(payload, at);
+  b.heap_count = read_at<std::uint64_t>(payload, at + 4);
+  b.heap = at + 4 + 8;
+  b.floor = b.heap + b.heap_count * sizeof(SimEvent);
+  b.machine_count = read_at<std::uint64_t>(payload, b.floor + 8 + 4);
+  b.machine = b.floor + 8 + 4 + 8;
+  b.end = b.machine + b.machine_count * sizeof(MachineEvent);
+  return b;
+}
+
+/// Rewrite the first event of type `Event` (SimEvent: the main heap,
+/// MachineEvent: the machine queue) that `pick` accepts with `edit`.
+template <typename Event, typename Pick, typename Edit>
+std::vector<std::uint8_t> edit_first(const std::vector<std::uint8_t>& snapshot, Pick&& pick,
+                                     Edit&& edit) {
+  auto payload = payload_of(snapshot);
+  const EventBlocks b = event_blocks(payload);
+  constexpr bool machine = std::is_same_v<Event, MachineEvent>;
+  const std::size_t first = machine ? b.machine : b.heap;
+  const std::uint64_t count = machine ? b.machine_count : b.heap_count;
   for (std::uint64_t i = 0; i < count; ++i) {
-    const std::size_t record = at + 8 + i * (4 + sizeof(SimEvent)) + 4;
-    auto e = read_at<SimEvent>(payload, record);
+    const std::size_t record = first + i * sizeof(Event);
+    auto e = read_at<Event>(payload, record);
     if (!pick(e)) continue;
     edit(e);
     write_at(payload, record, e);
     return seal(payload);
   }
-  ADD_FAILURE() << "no matching event in the snapshot's heap";
+  ADD_FAILURE() << "no matching event in the snapshot";
   return seal(payload);
+}
+
+template <typename Pick, typename Edit>
+std::vector<std::uint8_t> edit_first_event(Pick&& pick, Edit&& edit) {
+  return edit_first<SimEvent>(core_snapshot(), pick, edit);
+}
+
+template <typename Pick, typename Edit>
+std::vector<std::uint8_t> edit_first_machine_event(Pick&& pick, Edit&& edit) {
+  return edit_first<MachineEvent>(core_snapshot(), pick, edit);
+}
+
+/// The saved clock: the CORE section's first field.
+SimTime saved_clock() {
+  const auto payload = payload_of(core_snapshot());
+  return read_at<SimTime>(payload, 4);
+}
+
+/// Job slots of the snapshot's active (arrived, unfinished) jobs.
+std::vector<std::int32_t> active_slots() {
+  const auto payload = payload_of(core_snapshot());
+  const std::size_t at = after_section(payload, kTagArrivals);
+  const std::size_t active = at + 8 + 4 * read_at<std::uint64_t>(payload, at);
+  std::vector<std::int32_t> slots(read_at<std::uint64_t>(payload, active));
+  for (std::size_t i = 0; i < slots.size(); ++i) {
+    slots[i] = read_at<std::int32_t>(payload, active + 8 + 4 * i);
+  }
+  return slots;
+}
+
+bool is_completion_of_active_job(const SimEvent& e) {
+  const auto active = active_slots();
+  return e.kind == EvKind::kCompletion &&
+         std::find(active.begin(), active.end(), e.job_index) != active.end();
 }
 
 TEST(CheckpointDecoders, SimCoreRejectsEventJobIndexOutOfRange) {
@@ -294,14 +360,197 @@ TEST(CheckpointDecoders, SimCoreRejectsEventJobIndexOutOfRange) {
   expect_rejected([&] { load_core(bytes); }, "event job index 1048576");
 }
 
-TEST(CheckpointDecoders, SimCoreRejectsEventServerOutOfRange) {
+TEST(CheckpointDecoders, SimCoreRejectsCompletionWithoutAJobSlot) {
   const auto bytes = edit_first_event(
-      [](const SimEvent& e) {
-        return e.server >= 0 && e.kind != EvKind::kRackRepair &&
-               e.kind != EvKind::kRackFailure;
+      [](const SimEvent& e) { return e.kind == EvKind::kCompletion; },
+      [](SimEvent& e) { e.job_index = -1; });
+  expect_rejected([&] { load_core(bytes); }, "event job index -1 outside the");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsEventKindOutOfRange) {
+  const auto bytes = edit_first_event([](const SimEvent&) { return true; },
+                                      [](SimEvent& e) { e.kind = static_cast<EvKind>(3); });
+  expect_rejected([&] { load_core(bytes); }, "event kind 3 outside the 3 kinds");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsEventPhaseOutsideTheJob) {
+  const auto bytes = edit_first_event(
+      [](const SimEvent& e) { return e.kind == EvKind::kCompletion; },
+      [](SimEvent& e) { e.phase = 1 << 20; });
+  expect_rejected([&] { load_core(bytes); }, "event phase 1048576 outside job slot");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsEventTaskOutsideThePhase) {
+  const auto bytes = edit_first_event(
+      [](const SimEvent& e) { return e.kind == EvKind::kCompletion; },
+      [](SimEvent& e) { e.task = 1 << 20; });
+  expect_rejected([&] { load_core(bytes); }, "event task 1048576 outside phase");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsEventCopyOutsideTheTask) {
+  for (const std::int32_t copy : {1 << 20, -2}) {
+    const auto bytes = edit_first_event(is_completion_of_active_job,
+                                        [&](SimEvent& e) { e.copy = copy; });
+    expect_rejected([&] { load_core(bytes); },
+                    "event copy " + std::to_string(copy) + " outside the task's");
+  }
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsTimerCarryingAJobPayload) {
+  const auto bytes = edit_first_event(
+      [](const SimEvent& e) { return e.kind != EvKind::kCompletion; },
+      [](SimEvent& e) { e.task = 0; });
+  expect_rejected([&] { load_core(bytes); }, "carries a job payload");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsEventDueAtTheSavedClock) {
+  const SimTime now = saved_clock();
+  ASSERT_GT(now, 0);
+  const auto heap = edit_first_event([](const SimEvent&) { return true; },
+                                     [&](SimEvent& e) { e.slot = now; });
+  expect_rejected([&] { load_core(heap); },
+                  "event slot " + std::to_string(now) + " not after the saved clock");
+  // A machine event due at the clock: the floor goes with it, so the clock
+  // check is the one that fires.
+  auto payload = payload_of(core_snapshot());
+  const EventBlocks b = event_blocks(payload);
+  ASSERT_GT(b.machine_count, 0u);
+  write_at(payload, b.floor, now);
+  auto e = read_at<MachineEvent>(payload, b.machine);
+  e.slot = now;
+  write_at(payload, b.machine, e);
+  expect_rejected([&] { load_core(seal(payload)); },
+                  "event slot " + std::to_string(now) + " not after the saved clock");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsTimerCountMismatch) {
+  auto payload = payload_of(core_snapshot());
+  // CORE: now, first_visit, streaming, jobs_remaining, active copies and
+  // three invocation flags precede the pending timer count.
+  write_at(payload, 4 + 8 + 1 + 1 + 4 + 8 + 1 + 1 + 1, std::uint64_t{99});
+  expect_rejected([&] { load_core(seal(payload)); }, "pending timer count of 99");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsCompletionCountMismatch) {
+  // Move one completion to another live job: both slots' counts go wrong.
+  const auto active = active_slots();
+  ASSERT_GE(active.size(), 2u);
+  const auto bytes = edit_first_event(is_completion_of_active_job, [&](SimEvent& e) {
+    e.job_index = e.job_index == active[0] ? active[1] : active[0];
+    e.phase = 0;
+    e.task = 0;
+    e.copy = -1;
+  });
+  expect_rejected([&] { load_core(bytes); }, "queued completions but counts");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsCompletionOnARecycledSlot) {
+  // A streaming core recycles a finished job's slot once its last event
+  // drains; no event may name that slot again.
+  TraceModelConfig mix;
+  mix.max_tasks_per_phase = 12;
+  TraceModel model(mix, 5);
+  std::vector<JobSpec> jobs = model.sample_jobs(40);
+  assign_poisson_arrivals(jobs, 8.0, 9);
+  SimCore core(Cluster::paper30(), fuzz_config());
+  core.set_streaming(true);
+  core.ingest(jobs);
+  const auto policy = fuzz_policy();
+  core.begin(*policy);
+  std::vector<double> arrivals;
+  for (const JobSpec& j : jobs) arrivals.push_back(j.arrival_seconds);
+  std::sort(arrivals.begin(), arrivals.end());
+  (void)core.step_until(static_cast<SimTime>(arrivals[arrivals.size() / 2] /
+                                             fuzz_config().slot_seconds));
+  std::vector<RecycledJob> recycled;
+  core.take_recycled(recycled);
+  ASSERT_FALSE(recycled.empty());
+  StateWriter w;
+  core.save_state(w);
+  // One ingest call: a job's slot is its ingest sequence number.
+  const auto slot = static_cast<std::int32_t>(recycled.front().ingest_seq);
+  const auto bytes = edit_first<SimEvent>(
+      w.finish(), [](const SimEvent& e) { return e.kind == EvKind::kCompletion; },
+      [&](SimEvent& e) { e.job_index = slot; });
+  expect_rejected([&] { load_core(bytes); },
+                  "event job index " + std::to_string(slot) + " names a recycled slot");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsCopyFaultWithoutAFaultEngine) {
+  SimConfig healthy = fuzz_config();
+  healthy.failures = {};
+  healthy.faults = {};
+  TraceModelConfig mix;
+  mix.max_tasks_per_phase = 12;
+  TraceModel model(mix, 5);
+  std::vector<JobSpec> jobs = model.sample_jobs(10);
+  assign_poisson_arrivals(jobs, 8.0, 9);
+  SimCore core(Cluster::paper30(), healthy);
+  core.ingest(jobs);
+  const auto policy = fuzz_policy();
+  core.begin(*policy);
+  (void)core.step_until(static_cast<SimTime>(jobs[5].arrival_seconds / healthy.slot_seconds));
+  StateWriter w;
+  core.save_state(w);
+  const auto bytes = edit_first<SimEvent>(
+      w.finish(), [](const SimEvent& e) { return e.kind == EvKind::kCompletion; },
+      [](SimEvent& e) { e = SimEvent{e.slot, EvKind::kCopyFault}; });
+  expect_rejected(
+      [&] {
+        SimCore restored(Cluster::paper30(), healthy);
+        const auto fresh = fuzz_policy();
+        restored.begin(*fresh);
+        StateReader r(bytes);
+        restored.load_state(r, /*load_scheduler=*/true);
       },
-      [](SimEvent& e) { e.server = 30; });
+      "copy-fault timer without a fault engine");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsEventServerOutOfRange) {
+  const auto bytes = edit_first_machine_event(
+      [](const MachineEvent& e) {
+        return e.kind != MachineEv::kRackRepair && e.kind != MachineEv::kRackFailure;
+      },
+      [](MachineEvent& e) { e.target = 30; });
   expect_rejected([&] { load_core(bytes); }, "event server 30 outside the 30 servers");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsEventRackOutOfRange) {
+  const int racks = Cluster::paper30().rack_count();
+  const auto bytes = edit_first_machine_event(
+      [](const MachineEvent& e) {
+        return e.kind == MachineEv::kRackRepair || e.kind == MachineEv::kRackFailure;
+      },
+      [&](MachineEvent& e) { e.target = racks; });
+  expect_rejected([&] { load_core(bytes); },
+                  "event rack " + std::to_string(racks) + " outside the " +
+                      std::to_string(racks) + " racks");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsMachineEventKindOutOfRange) {
+  const auto bytes = edit_first_machine_event(
+      [](const MachineEvent&) { return true; },
+      [](MachineEvent& e) { e.kind = static_cast<MachineEv>(6); });
+  expect_rejected([&] { load_core(bytes); }, "machine event kind 6 outside the 6 kinds");
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsMachineEventBeforeTheFloor) {
+  auto payload = payload_of(core_snapshot());
+  const EventBlocks b = event_blocks(payload);
+  ASSERT_GT(b.machine_count, 0u);
+  const SimTime floor = read_at<SimTime>(payload, b.floor);
+  auto e = read_at<MachineEvent>(payload, b.machine);
+  e.slot = floor - 1;
+  write_at(payload, b.machine, e);
+  expect_rejected([&] { load_core(seal(payload)); },
+                  "machine event slot " + std::to_string(floor - 1) +
+                      " before the queue floor " + std::to_string(floor));
+}
+
+TEST(CheckpointDecoders, SimCoreRejectsNegativeMachineQueueFloor) {
+  auto payload = payload_of(core_snapshot());
+  write_at(payload, event_blocks(payload).floor, SimTime{-1});
+  expect_rejected([&] { load_core(seal(payload)); }, "machine queue floor -1 is negative");
 }
 
 TEST(CheckpointDecoders, ServerTableRejectsRackOutOfRange) {
@@ -413,6 +662,56 @@ TEST(CheckpointFuzz, SimCoreSnapshotMutationsLoadOrThrowRuntimeError) {
   // most break a decoder.
   EXPECT_GT(tally.loaded, 0);
   EXPECT_GT(tally.rejected, tally.loaded);
+}
+
+TEST(CheckpointFuzz, EventBlockMutationsRejectOrRunToTheEnd) {
+  // Mutations confined to the HEAP section's two event blocks (counts,
+  // events and the machine queue's floor), each loaded mutation then run to
+  // its end: a decoder that lets a bad event through shows up as a crash or
+  // a sanitizer report in the run, not at load.
+  const std::vector<std::uint8_t> payload = payload_of(core_snapshot());
+  const EventBlocks b = event_blocks(payload);
+  const std::size_t first = b.heap - 8;  // the heap's event count
+  Rng rng(0xE7E47);
+  int rejected = 0;
+  int ran = 0;
+  std::vector<std::string> escaped;
+  for (int i = 0; i < 1000; ++i) {
+    std::vector<std::uint8_t> m = payload;
+    if (rng.chance(0.5)) {
+      m[first + rng.below(b.end - first)] ^= static_cast<std::uint8_t>(1u << rng.below(8));
+    } else {
+      static constexpr std::uint32_t kBoundary[] = {0, ~0u, 0x7FFFFFFFu, 0x80000000u, 1u, 31u};
+      write_at(m, first + rng.below(b.end - first - 3), kBoundary[rng.below(6)]);
+    }
+    SimCore core(Cluster::paper30(), fuzz_config());
+    const auto policy = fuzz_policy();
+    core.begin(*policy);
+    try {
+      const auto bytes = seal(m);
+      StateReader r(bytes);
+      core.load_state(r, /*load_scheduler=*/true);
+    } catch (const std::runtime_error& e) {
+      if (std::string(e.what()).rfind("snapshot: ", 0) == 0) {
+        ++rejected;
+      } else {
+        escaped.push_back("case " + std::to_string(i) + ": " + e.what());
+      }
+      continue;
+    } catch (const std::exception& e) {
+      escaped.push_back("case " + std::to_string(i) + ": " + e.what());
+      continue;
+    }
+    try {
+      (void)core.step_until(SimCore::kUnbounded);
+    } catch (const std::exception&) {
+      // A run that throws (a stall, the max_slots valve) ends cleanly.
+    }
+    ++ran;
+  }
+  EXPECT_TRUE(escaped.empty()) << escaped.size() << " escaped, first: " << escaped.front();
+  EXPECT_GT(ran, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 ServiceConfig fuzz_service_config() {

@@ -145,9 +145,10 @@ TEST(StateIo, PayloadsOfEveryLengthUpTo100RoundTrip) {
 }
 
 TEST(StateIo, RejectsVersionOneEnvelope) {
-  // Version-1 and version-2 files: the current layout with an old version
-  // number (version 3 dropped two SimCore streaming flags).
-  for (const std::uint32_t version : {1u, 2u}) {
+  // Version-1 to version-3 files: the current layout with an old version
+  // number (version 3 dropped two SimCore streaming flags, version 4 moved
+  // machine events into their own queue).
+  for (const std::uint32_t version : {1u, 2u, 3u}) {
     auto bytes = sample_envelope();
     std::memcpy(bytes.data() + 9, &version, sizeof(version));
     try {

@@ -190,7 +190,11 @@ Options parse_options(int argc, char** argv) {
     const std::string& arg = args[static_cast<std::size_t>(i)];
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--cluster") opt.cluster = need_value(i);
-    else if (arg == "--policy") opt.policy = need_value(i);
+    else if (arg == "--policy") {
+      // Checked here, so a bad name is a usage error like in the other tools.
+      opt.policy = need_value(i);
+      (void)cli::parse_with("--policy", [&] { return named_policy_factory(opt.policy); });
+    }
     else if (arg == "--rate") opt.rate = cli::parse_flag("--rate", need_value(i), 0.0);
     else if (arg == "--diurnal") {
       const auto parts = cli::split(need_value(i), ':');

@@ -38,7 +38,9 @@
 //     --verify-replay    run the config twice and fail on any divergence
 //                        (exit 1), reporting the first divergent record
 //     --compare          run ALL schedulers on the workload (paired) and
-//                        print a comparison table instead of one summary
+//                        print a comparison table instead of one summary;
+//                        --straggler-aware and --resilience apply to its
+//                        DollyMP rows, and --scheduler is an error
 //     --quiet            summary line only
 //     --help
 //
@@ -80,6 +82,7 @@ using namespace dollymp;
 struct Options {
   std::optional<std::string> cluster;  ///< absent: paper30, or gpu with --gpus
   std::string scheduler = "dollymp2";
+  bool scheduler_set = false;  ///< --compare runs every policy and takes none
   int jobs = 200;
   double gap = 20.0;
   int gpus = 0;
@@ -119,7 +122,8 @@ struct Options {
       "                   [--weibull SHAPE] [--resilience]\n"
       "                   [--out FILE] [--compare] [--quiet]\n"
       "\n"
-      "--straggler-aware and --resilience apply to the dollymp<K> schedulers only.\n"
+      "--straggler-aware and --resilience apply to the dollymp<K> schedulers only\n"
+      "(with --compare, to its DollyMP rows); --compare takes no --scheduler.\n"
       "\n"
       "flight recorder / tracing (flags also accept --flag=value):\n"
       "  --trace-out FILE     record the run and write Chrome trace JSON with\n"
@@ -161,7 +165,10 @@ Options parse_options(int argc, char** argv) {
     const std::string& arg = args[static_cast<std::size_t>(i)];
     if (arg == "--help" || arg == "-h") usage(0);
     else if (arg == "--cluster") opt.cluster = need_value(i);
-    else if (arg == "--scheduler") opt.scheduler = need_value(i);
+    else if (arg == "--scheduler") {
+      opt.scheduler = need_value(i);
+      opt.scheduler_set = true;
+    }
     else if (arg == "--jobs") opt.jobs = cli::parse_flag("--jobs", need_value(i), 1);
     else if (arg == "--gap") opt.gap = cli::parse_flag("--gap", need_value(i), 0.0);
     else if (arg == "--gpus") opt.gpus = cli::parse_flag("--gpus", need_value(i), 0);
@@ -214,6 +221,9 @@ Options parse_options(int argc, char** argv) {
       std::cerr << cli::unknown_flag_message(arg, kKnownFlags) << "\n";
       usage(2);
     }
+  }
+  if (opt.compare && opt.scheduler_set) {
+    cli::exit_usage_error("--compare runs every policy; drop --scheduler");
   }
   return opt;
 }
@@ -300,9 +310,11 @@ int main(int argc, char** argv) {
     spec.config = config;
     spec.jobs = jobs;
     std::vector<ComparisonEntry> entries;
-    for (const char* key :
+    for (const std::string key :
          {"capacity", "drf", "tetris", "carbyne", "srpt", "svf", "dollymp0", "dollymp2"}) {
-      entries.push_back({key, named_policy_factory(key)});
+      const bool dollymp_row = key.starts_with("dollymp");
+      entries.push_back(
+          {key, named_policy_factory(key, dollymp_row ? dollymp : std::nullopt)});
     }
     ThreadPool pool;
     const auto results = run_comparison(spec, entries, &pool);

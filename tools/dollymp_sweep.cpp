@@ -91,14 +91,6 @@ struct Options {
   std::exit(code);
 }
 
-/// cli::split keeps empty tokens (getline semantics); the sweep's list
-/// flags historically tolerate stray commas, so drop empties here.
-std::vector<std::string> split(const std::string& text, char sep) {
-  std::vector<std::string> parts = cli::split(text, sep);
-  std::erase_if(parts, [](const std::string& part) { return part.empty(); });
-  return parts;
-}
-
 /// --threads ceiling: far above any core count, far below what would
 /// exhaust the process table.
 constexpr int kMaxThreads = 1024;
@@ -165,7 +157,7 @@ int main(int argc, char** argv) {
   assign_poisson_arrivals(spec.jobs, opt.gap, opt.seed);
   if (opt.gpus > 0) append_mltrain_mix(spec.jobs, opt.gpus, opt.gap, opt.seed + 2);
 
-  for (const auto& name : split(opt.policies, ',')) {
+  for (const auto& name : cli::split(opt.policies, ',')) {
     spec.policies.push_back(
         {name, cli::parse_with("--policies", [&] { return named_policy_factory(name); })});
   }
@@ -173,12 +165,12 @@ int main(int argc, char** argv) {
     std::cerr << "--policies selected nothing\n";
     usage(2);
   }
-  for (const auto& name : split(opt.faults, ',')) {
+  for (const auto& name : cli::split(opt.faults, ',')) {
     spec.fault_presets.push_back(
         cli::parse_with("--faults", [&] { return make_fault_preset(name); }));
   }
   if (!opt.seeds.empty()) {
-    for (const auto& s : split(opt.seeds, ',')) {
+    for (const auto& s : cli::split(opt.seeds, ',')) {
       spec.seeds.push_back(cli::parse_flag("--seeds", s, std::uint64_t{0}));
     }
   } else {
