@@ -150,9 +150,7 @@ void sigma_factor_ablation() {
     DollyMPConfig dc;
     dc.sigma_factor = r;
     DollyMPScheduler scheduler(dc);
-    SimConfig config = deployment_config(55);
-    config.sigma_factor = r;
-    const SimResult result = simulate(cluster, config, jobs, scheduler);
+    const SimResult result = simulate(cluster, deployment_config(55), jobs, scheduler);
     table.add_labeled_row(ConsoleTable::format_double(r, 1),
                           {result.total_flowtime(), result.mean_flowtime()}, 0);
   }

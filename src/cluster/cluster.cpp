@@ -110,15 +110,9 @@ void Cluster::reset_allocations() {
 }
 
 Cluster Cluster::from_spec(const std::string& spec) {
-  // Split on every ':' and keep empty fields, so "google-trace:" is a
-  // missing count rather than a bare "google-trace".
-  std::vector<std::string> fields;
-  for (std::size_t start = 0;;) {
-    const std::size_t colon = spec.find(':', start);
-    fields.push_back(spec.substr(start, colon - start));
-    if (colon == std::string::npos) break;
-    start = colon + 1;
-  }
+  // Empty fields are kept, so "google-trace:" is a missing count rather
+  // than a bare "google-trace".
+  const std::vector<std::string> fields = cli::split(spec, ':');
   const std::string& form = fields[0];
   const auto servers = [&](std::size_t fallback) {
     if (fields.size() == 1) return fallback;

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <fstream>
 #include <iostream>
-#include <sstream>
 
 namespace dollymp::cli {
 
@@ -25,9 +25,21 @@ std::vector<std::string> normalize_args(int argc, char** argv) {
 
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;
-  std::stringstream ss(text);
-  std::string token;
-  while (std::getline(ss, token, sep)) parts.push_back(token);
+  for (std::size_t start = 0;;) {
+    const std::size_t at = text.find(sep, start);
+    parts.push_back(text.substr(start, at - start));
+    if (at == std::string::npos) return parts;
+    start = at + 1;
+  }
+}
+
+std::vector<std::string> split_n(const std::string& text, char sep, std::size_t count) {
+  std::vector<std::string> parts = split(text, sep);
+  if (parts.size() != count) {
+    throw std::invalid_argument("'" + text + "' has " + std::to_string(parts.size()) +
+                                " '" + sep + "'-separated items, wants " +
+                                std::to_string(count));
+  }
   return parts;
 }
 
@@ -77,6 +89,64 @@ std::string unknown_flag_message(const std::string& flag,
   const std::string suggestion = closest_flag(flag, known);
   if (!suggestion.empty()) message += " (did you mean " + suggestion + "?)";
   return message;
+}
+
+void write_file(const std::string& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  if (!out || !out.write(text.data(), static_cast<std::streamsize>(text.size()))) {
+    throw std::runtime_error("cannot write " + path);
+  }
+}
+
+std::string help(const std::string& about, const std::vector<Flag>& flags) {
+  const auto head = [](const Flag& flag) {
+    return flag.value.empty() ? flag.name : flag.name + " " + flag.value;
+  };
+  std::size_t width = std::string("--help").size();
+  for (const Flag& flag : flags) width = std::max(width, head(flag).size());
+  std::string out = about + "\n\nflags (--flag VALUE or --flag=VALUE):\n";
+  const auto line = [&](const std::string& left, const std::string& text) {
+    out += "  " + left + std::string(width + 2 - left.size(), ' ') + text + "\n";
+  };
+  for (const Flag& flag : flags) line(head(flag), flag.help);
+  line("--help", "print this help and exit");
+  return out;
+}
+
+void parse(int argc, char** argv, const std::string& about, const std::vector<Flag>& flags) {
+  const std::vector<std::string> args = normalize_args(argc, argv);
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg == "--help" || arg == "-h") {
+      std::cout << help(about, flags);
+      std::exit(0);
+    }
+    const auto row = std::find_if(flags.begin(), flags.end(),
+                                  [&](const Flag& flag) { return flag.name == arg; });
+    if (row == flags.end()) {
+      std::vector<std::string> known{"--help"};
+      for (const Flag& flag : flags) known.push_back(flag.name);
+      exit_usage_error(unknown_flag_message(arg, known));
+    }
+    std::string value;
+    if (!row->value.empty()) {
+      if (i + 1 >= args.size()) exit_usage_error("missing value for " + arg);
+      value = args[++i];
+    }
+    try {
+      row->set(value);
+    } catch (const std::invalid_argument& e) {
+      exit_usage_error(arg + ": " + e.what());
+    }
+  }
+}
+
+Setter set_true(bool& target) {
+  return [&target](const std::string&) { target = true; };
+}
+
+Setter set_text(std::string& target) {
+  return [&target](const std::string& text) { target = text; };
 }
 
 }  // namespace dollymp::cli

@@ -1,12 +1,18 @@
 #include "dollymp/common/experiment.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "dollymp/sim/simulator.h"
+#include "dollymp/workload/apps.h"
+#include "dollymp/workload/arrivals.h"
+#include "dollymp/workload/trace_io.h"
+#include "dollymp/workload/trace_model.h"
 
 namespace dollymp {
 
@@ -144,6 +150,113 @@ SweepFaultPreset make_fault_preset(const std::string& name) {
         "' (known: healthy, crash, rack, failslow, copyfault, all)");
   }
   return preset;
+}
+
+std::vector<cli::Flag> RunSpec::flags(const std::vector<std::string>& names) {
+  const auto seconds = [](const std::string& text) { return cli::parse_number("", text, 0.0); };
+  const auto show = [](double value) {
+    std::ostringstream os;
+    os << value;
+    return os.str();
+  };
+  // A row writing `config` validates it, so --slot 0 or a repair mean past
+  // the horizon is a usage error naming the flag, not a failed run.
+  const auto sim = [this](auto set) { return cli::validated(config, set); };
+  // An MTBF/MTTF/onset/mean of 0 turns its fault class off.
+  const std::vector<cli::Flag> table = {
+      {"--cluster", "SPEC",
+       "paper30 | google[:N] | google-trace[:N] | gpu[:N] | uniform:N:CPU:MEM (default " +
+           cluster.value_or("paper30, or gpu with --gpus") + ")",
+       [this](const std::string& text) { cluster = text; }},
+      {"--jobs", "N", "synthesize N trace-model jobs (default " + std::to_string(jobs) + ")",
+       cli::set_number(jobs, 1)},
+      {"--gap", "SECONDS", "mean Poisson inter-arrival gap (default " + show(gap) + ")",
+       cli::set_number(gap, 0.0)},
+      {"--gpus", "K",
+       "mix K gang-scheduled ML training jobs in, on the gpu fleet unless --cluster names one",
+       cli::set_number(gpus, 0)},
+      {"--trace", "FILE", "replay a trace CSV instead of synthesizing", cli::set_text(trace)},
+      {"--seed", "S",
+       "simulation seed, also of a synthesized workload (default " +
+           std::to_string(config.seed) + ")",
+       cli::set_number(config.seed, std::uint64_t{0})},
+      {"--slot", "SECONDS", "slot length (default " + show(config.slot_seconds) + ")",
+       sim([this, seconds](const std::string& text) { config.slot_seconds = seconds(text); })},
+      {"--failures", "MTBF:REPAIR", "machine crashes: mean seconds to failure and to repair",
+       sim([this, seconds](const std::string& text) {
+         const auto parts = cli::split_n(text, ':', 2);
+         FailureConfig& crash = config.failures;
+         crash.mean_time_to_failure_seconds = seconds(parts[0]);
+         crash.mean_repair_seconds = seconds(parts[1]);
+         crash.enabled = crash.mean_time_to_failure_seconds > 0.0;
+       })},
+      {"--rack-faults", "MTTF:REPAIR",
+       "rack-correlated outages: mean seconds to failure and repair",
+       sim([this, seconds](const std::string& text) {
+         const auto parts = cli::split_n(text, ':', 2);
+         RackFaultConfig& rack = config.faults.rack;
+         rack.time_to_failure.mean_seconds = seconds(parts[0]);
+         rack.repair.mean_seconds = seconds(parts[1]);
+         rack.enabled = rack.time_to_failure.mean_seconds > 0.0;
+       })},
+      {"--fail-slow", "ONSET:RECOVERY:FACTOR",
+       "fail-slow servers: mean seconds to onset and recovery, execution slowdown",
+       sim([this, seconds](const std::string& text) {
+         const auto parts = cli::split_n(text, ':', 3);
+         FailSlowConfig& slow = config.faults.fail_slow;
+         slow.time_to_onset.mean_seconds = seconds(parts[0]);
+         slow.recovery.mean_seconds = seconds(parts[1]);
+         slow.slowdown_factor = seconds(parts[2]);
+         slow.enabled = slow.time_to_onset.mean_seconds > 0.0;
+       })},
+      {"--copy-faults", "MEAN", "transient copy faults: mean seconds between",
+       sim([this, seconds](const std::string& text) {
+         config.faults.copy.inter_fault.mean_seconds = seconds(text);
+         config.faults.copy.enabled = config.faults.copy.inter_fault.mean_seconds > 0.0;
+       })},
+      {"--weibull", "SHAPE",
+       "draw every fault delay from a Weibull of this shape (k<1: infant mortality, "
+       "k>1: wear-out; 0: exponential)",
+       sim([this, seconds](const std::string& text) {
+         const double shape = seconds(text);
+         const FaultDelayDist dist = shape > 0.0 ? FaultDelayDist::kWeibull
+                                                 : FaultDelayDist::kExponential;
+         FaultConfig& faults = config.faults;
+         faults.crash_dist = dist;
+         faults.crash_weibull_shape = shape;
+         for (FaultDelaySpec* spec :
+              {&faults.rack.time_to_failure, &faults.rack.repair,
+               &faults.fail_slow.time_to_onset, &faults.fail_slow.recovery,
+               &faults.copy.inter_fault}) {
+           spec->dist = dist;
+           spec->weibull_shape = shape;
+         }
+       })},
+  };
+  std::vector<cli::Flag> rows;
+  for (const std::string& name : names) {
+    const auto row = std::find_if(table.begin(), table.end(),
+                                  [&](const cli::Flag& flag) { return flag.name == name; });
+    if (row == table.end()) throw std::logic_error("RunSpec::flags: no row " + name);
+    rows.push_back(*row);
+  }
+  return rows;
+}
+
+Cluster RunSpec::make_cluster() const {
+  return Cluster::from_spec(cluster.value_or(gpus > 0 ? "gpu" : "paper30"));
+}
+
+std::vector<JobSpec> RunSpec::make_jobs(std::uint64_t seed) const {
+  std::vector<JobSpec> out;
+  if (!trace.empty()) {
+    out = load_trace(trace);
+  } else {
+    out = TraceModel({}, seed).sample_jobs(jobs);
+    assign_poisson_arrivals(out, gap, seed + 1);
+  }
+  if (gpus > 0) append_mltrain_mix(out, gpus, gap, seed + 2);
+  return out;
 }
 
 MeanCi mean_ci95(const RunningStats& stats) {

@@ -1,19 +1,19 @@
 // Shared command-line plumbing for the dollymp_* tools.
 //
 // Every driver (dollymp_sim, dollymp_chaos, dollymp_sweep, dollymp_service)
-// speaks the same flag dialect: `--flag value` and `--flag=value` are
-// interchangeable, and an unknown flag is rejected with a did-you-mean
-// suggestion computed over the tool's known-flag list instead of a bare
-// "unknown option".  The helpers here are the one implementation of that
-// dialect; the tools keep their own flag dispatch (the flag sets differ)
-// but share normalization, value splitting, number parsing and the
-// rejection message.  Flag values with a grammar of their own (policy
-// names, cluster specs, fault presets) are parsed by the library, and
-// parse_with turns its errors into the same usage error.
+// lists each of its flags once, as a row of a table: name, value shape, one
+// line of help and a setter.  parse() owns the dialect: `--flag value` and
+// `--flag=value` are interchangeable, a missing value or an unknown flag
+// (with a did-you-mean suggestion over the table's names) is a usage error,
+// `--help` is generated from the rows, and a value the setter rejects exits
+// 2 naming the flag.  Flag values with a grammar of their own (policy names,
+// cluster specs, fault presets) are parsed by the library, whose
+// std::invalid_argument becomes that same usage error.
 #pragma once
 
 #include <charconv>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
@@ -30,8 +30,14 @@ namespace dollymp::cli {
 [[nodiscard]] std::vector<std::string> normalize_args(int argc, char** argv);
 
 /// Split on a separator (cluster specs like google:300, fault specs like
-/// MTBF:REPAIR).  An empty text yields one empty part, matching getline.
+/// MTBF:REPAIR, comma lists), keeping every item: "a,,b" has three items,
+/// "a," two and an empty text one empty item.
 [[nodiscard]] std::vector<std::string> split(const std::string& text, char sep);
+
+/// split() that requires exactly `count` items, else throws
+/// std::invalid_argument quoting `text`.
+[[nodiscard]] std::vector<std::string> split_n(const std::string& text, char sep,
+                                               std::size_t count);
 
 /// Levenshtein edit distance, the did-you-mean metric.
 [[nodiscard]] std::size_t edit_distance(const std::string& a, const std::string& b);
@@ -52,7 +58,7 @@ namespace dollymp::cli {
 ///   --jobs: 'abc' is not a number
 ///   --jobs: '-3' is outside [1, 2147483647]
 /// An empty `field` leaves the message starting at the quoted text, for
-/// library parsers whose caller names the flag (Cluster::from_spec).
+/// parsers whose caller names the flag (flag setters, Cluster::from_spec).
 template <typename T>
 [[nodiscard]] T parse_number(const std::string& field, const std::string& text,
                              T lo = std::numeric_limits<T>::lowest(),
@@ -77,20 +83,9 @@ template <typename T>
 /// Print `message` to stderr and exit 2, the tools' usage-error status.
 [[noreturn]] void exit_usage_error(const std::string& message);
 
-/// parse_number for a tool's command line: a bad value is a usage error.
-template <typename T>
-[[nodiscard]] T parse_flag(const std::string& field, const std::string& text, T lo,
-                           T hi = std::numeric_limits<T>::max()) {
-  try {
-    return parse_number(field, text, lo, hi);
-  } catch (const std::invalid_argument& e) {
-    exit_usage_error(e.what());
-  }
-}
-
-/// `parse()` for a tool's command line: the std::invalid_argument a library
-/// parser throws (Cluster::from_spec, make_named_policy, make_fault_preset)
-/// becomes a usage error prefixed with `flag`.
+/// `parse()` for a check that spans flags, run after cli::parse: the
+/// std::invalid_argument a library parser throws (Cluster::from_spec,
+/// make_named_policy) becomes a usage error prefixed with `flag`.
 template <typename Parse>
 [[nodiscard]] auto parse_with(const std::string& flag, Parse&& parse) -> decltype(parse()) {
   try {
@@ -105,5 +100,65 @@ template <typename Parse>
 /// closest_flag finds nothing.
 [[nodiscard]] std::string unknown_flag_message(const std::string& flag,
                                                const std::vector<std::string>& known);
+
+/// Write `text` to `path`; throws std::runtime_error naming the path.
+void write_file(const std::string& path, const std::string& text);
+
+/// Receives a flag's value ("" for a switch); throws std::invalid_argument
+/// to reject it.
+using Setter = std::function<void(const std::string&)>;
+
+/// One row of a tool's flag table.
+struct Flag {
+  std::string name;   ///< "--jobs"
+  std::string value;  ///< value shape for --help ("N", "MTBF:REPAIR"); empty: a switch
+  std::string help;   ///< one line for --help
+  Setter set;
+};
+
+/// The --help text: `about`, then one line per row and one for --help.
+[[nodiscard]] std::string help(const std::string& about, const std::vector<Flag>& flags);
+
+/// Apply argv[1..] to `flags` in order.  `--help`/`-h` prints help() to
+/// stdout and exits 0.  An unknown flag, a missing value or a
+/// std::invalid_argument from a setter prints one line naming the flag to
+/// stderr and exits 2.
+void parse(int argc, char** argv, const std::string& about, const std::vector<Flag>& flags);
+
+/// Setter: the switch sets `target`.
+[[nodiscard]] Setter set_true(bool& target);
+
+/// Setter: the value is stored as is.
+[[nodiscard]] Setter set_text(std::string& target);
+
+/// Setter: the value is parse_number() in [lo, hi].
+template <typename T>
+[[nodiscard]] Setter set_number(T& target, T lo = std::numeric_limits<T>::lowest(),
+                                T hi = std::numeric_limits<T>::max()) {
+  return [&target, lo, hi](const std::string& text) {
+    target = parse_number<T>("", text, lo, hi);
+  };
+}
+
+/// Setter: `set`, then `config.validate()`, so a value that leaves the
+/// config invalid is rejected naming the flag.
+template <typename Config, typename Set>
+[[nodiscard]] Setter validated(Config& config, Set set) {
+  return [&config, set](const std::string& text) {
+    set(text);
+    config.validate();
+  };
+}
+
+/// Setter: a comma list, every item parse_number() in [lo, max].
+template <typename T>
+[[nodiscard]] Setter set_numbers(std::vector<T>& target, T lo) {
+  return [&target, lo](const std::string& text) {
+    target.clear();
+    for (const std::string& item : split(text, ',')) {
+      target.push_back(parse_number<T>("", item, lo));
+    }
+  };
+}
 
 }  // namespace dollymp::cli

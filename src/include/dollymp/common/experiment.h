@@ -14,10 +14,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "dollymp/cluster/cluster.h"
+#include "dollymp/common/cli.h"
 #include "dollymp/common/stats.h"
 #include "dollymp/common/thread_pool.h"
 #include "dollymp/metrics/records.h"
@@ -58,6 +60,36 @@ struct SweepFaultPreset {
 /// (independent crashes), "rack", "failslow", "copyfault", "all".  Throws
 /// std::invalid_argument on an unknown name, listing the catalogue.
 [[nodiscard]] SweepFaultPreset make_fault_preset(const std::string& name);
+
+/// The run description the experiment tools share: the cluster, the
+/// workload and the environment (seed, slot length, fault rates).  Each
+/// shared flag is one row here, so a flag means the same in every tool, and
+/// make_jobs() is the one workload builder, so every tool runs the same
+/// jobs for the same seed.  A tool whose default differs sets it before
+/// taking the rows (their help quotes the current values).
+struct RunSpec {
+  /// Cluster::from_spec text; absent: paper30, or gpu when gpus > 0.
+  std::optional<std::string> cluster;
+  int jobs = 200;      ///< trace-model jobs to synthesize (without a trace)
+  double gap = 20.0;   ///< mean Poisson inter-arrival gap, seconds
+  int gpus = 0;        ///< gang-scheduled ML trainers mixed into the workload
+  std::string trace;   ///< trace CSV replayed instead of synthesizing
+  SimConfig config;    ///< seed, slot length and fault rates
+
+  /// The rows named (--cluster --jobs --gap --gpus --trace --seed --slot
+  /// --failures --rack-faults --fail-slow --copy-faults --weibull), in the
+  /// order given.  They write into this spec, so it must outlive them; a
+  /// row writing `config` rejects a value that leaves it invalid.
+  [[nodiscard]] std::vector<cli::Flag> flags(const std::vector<std::string>& names);
+
+  /// The named cluster; throws std::invalid_argument for a bad spec.
+  [[nodiscard]] Cluster make_cluster() const;
+
+  /// The workload of `seed`: the trace, or `jobs` trace-model jobs drawn
+  /// from `seed` with Poisson arrivals drawn from seed + 1; then `gpus` ML
+  /// trainers drawn from seed + 2.
+  [[nodiscard]] std::vector<JobSpec> make_jobs(std::uint64_t seed) const;
+};
 
 /// The full replication grid.  Every (policy × fault preset × seed) triple
 /// is one independent simulation of the same workload over a copy of

@@ -10,6 +10,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
+#include <exception>
 #include <functional>
 #include <future>
 #include <memory>
@@ -62,7 +63,9 @@ class ThreadPool {
   bool stopping_ = false;
 };
 
-/// Map fn over [0, n) collecting results in order.
+/// Map fn over [0, n) collecting results in order.  If calls throw, every
+/// call still finishes (they reference `fn` and whatever it captures)
+/// before the first exception, in index order, is rethrown.
 template <typename F>
 auto parallel_map(ThreadPool& pool, std::size_t n, F&& fn)
     -> std::vector<std::invoke_result_t<F, std::size_t>> {
@@ -74,7 +77,15 @@ auto parallel_map(ThreadPool& pool, std::size_t n, F&& fn)
   }
   std::vector<R> results;
   results.reserve(n);
-  for (auto& f : futures) results.push_back(f.get());
+  std::exception_ptr error;
+  for (auto& f : futures) {
+    try {
+      results.push_back(f.get());
+    } catch (...) {
+      if (!error) error = std::current_exception();
+    }
+  }
+  if (error) std::rethrow_exception(error);
   return results;
 }
 

@@ -56,6 +56,10 @@ struct SupervisorOptions {
   /// must recover from strictly older state.  Children beyond the list run
   /// to completion.
   std::vector<SimTime> kill_at_slots;
+
+  /// Throws std::invalid_argument naming the offending field; the stride
+  /// must be a multiple of the session's `pump_slots`.
+  void validate(SimTime pump_slots) const;
 };
 
 struct SupervisorResult {

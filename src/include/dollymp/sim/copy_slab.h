@@ -39,16 +39,20 @@
 namespace dollymp {
 
 /// One running (or finished/killed) copy of a task.  Kept a plain struct:
-/// the slab stores these by value, densely.
+/// the slab stores these by value, densely.  40 bytes with explicit, zeroed
+/// padding: snapshots copy it byte for byte.
 struct CopyRuntime {
   ServerId server = kInvalidServer;
+  std::uint8_t pad0[4] = {};
   SimTime start = kNever;
   SimTime finish = kNever;      ///< predicted completion slot (see runtime_state.h)
   LocalityLevel locality = LocalityLevel::kNode;
   bool active = false;          ///< currently occupying resources
   bool killed = false;          ///< terminated because a sibling finished first
+  std::uint8_t pad1[5] = {};
   double base_seconds = 0.0;    ///< sampled duration before slot rounding
 };
+static_assert(sizeof(CopyRuntime) == 40);
 
 class CopySlab {
  public:

@@ -151,11 +151,14 @@ struct StreamTotals {
 };
 
 /// A recycled job slot's identity, surfaced so the streaming session can
-/// reuse the JobId (bounding id-indexed scheduler state).
+/// reuse the JobId (bounding id-indexed scheduler state).  16 bytes with
+/// explicit, zeroed padding: snapshots copy it byte for byte.
 struct RecycledJob {
   std::int64_t ingest_seq = 0;
   JobId id = -1;
+  std::uint8_t pad[4] = {};
 };
+static_assert(sizeof(RecycledJob) == 16);
 
 class SimCore final : public SchedulerContext {
  public:

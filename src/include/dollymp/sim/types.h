@@ -147,10 +147,6 @@ struct SimConfig {
 
   CloneKillPolicy kill_policy = CloneKillPolicy::kKillImmediately;
 
-  /// The sigma weighting factor r in e_j^k = theta + r * sigma (default
-  /// from Section 6.1).
-  double sigma_factor = 1.5;
-
   BackgroundLoadConfig background;
   LocalityConfig locality;
   FailureConfig failures;

@@ -129,42 +129,42 @@ void write_progress(const std::string& path, const Session& session) {
 
 #endif  // !defined(_WIN32)
 
-void validate_options(const ServiceConfig& config, const SupervisorOptions& options) {
-  if (options.snapshot_base.empty()) {
+}  // namespace
+
+void SupervisorOptions::validate(SimTime pump_slots) const {
+  if (snapshot_base.empty()) {
     throw std::invalid_argument("SupervisorOptions: snapshot_base must be set");
   }
-  if (options.horizon_slots <= 0) {
+  if (horizon_slots <= 0) {
     throw std::invalid_argument("SupervisorOptions: horizon_slots must be > 0");
   }
-  if (options.checkpoint_stride_slots <= 0) {
+  if (checkpoint_stride_slots <= 0) {
     throw std::invalid_argument("SupervisorOptions: checkpoint_stride_slots must be > 0");
   }
-  if (options.checkpoint_stride_slots % config.pump_slots != 0) {
+  if (checkpoint_stride_slots % pump_slots != 0) {
     // Bit-identity precondition: snapshots must land on canonical pump
     // boundaries so the restored continuation chunks identically.
     throw std::invalid_argument(
         "SupervisorOptions: checkpoint_stride_slots must be a multiple of "
         "pump_slots (snapshots must fall on arrival-pump boundaries)");
   }
-  if (options.max_restarts < 0) {
+  if (max_restarts < 0) {
     throw std::invalid_argument("SupervisorOptions: max_restarts must be >= 0");
   }
-  if (!(options.watchdog_seconds > 0.0)) {
+  if (!(watchdog_seconds > 0.0)) {
     throw std::invalid_argument("SupervisorOptions: watchdog_seconds must be > 0");
   }
+}
+
+SupervisorResult run_supervised(const Cluster& cluster, const ServiceConfig& config,
+                                const SupervisorOptions& options) {
+  options.validate(config.pump_slots);
   if (!options.resume_from.empty() &&
       SnapshotRotation::is_quarantined_path(options.resume_from)) {
     throw std::runtime_error("supervisor: refusing to resume from quarantined snapshot " +
                              options.resume_from +
                              " (it failed envelope validation; pick a valid generation)");
   }
-}
-
-}  // namespace
-
-SupervisorResult run_supervised(const Cluster& cluster, const ServiceConfig& config,
-                                const SupervisorOptions& options) {
-  validate_options(config, options);
   config.validate();
 #if defined(_WIN32)
   throw std::runtime_error("supervisor: fork-based supervision is POSIX-only");

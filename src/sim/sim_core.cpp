@@ -333,7 +333,7 @@ SimResult SimCore::finish() {
 
 void SimCore::maybe_recycle(JobRuntime& job) {
   if (!streaming_ || !job.finished || job.pending_events > 0) return;
-  recycled_.push_back(RecycledJob{job.ingest_seq, job.id});
+  recycled_.push_back(RecycledJob{.ingest_seq = job.ingest_seq, .id = job.id});
   store_.release_job(static_cast<std::size_t>(&job - jobs_.data()));
 }
 

@@ -55,16 +55,14 @@ void SimConfig::validate() const {
   require(slot_seconds > 0.0, "SimConfig: slot_seconds must be > 0");
   require(max_copies_per_task >= 1, "SimConfig: max_copies_per_task must be >= 1");
   require(max_slots >= 1, "SimConfig: max_slots must be >= 1");
-  require(sigma_factor >= 0.0, "SimConfig: sigma_factor must be >= 0");
   require(threads == 1,
           "SimConfig: threads must be 1 (the intra-run parallel core was removed; "
           "replications run in parallel through the sweep driver)");
   require(gang_spread_penalty >= 0.0 && std::isfinite(gang_spread_penalty),
           "SimConfig: gang_spread_penalty must be finite and >= 0");
-  // Infinity slips past the `> 0` checks above; a non-finite slot length or
-  // sigma factor turns every derived time into NaN soup downstream.
+  // Infinity slips past the `> 0` checks above; a non-finite slot length
+  // turns every derived time into NaN soup downstream.
   require(std::isfinite(slot_seconds), "SimConfig: slot_seconds must be finite");
-  require(std::isfinite(sigma_factor), "SimConfig: sigma_factor must be finite");
   if (background.enabled) {
     require(background.mean_interval_seconds > 0.0,
             "SimConfig: background.mean_interval_seconds must be > 0");

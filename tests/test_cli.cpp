@@ -1,7 +1,7 @@
 // Tests for the shared command-line helpers (common/cli.h): --flag=value
-// normalization, separator splitting, strict number parsing, and the
-// did-you-mean rejection message every dollymp_* tool now emits for
-// unknown flags.
+// normalization, separator splitting, strict number parsing, the
+// did-you-mean rejection message, and the flag table every dollymp_* tool
+// parses its command line with (including RunSpec's shared rows).
 #include "dollymp/common/cli.h"
 
 #include <gtest/gtest.h>
@@ -12,14 +12,22 @@
 #include <string>
 #include <vector>
 
+#include "dollymp/common/experiment.h"
+
 namespace dollymp::cli {
 namespace {
 
-std::vector<std::string> normalize(std::vector<std::string> argv_strings) {
+/// fn(argc, argv) for the command line "tool" + `args`.
+template <typename Fn>
+auto with_argv(std::vector<std::string> args, Fn fn) {
   std::vector<char*> argv;
   argv.push_back(const_cast<char*>("tool"));
-  for (auto& s : argv_strings) argv.push_back(s.data());
-  return normalize_args(static_cast<int>(argv.size()), argv.data());
+  for (auto& s : args) argv.push_back(s.data());
+  return fn(static_cast<int>(argv.size()), argv.data());
+}
+
+std::vector<std::string> normalize(std::vector<std::string> argv_strings) {
+  return with_argv(std::move(argv_strings), normalize_args);
 }
 
 TEST(CliNormalize, ExpandsEqualsFormIntoFlagValuePairs) {
@@ -62,6 +70,17 @@ TEST(CliSplit, KeepsEmptyLeadingAndMiddleTokens) {
   const auto parts = split("a,,b", ',');
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_EQ(parts[1], "");
+}
+
+TEST(CliSplit, KeepsTrailingEmptyItem) {
+  const auto parts = split("1,2,", ',');
+  ASSERT_EQ(parts.size(), 3u);
+  EXPECT_EQ(parts[1], "2");
+  EXPECT_EQ(parts[2], "");
+}
+
+TEST(CliSplit, EmptyTextIsOneEmptyItem) {
+  EXPECT_EQ(split("", ','), std::vector<std::string>{""});
 }
 
 TEST(CliEditDistance, BasicDistances) {
@@ -156,6 +175,114 @@ TEST(CliParseNumber, RejectsAnythingButOneWholeNumber) {
   }
   EXPECT_NE(rejection<double>("2.5abc"), "");
   EXPECT_NE(rejection<double>("1e"), "");
+}
+
+/// A three-row table over one struct, as a tool builds it.
+struct Sample {
+  int jobs = 0;
+  std::string out;
+  bool quiet = false;
+};
+
+std::vector<Flag> sample_flags(Sample& sample) {
+  return {{"--jobs", "N", "jobs to run", set_number(sample.jobs, 1)},
+          {"--out", "FILE", "where the output goes", set_text(sample.out)},
+          {"--quiet", "", "say less", set_true(sample.quiet)}};
+}
+
+Sample parse_sample(std::vector<std::string> args) {
+  Sample sample;
+  const std::vector<Flag> flags = sample_flags(sample);
+  with_argv(std::move(args),
+            [&](int argc, char** argv) { parse(argc, argv, "usage: tool", flags); });
+  return sample;
+}
+
+TEST(CliFlags, EqualsFormAndSpaceFormAgree) {
+  const Sample spaced = parse_sample({"--jobs", "5", "--out", "a=b.csv", "--quiet"});
+  const Sample equals = parse_sample({"--jobs=5", "--out=a=b.csv", "--quiet"});
+  EXPECT_EQ(spaced.jobs, 5);
+  EXPECT_EQ(spaced.out, "a=b.csv");
+  EXPECT_TRUE(spaced.quiet);
+  EXPECT_EQ(equals.jobs, spaced.jobs);
+  EXPECT_EQ(equals.out, spaced.out);
+  EXPECT_EQ(equals.quiet, spaced.quiet);
+}
+
+TEST(CliFlags, UsageErrorsExitTwoNamingTheFlag) {
+  EXPECT_EXIT((void)parse_sample({"--quiet", "--jobs"}), testing::ExitedWithCode(2),
+              "missing value for --jobs");
+  EXPECT_EXIT((void)parse_sample({"--qiuet"}), testing::ExitedWithCode(2),
+              "unknown option --qiuet \\(did you mean --quiet\\?\\)");
+  EXPECT_EXIT((void)parse_sample({"--jobs", "abc"}), testing::ExitedWithCode(2),
+              "--jobs: 'abc' is not a number");
+  Sample sample;
+  std::vector<Flag> flags = sample_flags(sample);
+  flags.push_back({"--mode", "M", "a mode", [](const std::string& text) {
+                     throw std::invalid_argument("no mode '" + text + "'");
+                   }});
+  EXPECT_EXIT(with_argv({"--mode", "x"},
+                        [&](int argc, char** argv) { parse(argc, argv, "", flags); }),
+              testing::ExitedWithCode(2), "--mode: no mode 'x'");
+}
+
+TEST(CliFlags, HelpListsEveryRowAndExitsZero) {
+  Sample sample;
+  const std::vector<Flag> flags = sample_flags(sample);
+  const std::string text = help("usage: tool", flags);
+  EXPECT_EQ(text.rfind("usage: tool\n", 0), 0u);
+  for (const Flag& flag : flags) {
+    const std::string head = flag.value.empty() ? flag.name : flag.name + " " + flag.value;
+    EXPECT_NE(text.find("  " + head + "  "), std::string::npos) << head;
+    EXPECT_NE(text.find(flag.help + "\n"), std::string::npos) << flag.help;
+  }
+  EXPECT_NE(text.find("  --help  "), std::string::npos);
+  EXPECT_EXIT((void)parse_sample({"--jobs", "2", "--help"}), testing::ExitedWithCode(0), "");
+}
+
+/// The SimConfig the RunSpec fault rows build from `args`.
+SimConfig fault_config(std::vector<std::string> args) {
+  RunSpec run;
+  const std::vector<Flag> flags =
+      run.flags({"--failures", "--rack-faults", "--fail-slow", "--copy-faults", "--weibull"});
+  with_argv(std::move(args), [&](int argc, char** argv) { parse(argc, argv, "", flags); });
+  return run.config;
+}
+
+/// Every fault field the rows write, flattened for comparison.
+std::vector<double> fault_fields(const SimConfig& config) {
+  const FailureConfig& crash = config.failures;
+  const FaultConfig& faults = config.faults;
+  std::vector<double> fields = {
+      static_cast<double>(crash.enabled), crash.mean_time_to_failure_seconds,
+      crash.mean_repair_seconds, static_cast<double>(faults.crash_dist),
+      faults.crash_weibull_shape, static_cast<double>(faults.rack.enabled),
+      static_cast<double>(faults.fail_slow.enabled), faults.fail_slow.slowdown_factor,
+      static_cast<double>(faults.copy.enabled)};
+  for (const FaultDelaySpec* spec :
+       {&faults.rack.time_to_failure, &faults.rack.repair, &faults.fail_slow.time_to_onset,
+        &faults.fail_slow.recovery, &faults.copy.inter_fault}) {
+    fields.insert(fields.end(),
+                  {static_cast<double>(spec->dist), spec->mean_seconds, spec->weibull_shape});
+  }
+  return fields;
+}
+
+TEST(CliFlags, WeibullAndFaultRatesCommute) {
+  const SimConfig before = fault_config({"--weibull", "0.8", "--rack-faults", "1500:200"});
+  const SimConfig after = fault_config({"--rack-faults", "1500:200", "--weibull", "0.8"});
+  EXPECT_EQ(fault_fields(before), fault_fields(after));
+  EXPECT_TRUE(after.faults.rack.enabled);
+  EXPECT_EQ(after.faults.rack.time_to_failure.dist, FaultDelayDist::kWeibull);
+  EXPECT_EQ(after.faults.rack.time_to_failure.weibull_shape, 0.8);
+  EXPECT_EQ(after.faults.rack.time_to_failure.mean_seconds, 1500.0);
+  EXPECT_EQ(after.faults.rack.repair.mean_seconds, 200.0);
+  EXPECT_FALSE(after.failures.enabled);
+}
+
+TEST(CliFlags, ZeroMtbfLeavesCrashesOff) {
+  EXPECT_FALSE(fault_config({"--failures", "0:100"}).failures.enabled);
+  EXPECT_TRUE(fault_config({"--failures", "600:120"}).failures.enabled);
 }
 
 }  // namespace

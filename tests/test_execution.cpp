@@ -111,7 +111,7 @@ TEST(Execution, SecondsToSlots) {
 TEST(Execution, WorkAccrualSingleCopy) {
   PhaseRuntime phase = make_phase(10.0, 0.0, 1);
   TaskRuntime task = make_task();
-  task.copies.push_back({0, 0, kNever, LocalityLevel::kNode, true, false, 0.0});
+  task.copies.push_back({.server = 0, .start = 0, .finish = kNever, .active = true});
   task.work_updated_at = 0;
   accrue_work(task, phase, 4, 1.0);
   // Degenerate speedup (sigma = 0): h == 1, so 4 slots = 4 s of work.
@@ -126,8 +126,8 @@ TEST(Execution, WorkAccrualWithClones) {
   const double sigma = 10.0 / std::sqrt(3.0);
   PhaseRuntime phase = make_phase(10.0, sigma, 1);
   TaskRuntime task = make_task();
-  task.copies.push_back({0, 0, kNever, LocalityLevel::kNode, true, false, 0.0});
-  task.copies.push_back({1, 0, kNever, LocalityLevel::kNode, true, false, 0.0});
+  task.copies.push_back({.server = 0, .start = 0, .finish = kNever, .active = true});
+  task.copies.push_back({.server = 1, .start = 0, .finish = kNever, .active = true});
   task.work_updated_at = 0;
   accrue_work(task, phase, 4, 1.0);
   EXPECT_NEAR(task.work_done_seconds, 4.0 * 1.25, 1e-9);
@@ -145,7 +145,7 @@ TEST(Execution, NoWorkWithoutCopies) {
 TEST(Execution, PredictWorkFinish) {
   PhaseRuntime phase = make_phase(10.0, 0.0, 1);
   TaskRuntime task = make_task();
-  task.copies.push_back({0, 0, kNever, LocalityLevel::kNode, true, false, 0.0});
+  task.copies.push_back({.server = 0, .start = 0, .finish = kNever, .active = true});
   task.work_updated_at = 0;
   EXPECT_EQ(predict_work_finish(task, phase, 0, 1.0), 10);
   task.work_done_seconds = 9.5;

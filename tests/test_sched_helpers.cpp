@@ -45,9 +45,10 @@ TEST(JobActiveAllocation, SumsActiveCopiesOnly) {
   // Fake two active copies on task 0 and one inactive on task 1, keeping
   // the phase's active_copies counter consistent (as the simulator does):
   // job_active_allocation reads the counter, the scan walks the copies.
-  job.phases[0].tasks[0].copies.push_back({0, 0, 5, LocalityLevel::kNode, true, false, 0});
-  job.phases[0].tasks[0].copies.push_back({1, 0, 5, LocalityLevel::kNode, true, false, 0});
-  job.phases[0].tasks[1].copies.push_back({0, 0, 5, LocalityLevel::kNode, false, true, 0});
+  auto& tasks = job.phases[0].tasks;
+  tasks[0].copies.push_back({.server = 0, .start = 0, .finish = 5, .active = true});
+  tasks[0].copies.push_back({.server = 1, .start = 0, .finish = 5, .active = true});
+  tasks[1].copies.push_back({.server = 0, .start = 0, .finish = 5, .killed = true});
   job.phases[0].active_copies = 2;
   EXPECT_EQ(job_active_allocation(job), Resources(4, 8));
   EXPECT_EQ(job_active_allocation_scan(job), Resources(4, 8));
@@ -63,12 +64,12 @@ TEST(NextUnscheduledTask, WalksAndSticks) {
   PhaseRuntime& phase = job.phases[0];
   EXPECT_EQ(next_unscheduled_task(phase), &phase.tasks[0]);
   // Simulate scheduling task 0.
-  phase.tasks[0].copies.push_back({0, 0, 10, LocalityLevel::kNode, true, false, 0});
+  phase.tasks[0].copies.push_back({.server = 0, .start = 0, .finish = 10, .active = true});
   --phase.unscheduled_tasks;
   EXPECT_EQ(next_unscheduled_task(phase), &phase.tasks[1]);
-  phase.tasks[1].copies.push_back({0, 0, 10, LocalityLevel::kNode, true, false, 0});
+  phase.tasks[1].copies.push_back({.server = 0, .start = 0, .finish = 10, .active = true});
   --phase.unscheduled_tasks;
-  phase.tasks[2].copies.push_back({0, 0, 10, LocalityLevel::kNode, true, false, 0});
+  phase.tasks[2].copies.push_back({.server = 0, .start = 0, .finish = 10, .active = true});
   --phase.unscheduled_tasks;
   EXPECT_EQ(next_unscheduled_task(phase), nullptr);
 }

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 namespace dollymp {
@@ -46,6 +48,21 @@ TEST(ParallelMap, PreservesOrder) {
   for (std::size_t i = 0; i < result.size(); ++i) {
     EXPECT_EQ(result[i], static_cast<int>(i * i));
   }
+}
+
+TEST(ParallelMap, WaitsForEveryCallBeforeRethrowing) {
+  // The calls reference the caller's frame, so the first failure may not
+  // end parallel_map while later calls still run.
+  std::atomic<int> finished{0};
+  ThreadPool pool(4);
+  EXPECT_THROW((void)parallel_map(pool, 8,
+                                  [&finished](std::size_t i) {
+                                    if (i == 0) throw std::runtime_error("first call fails");
+                                    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+                                    return ++finished;
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(finished.load(), 7);
 }
 
 TEST(ThreadPool, DrainsQueueOnDestruction) {

@@ -1,7 +1,9 @@
 # Runs the four tools on the one cluster grammar (Cluster::from_spec) and
 # pins the flag rules around it: an explicit --cluster wins over the --gpus
 # default, a DollyMP-only flag with a baseline is a usage error, and the
-# deleted flags are unknown options.  Invoked by ctest:
+# deleted flags are unknown options.  Then pins the exit-code contract: 2
+# for a usage error or an invalid configuration, 3 for a run-time error.
+# Invoked by ctest:
 #   cmake -DSIM=<dollymp_sim> -DSERVICE=<dollymp_service> -DSWEEP=<dollymp_sweep>
 #         -DCHAOS=<dollymp_chaos> -DWORK_DIR=<dir> -P tool_shared_grammar.cmake
 if(NOT SIM OR NOT SERVICE OR NOT SWEEP OR NOT CHAOS OR NOT WORK_DIR)
@@ -59,3 +61,28 @@ expect(SIM 2 "unknown option --inventory" --inventory google-trace ${SIM_RUN})
 expect(SIM 2 "unknown option --servers" --servers 60 ${SIM_RUN})
 expect(CHAOS 2 "unknown option --inventory" --inventory paper30 ${CHAOS_RUN})
 expect(CHAOS 2 "unknown option --servers" --servers 60 ${CHAOS_RUN})
+
+# Exit 2: a value that leaves the configuration invalid is rejected while
+# the flags are parsed, naming the flag.
+foreach(tool SIM SWEEP CHAOS SERVICE)
+  expect(${tool} 2 "--slot: SimConfig: slot_seconds must be > 0" --slot 0)
+endforeach()
+expect(SERVICE 2 "--checkpoint-every: ServiceConfig: checkpoint_interval_seconds" --checkpoint-every 0)
+expect(SERVICE 2 "--rate: ArrivalConfig: rate_per_second must be > 0" --rate 0)
+expect(SERVICE 2 "--diurnal: '' is not a number" --diurnal=)
+expect(SERVICE 2 "--supervise: SupervisorOptions: checkpoint_stride_slots must be a multiple"
+       --supervise --snapshot-base ckpt --snapshot-every 100)
+
+# Exit 3: a run-time error, reported as "error: " and the message; a
+# decoder names the row and field it choked on.
+file(WRITE "${WORK_DIR}/bad_trace.csv" "job_id,arrival\nx,1\n")
+file(WRITE "${WORK_DIR}/bad.log" "garbage")
+expect(SIM 3 "error: CSV: row 1, field 'job_id'" --trace bad_trace.csv ${SIM_RUN})
+expect(SIM 3 "error: trace_io: cannot open missing.csv" --trace missing.csv ${SIM_RUN})
+expect(SIM 3 "error: load_log: bad.log is not a dollymp trace log" --verify-log bad.log ${SIM_RUN})
+expect(SIM 3 "error: load_log: cannot open missing.log" --verify-log missing.log ${SIM_RUN})
+expect(SIM 3 "error: save_results: cannot write" --out no/such/dir/out.csv ${SIM_RUN})
+expect(SIM 3 "error: save_log: cannot write" --log-out no/such/dir/run.log ${SIM_RUN})
+expect(SIM 3 "exceeds every server capacity" --compare --cluster paper30 --gpus 2 ${SIM_RUN})
+expect(SIM 3 "exceeds every server capacity" --verify-replay --cluster paper30 --gpus 2 ${SIM_RUN})
+expect(SWEEP 3 "error: cannot write no/such/dir/sweep.json" --out no/such/dir/sweep.json ${SWEEP_RUN})

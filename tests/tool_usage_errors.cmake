@@ -1,5 +1,6 @@
-# Runs the tools with a bad policy name, an empty list item or a flag that
-# contradicts --compare, and requires each to exit 2 with the named text on
+# Runs the tools with a bad policy name, an empty list item (a trailing one
+# too), a tuple with the wrong number of fields or a flag that contradicts
+# --compare, and requires each to exit 2 with the named text on
 # stderr: every such case fails while the options are parsed, so no run
 # starts.  Then checks that --compare applies the DollyMP options to its
 # DollyMP rows and leaves the baselines alone.  Invoked by ctest:
@@ -17,7 +18,11 @@ set(cases
   "SWEEP|--policies,capacity,,tetris|--policies: unknown policy ''"
   "SWEEP|--seeds,1,,2|--seeds: '' is not a number"
   "SWEEP|--faults,crash,,all|--faults: make_fault_preset: unknown preset ''"
-  "CHAOS|--seeds,1,,2|--seeds: '' is not a number")
+  "CHAOS|--seeds,1,,2|--seeds: '' is not a number"
+  "SWEEP|--seeds,1,2,|--seeds: '' is not a number"
+  "SWEEP|--policies,dollymp2,|--policies: unknown policy ''"
+  "SIM|--failures,100:20:|--failures: '100:20:' has 3"
+  "SERVICE|--diurnal,0.3:100:junk|--diurnal: '0.3:100:junk'")
 foreach(case IN LISTS cases)
   string(REPLACE "|" ";" fields "${case}")
   list(GET fields 0 tool)

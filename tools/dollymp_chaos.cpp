@@ -12,31 +12,17 @@
 // Any violated invariant fails the scenario; any failed scenario makes the
 // process exit 1, so CI can gate on the whole matrix.  A per-scenario
 // report (pass/fail per invariant plus availability counters) is printed
-// and optionally written to a file for artifact upload.
+// and optionally written to a file for artifact upload.  Each seed's
+// workload is RunSpec::make_jobs(seed).  `dollymp_chaos --help` lists the
+// flags.
 //
-//   dollymp_chaos [options]
-//     --cluster paper30 | google[:N] | google-trace[:N] | gpu[:N] |
-//               uniform:N:CPU:MEM                       (default paper30)
-//     --jobs N             trace-model jobs per scenario        (default 40)
-//     --gap SECONDS        mean Poisson inter-arrival gap       (default 10)
-//     --slot SECONDS       slot length                          (default 5)
-//     --seeds S1,S2,...    environment seeds                    (default 1,2)
-//     --classes LIST       comma list of fault presets: crash,rack,
-//                          failslow,copyfault,all (default: all five)
-//     --policies LIST      comma list of base,resilient         (default both):
-//                          dollymp2, and dollymp2 with resilience
-//     --makespan-factor F  invariant 4 multiplier               (default 50)
-//     --makespan-slack S   invariant 4 additive slack, seconds  (default 1800)
-//     --out FILE           also write the report to FILE
-//     --quiet              per-scenario lines only on failure
-//     --help
+// Exit status: 0 every scenario passed, 1 one failed, 2 a usage error or
+// invalid configuration, 3 a run-time error.
 //
-// Flags also accept --flag=value.
-#include <cstdlib>
-#include <fstream>
+// Example:
+//   dollymp_chaos --cluster google-trace:3000 --jobs 80 --gap 5 --seeds 1,2
 #include <iostream>
 #include <map>
-#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -47,20 +33,15 @@
 #include "dollymp/obs/replay.h"
 #include "dollymp/sched/policies.h"
 #include "dollymp/sim/simulator.h"
-#include "dollymp/workload/arrivals.h"
-#include "dollymp/workload/trace_model.h"
 
 namespace {
 
 using namespace dollymp;
 
+/// The flags only this tool has; the shared ones fill a RunSpec.
 struct Options {
-  std::string cluster = "paper30";
-  int jobs = 40;
-  double gap = 10.0;
-  double slot = 5.0;
   std::vector<std::uint64_t> seeds = {1, 2};
-  std::vector<std::string> classes = {"crash", "rack", "failslow", "copyfault", "all"};
+  std::vector<SweepFaultPreset> classes;
   std::vector<std::string> policies = {"base", "resilient"};
   double makespan_factor = 50.0;
   double makespan_slack = 1800.0;
@@ -68,69 +49,11 @@ struct Options {
   bool quiet = false;
 };
 
-[[noreturn]] void usage(int code) {
-  std::cout <<
-      "usage: dollymp_chaos [--cluster paper30|google[:N]|google-trace[:N]|gpu[:N]|\n"
-      "                               uniform:N:CPU:MEM]\n"
-      "                     [--jobs N] [--gap SECONDS] [--slot SECONDS]\n"
-      "                     [--seeds S1,S2,...]\n"
-      "                     [--classes crash,rack,failslow,copyfault,all]\n"
-      "                     [--policies base,resilient]\n"
-      "                     [--makespan-factor F] [--makespan-slack SECONDS]\n"
-      "                     [--out FILE] [--quiet]\n";
-  std::exit(code);
-}
-
-using cli::split;
-
-const std::vector<std::string> kKnownFlags = {
-    "--help",      "--cluster",         "--jobs",           "--gap",
-    "--slot",      "--seeds",           "--classes",        "--policies",
-    "--makespan-factor", "--makespan-slack", "--out",       "--quiet"};
-
-Options parse_options(int argc, char** argv) {
-  Options opt;
-  const std::vector<std::string> args = cli::normalize_args(argc, argv);
-  const int n = static_cast<int>(args.size());
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= n) {
-      std::cerr << "missing value for " << args[static_cast<std::size_t>(i)] << "\n";
-      usage(2);
-    }
-    return args[static_cast<std::size_t>(++i)];
-  };
-  for (int i = 0; i < n; ++i) {
-    const std::string& arg = args[static_cast<std::size_t>(i)];
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--cluster") opt.cluster = need_value(i);
-    else if (arg == "--jobs") opt.jobs = cli::parse_flag("--jobs", need_value(i), 1);
-    else if (arg == "--gap") opt.gap = cli::parse_flag("--gap", need_value(i), 0.0);
-    else if (arg == "--slot") opt.slot = cli::parse_flag("--slot", need_value(i), 0.0);
-    else if (arg == "--seeds") {
-      opt.seeds.clear();
-      for (const auto& s : split(need_value(i), ',')) {
-        opt.seeds.push_back(cli::parse_flag("--seeds", s, std::uint64_t{0}));
-      }
-    } else if (arg == "--classes") opt.classes = split(need_value(i), ',');
-    else if (arg == "--policies") opt.policies = split(need_value(i), ',');
-    else if (arg == "--makespan-factor") {
-      opt.makespan_factor = cli::parse_flag("--makespan-factor", need_value(i), 0.0);
-    } else if (arg == "--makespan-slack") {
-      opt.makespan_slack = cli::parse_flag("--makespan-slack", need_value(i), 0.0);
-    }
-    else if (arg == "--out") opt.out = need_value(i);
-    else if (arg == "--quiet") opt.quiet = true;
-    else {
-      std::cerr << cli::unknown_flag_message(arg, kKnownFlags) << "\n";
-      usage(2);
-    }
-  }
-  if (opt.seeds.empty() || opt.classes.empty() || opt.policies.empty()) {
-    std::cerr << "--seeds/--classes/--policies must be non-empty\n";
-    usage(2);
-  }
-  return opt;
-}
+const char* const kAbout =
+    "usage: dollymp_chaos [flags]\n"
+    "Run fault class x policy x seed scenarios and check five invariants after\n"
+    "each: completion, no leaked allocations, copy conservation, makespan\n"
+    "bounded by the healthy twin's, and replay determinism.";
 
 /// The two chaos policies are registry calls: "base" is dollymp2,
 /// "resilient" dollymp2 with the resilience policies on.
@@ -141,8 +64,7 @@ SchedulerFactory make_factory(const std::string& policy) {
     config.resilience.enabled = true;
     return named_policy_factory("dollymp2", config);
   }
-  std::cerr << "unknown policy '" << policy << "'\n";
-  usage(2);
+  throw std::invalid_argument("unknown policy '" + policy + "' (known: base, resilient)");
 }
 
 struct ScenarioReport {
@@ -243,70 +165,91 @@ ScenarioReport run_scenario(const Cluster& cluster, const SimConfig& faulty_conf
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
-  const Cluster cluster =
-      cli::parse_with("--cluster", [&] { return Cluster::from_spec(opt.cluster); });
-  std::vector<SweepFaultPreset> presets;
-  for (const auto& cls : opt.classes) {
-    presets.push_back(cli::parse_with("--classes", [&] { return make_fault_preset(cls); }));
-  }
+  RunSpec run;
+  run.cluster = "paper30";
+  run.jobs = 40;
+  run.gap = 10.0;
+  Options opt;
+  const auto set_classes = [&opt](const std::string& names) {
+    opt.classes.clear();
+    for (const std::string& name : cli::split(names, ',')) {
+      opt.classes.push_back(make_fault_preset(name));
+    }
+  };
+  set_classes("crash,rack,failslow,copyfault,all");
+  std::vector<cli::Flag> flags = run.flags({"--cluster", "--jobs", "--gap", "--slot"});
+  flags.insert(flags.end(), {
+      {"--seeds", "S1,S2,...", "environment seeds (default 1,2)",
+       cli::set_numbers(opt.seeds, std::uint64_t{0})},
+      {"--classes", "LIST",
+       "fault presets crash,rack,failslow,copyfault,all (default all five)",
+       set_classes},
+      {"--policies", "LIST",
+       "base (dollymp2) and resilient (dollymp2 with resilience) (default both)",
+       [&opt](const std::string& names) {
+         opt.policies = cli::split(names, ',');
+         for (const std::string& policy : opt.policies) (void)make_factory(policy);
+       }},
+      {"--makespan-factor", "F", "invariant 4 multiplier (default 50)",
+       cli::set_number(opt.makespan_factor, 0.0)},
+      {"--makespan-slack", "S", "invariant 4 additive slack, seconds (default 1800)",
+       cli::set_number(opt.makespan_slack, 0.0)},
+      {"--out", "FILE", "also write the report to FILE", cli::set_text(opt.out)},
+      {"--quiet", "", "per-scenario lines only on failure", cli::set_true(opt.quiet)},
+  });
+  cli::parse(argc, argv, kAbout, flags);
+  const Cluster cluster = cli::parse_with("--cluster", [&] { return run.make_cluster(); });
 
   std::ostringstream report_text;
   bool all_passed = true;
   int scenario_count = 0;
+  try {
+    for (const std::uint64_t seed : opt.seeds) {
+      const std::vector<JobSpec> jobs = run.make_jobs(seed);
+      SimConfig healthy = run.config;
+      healthy.seed = seed;
 
-  for (const std::uint64_t seed : opt.seeds) {
-    TraceModel model({}, seed);
-    std::vector<JobSpec> jobs = model.sample_jobs(opt.jobs);
-    assign_poisson_arrivals(jobs, opt.gap, seed + 1);
-
-    SimConfig healthy;
-    healthy.slot_seconds = opt.slot;
-    healthy.seed = seed;
-    healthy.validate();
-
-    // One healthy twin per (seed, policy): the invariant-4 baseline.
-    std::map<std::string, double> healthy_makespan;
-    for (const auto& policy : opt.policies) {
-      const auto scheduler = make_factory(policy)();
-      healthy_makespan[policy] =
-          simulate(cluster, healthy, jobs, *scheduler).makespan_seconds;
-    }
-
-    for (const SweepFaultPreset& preset : presets) {
-      SimConfig faulty = healthy;
-      faulty.failures = preset.failures;
-      faulty.faults = preset.faults;
-      faulty.validate();
+      // One healthy twin per (seed, policy): the invariant-4 baseline.
+      std::map<std::string, double> healthy_makespan;
       for (const auto& policy : opt.policies) {
-        ScenarioReport report =
-            run_scenario(cluster, faulty, healthy_makespan[policy], jobs, policy, opt);
-        report.name = preset.name + "/" + policy + "/seed" + std::to_string(seed);
-        ++scenario_count;
-        all_passed = all_passed && report.passed();
-        const std::string line = render(report);
-        report_text << line << "\n";
-        if (!opt.quiet || !report.passed()) std::cout << line << "\n";
+        const auto scheduler = make_factory(policy)();
+        healthy_makespan[policy] =
+            simulate(cluster, healthy, jobs, *scheduler).makespan_seconds;
+      }
+
+      for (const SweepFaultPreset& preset : opt.classes) {
+        SimConfig faulty = healthy;
+        faulty.failures = preset.failures;
+        faulty.faults = preset.faults;
+        for (const auto& policy : opt.policies) {
+          ScenarioReport report =
+              run_scenario(cluster, faulty, healthy_makespan[policy], jobs, policy, opt);
+          report.name = preset.name + "/" + policy + "/seed" + std::to_string(seed);
+          ++scenario_count;
+          all_passed = all_passed && report.passed();
+          const std::string line = render(report);
+          report_text << line << "\n";
+          if (!opt.quiet || !report.passed()) std::cout << line << "\n";
+        }
       }
     }
-  }
 
-  const std::string verdict =
-      std::string(all_passed ? "CHAOS PASS" : "CHAOS FAIL") + ": " +
-      std::to_string(scenario_count) + " scenarios (" +
-      std::to_string(opt.classes.size()) + " fault classes x " +
-      std::to_string(opt.policies.size()) + " policies x " +
-      std::to_string(opt.seeds.size()) + " seeds)";
-  report_text << verdict << "\n";
-  std::cout << verdict << "\n";
+    const std::string verdict =
+        std::string(all_passed ? "CHAOS PASS" : "CHAOS FAIL") + ": " +
+        std::to_string(scenario_count) + " scenarios (" +
+        std::to_string(opt.classes.size()) + " fault classes x " +
+        std::to_string(opt.policies.size()) + " policies x " +
+        std::to_string(opt.seeds.size()) + " seeds)";
+    report_text << verdict << "\n";
+    std::cout << verdict << "\n";
 
-  if (!opt.out.empty()) {
-    std::ofstream out(opt.out);
-    if (!out || !(out << report_text.str())) {
-      std::cerr << "cannot write " << opt.out << "\n";
-      return 3;
+    if (!opt.out.empty()) {
+      cli::write_file(opt.out, report_text.str());
+      std::cout << "wrote report to " << opt.out << "\n";
     }
-    std::cout << "wrote report to " << opt.out << "\n";
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 3;
   }
   return all_passed ? 0 : 1;
 }

@@ -10,55 +10,17 @@
 //     commands, fork divergent futures, advance them in parallel on the
 //     thread pool, and emit byte-deterministic comparison JSON.
 //
-//   dollymp_service [options]
-//     --cluster paper30 | google[:N] | google-trace[:N] | gpu[:N] |
-//               uniform:N:CPU:MEM                      (default google:100)
-//     --policy NAME         capacity|hopper|drf|tetris|carbyne|srpt|svf|
-//                           dollymp0-9                (default dollymp2)
-//     --rate R              mean arrivals per second   (default 0.05)
-//     --diurnal AMP[:PERIOD]  sinusoidal rate modulation (amplitude in
-//                           [0,1); period seconds, default 86400)
-//     --flash MULT:START:DURATION  flash-crowd surge (multiplier >= 1)
-//     --mean-gb X           mean job input size        (default 2)
-//     --seed S              simulation seed            (default 1)
-//     --arrival-seed S      arrival stream seed        (default 1)
-//     --slot SECONDS        slot length                (default 5)
-//     --pump SLOTS          arrival pump chunk         (default 256)
-//     --failures MTBF:REPAIR  enable machine failures (seconds)
-//     --horizon SLOTS       one-shot run length        (default 2000)
-//     --checkpoint FILE     write a checkpoint at the horizon
-//     --checkpoint-every SECONDS  periodic checkpoints to FILE.<n>
-//     --restore FILE        restore the session from a checkpoint first
-//     --script FILE         run commands from FILE
-//     --repl                read commands from stdin
-//     --json                print the final status as JSON
-//     --help
+// `dollymp_service --help` lists the flags, among them overload
+// protection (DESIGN.md §4.9; all off by default) and the supervised
+// crash-safe mode (--supervise: the session runs in a child process that
+// is restarted from the newest valid snapshot).
 //
-// Overload protection (DESIGN.md §4.9; all off by default):
-//     --admission           enable the admission gate (token bucket +
-//                           watermark shedding)
-//     --bucket RATE:BURST   token-bucket rate cap (jobs/second, burst jobs)
-//     --watermarks HIGH:LOW live-jobs-per-live-server shed watermarks
-//     --shed-fraction F     fraction of sheddable arrivals dropped while
-//                           latched (error-diffused), in [0,1]
-//     --tenants N:PROTECTED tenant classes (job id % N) and how many top
-//                           classes ride through watermark shedding
-//     --governor            enable the SLO degradation ladder
-//     --slo-p99 SECONDS     p99 response-time target (0 = load-only)
-//     --slo-window N        sliding-window sample count
+// Exit status: 0 success, 2 a usage error or invalid configuration, 3 a
+// run-time error (a failing --script command included).
 //
-// Supervised crash-safe mode:
-//     --supervise           run the session in a supervised child process,
-//                           auto-restarting from the newest valid snapshot
-//     --snapshot-base PATH  rotation base (PATH.latest / PATH.prev /
-//                           PATH.progress); required with --supervise
-//     --snapshot-every SLOTS  snapshot stride (multiple of --pump;
-//                           default 4 * pump)
-//     --max-restarts N      restart budget             (default 8)
-//     --watchdog SECONDS    no-progress watchdog       (default 30)
-//     --resume-from FILE    first child resumes from this snapshot
-//                           (quarantined snapshots are refused)
-//     --kill-at S1,S2,...   test hook: child k SIGKILLs itself at slot Sk
+// Examples:
+//   dollymp_service --cluster paper30 --rate 0.1 --horizon 120 --checkpoint s.ckpt
+//   dollymp_service --cluster paper30 --rate 0.1 --restore s.ckpt --horizon 240 --json
 //
 // Script commands:
 //     run SLOTS             advance the parent session
@@ -72,7 +34,6 @@
 // SLOTS is a non-negative integer.  A --script stops at its first failing
 // command and exits 3; --repl reports the error and reads on.
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -85,6 +46,7 @@
 
 #include "dollymp/cluster/cluster.h"
 #include "dollymp/common/cli.h"
+#include "dollymp/common/experiment.h"
 #include "dollymp/common/thread_pool.h"
 #include "dollymp/service/session.h"
 #include "dollymp/service/supervisor.h"
@@ -93,235 +55,22 @@ namespace {
 
 using namespace dollymp;
 
+/// The flags only this tool has; the shared ones fill a RunSpec, the rest
+/// a ServiceConfig or the SupervisorOptions.
 struct Options {
-  std::string cluster = "google:100";
-  std::string policy = "dollymp2";
-  double rate = 0.05;
-  double diurnal_amplitude = 0.0;
-  double diurnal_period = 86400.0;
-  double flash_multiplier = 1.0;
-  double flash_start = -1.0;
-  double flash_duration = 0.0;
-  double mean_gb = 2.0;
-  std::uint64_t seed = 1;
-  std::uint64_t arrival_seed = 1;
-  double slot = 5.0;
-  SimTime pump = 256;
-  double failure_mtbf = 0.0;
-  double failure_repair = 0.0;
-  SimTime horizon = 2000;
   std::string checkpoint;
-  double checkpoint_every = -1.0;
   std::string restore;
   std::string script;
   bool repl = false;
   bool json = false;
-  // Overload protection.
-  bool admission = false;
-  double bucket_rate = 0.0;
-  double bucket_burst = 32.0;
-  double high_watermark = 4.0;
-  double low_watermark = 2.0;
-  double shed_fraction = 1.0;
-  int tenant_classes = 4;
-  int protected_classes = 1;
-  bool governor = false;
-  double slo_p99 = 0.0;
-  int slo_window = 512;
-  // Supervised mode.
   bool supervise = false;
-  std::string snapshot_base;
-  SimTime snapshot_every = 0;  // 0: default to 4 * pump
-  int max_restarts = 8;
-  double watchdog = 30.0;
-  std::string resume_from;
-  std::vector<SimTime> kill_at;
 };
 
-[[noreturn]] void usage(int code) {
-  std::cout <<
-      "usage: dollymp_service [--cluster paper30|google[:N]|google-trace[:N]|gpu[:N]|\n"
-      "                                 uniform:N:CPU:MEM]\n"
-      "                       [--policy NAME] [--rate R] [--diurnal AMP[:PERIOD]]\n"
-      "                       [--flash MULT:START:DURATION] [--mean-gb X]\n"
-      "                       [--seed S] [--arrival-seed S] [--slot SECONDS]\n"
-      "                       [--pump SLOTS] [--failures MTBF:REPAIR]\n"
-      "                       [--horizon SLOTS] [--checkpoint FILE]\n"
-      "                       [--checkpoint-every SECONDS] [--restore FILE]\n"
-      "                       [--script FILE] [--repl] [--json]\n"
-      "                       [--admission] [--bucket RATE:BURST]\n"
-      "                       [--watermarks HIGH:LOW] [--shed-fraction F]\n"
-      "                       [--tenants N:PROTECTED] [--governor]\n"
-      "                       [--slo-p99 SECONDS] [--slo-window N]\n"
-      "                       [--supervise] [--snapshot-base PATH]\n"
-      "                       [--snapshot-every SLOTS] [--max-restarts N]\n"
-      "                       [--watchdog SECONDS] [--resume-from FILE]\n"
-      "                       [--kill-at S1,S2,...]\n"
-      "\n"
-      "script commands: run N | status | checkpoint PATH |\n"
-      "                 fork NAME [policy=P] [quarantine=ID,ID,...] |\n"
-      "                 advance N | compare | quit\n";
-  std::exit(code);
-}
-
-const std::vector<std::string> kKnownFlags = {
-    "--help",      "--cluster",  "--policy",       "--rate",
-    "--diurnal",   "--flash",    "--mean-gb",      "--seed",
-    "--arrival-seed", "--slot",  "--pump",
-    "--failures",  "--horizon",  "--checkpoint",   "--checkpoint-every",
-    "--restore",   "--script",   "--repl",         "--json",
-    "--admission", "--bucket",   "--watermarks",   "--shed-fraction",
-    "--tenants",   "--governor", "--slo-p99",      "--slo-window",
-    "--supervise", "--snapshot-base", "--snapshot-every", "--max-restarts",
-    "--watchdog",  "--resume-from",   "--kill-at"};
-
-Options parse_options(int argc, char** argv) {
-  Options opt;
-  const std::vector<std::string> args = cli::normalize_args(argc, argv);
-  const int n = static_cast<int>(args.size());
-  auto need_value = [&](int& i) -> std::string {
-    if (i + 1 >= n) {
-      std::cerr << "missing value for " << args[static_cast<std::size_t>(i)] << "\n";
-      usage(2);
-    }
-    return args[static_cast<std::size_t>(++i)];
-  };
-  for (int i = 0; i < n; ++i) {
-    const std::string& arg = args[static_cast<std::size_t>(i)];
-    if (arg == "--help" || arg == "-h") usage(0);
-    else if (arg == "--cluster") opt.cluster = need_value(i);
-    else if (arg == "--policy") {
-      // Checked here, so a bad name is a usage error like in the other tools.
-      opt.policy = need_value(i);
-      (void)cli::parse_with("--policy", [&] { return named_policy_factory(opt.policy); });
-    }
-    else if (arg == "--rate") opt.rate = cli::parse_flag("--rate", need_value(i), 0.0);
-    else if (arg == "--diurnal") {
-      const auto parts = cli::split(need_value(i), ':');
-      opt.diurnal_amplitude = cli::parse_flag("--diurnal", parts[0], 0.0);
-      if (parts.size() > 1) opt.diurnal_period = cli::parse_flag("--diurnal", parts[1], 0.0);
-    } else if (arg == "--flash") {
-      const auto parts = cli::split(need_value(i), ':');
-      if (parts.size() != 3) {
-        std::cerr << "--flash wants MULT:START:DURATION\n";
-        usage(2);
-      }
-      opt.flash_multiplier = cli::parse_flag("--flash", parts[0], 0.0);
-      opt.flash_start = cli::parse_flag("--flash", parts[1], 0.0);
-      opt.flash_duration = cli::parse_flag("--flash", parts[2], 0.0);
-    } else if (arg == "--mean-gb") opt.mean_gb = cli::parse_flag("--mean-gb", need_value(i), 0.0);
-    else if (arg == "--seed") opt.seed = cli::parse_flag("--seed", need_value(i), std::uint64_t{0});
-    else if (arg == "--arrival-seed") {
-      opt.arrival_seed = cli::parse_flag("--arrival-seed", need_value(i), std::uint64_t{0});
-    } else if (arg == "--slot") opt.slot = cli::parse_flag("--slot", need_value(i), 0.0);
-    else if (arg == "--pump") opt.pump = cli::parse_flag("--pump", need_value(i), SimTime{1});
-    else if (arg == "--failures") {
-      const auto parts = cli::split(need_value(i), ':');
-      if (parts.size() != 2) {
-        std::cerr << "--failures wants MTBF:REPAIR seconds\n";
-        usage(2);
-      }
-      opt.failure_mtbf = cli::parse_flag("--failures", parts[0], 0.0);
-      opt.failure_repair = cli::parse_flag("--failures", parts[1], 0.0);
-    } else if (arg == "--horizon") {
-      opt.horizon = cli::parse_flag("--horizon", need_value(i), SimTime{0});
-    }
-    else if (arg == "--checkpoint") opt.checkpoint = need_value(i);
-    else if (arg == "--checkpoint-every") {
-      opt.checkpoint_every = cli::parse_flag("--checkpoint-every", need_value(i), 0.0);
-    }
-    else if (arg == "--restore") opt.restore = need_value(i);
-    else if (arg == "--script") opt.script = need_value(i);
-    else if (arg == "--repl") opt.repl = true;
-    else if (arg == "--json") opt.json = true;
-    else if (arg == "--admission") opt.admission = true;
-    else if (arg == "--bucket") {
-      const auto parts = cli::split(need_value(i), ':');
-      if (parts.size() != 2) {
-        std::cerr << "--bucket wants RATE:BURST\n";
-        usage(2);
-      }
-      opt.bucket_rate = cli::parse_flag("--bucket", parts[0], 0.0);
-      opt.bucket_burst = cli::parse_flag("--bucket", parts[1], 0.0);
-    } else if (arg == "--watermarks") {
-      const auto parts = cli::split(need_value(i), ':');
-      if (parts.size() != 2) {
-        std::cerr << "--watermarks wants HIGH:LOW\n";
-        usage(2);
-      }
-      opt.high_watermark = cli::parse_flag("--watermarks", parts[0], 0.0);
-      opt.low_watermark = cli::parse_flag("--watermarks", parts[1], 0.0);
-    } else if (arg == "--shed-fraction") {
-      opt.shed_fraction = cli::parse_flag("--shed-fraction", need_value(i), 0.0);
-    }
-    else if (arg == "--tenants") {
-      const auto parts = cli::split(need_value(i), ':');
-      if (parts.size() != 2) {
-        std::cerr << "--tenants wants N:PROTECTED\n";
-        usage(2);
-      }
-      opt.tenant_classes = cli::parse_flag("--tenants", parts[0], 1);
-      opt.protected_classes = cli::parse_flag("--tenants", parts[1], 0);
-    } else if (arg == "--governor") opt.governor = true;
-    else if (arg == "--slo-p99") opt.slo_p99 = cli::parse_flag("--slo-p99", need_value(i), 0.0);
-    else if (arg == "--slo-window") {
-      opt.slo_window = cli::parse_flag("--slo-window", need_value(i), 1);
-    }
-    else if (arg == "--supervise") opt.supervise = true;
-    else if (arg == "--snapshot-base") opt.snapshot_base = need_value(i);
-    else if (arg == "--snapshot-every") {
-      opt.snapshot_every = cli::parse_flag("--snapshot-every", need_value(i), SimTime{0});
-    } else if (arg == "--max-restarts") {
-      opt.max_restarts = cli::parse_flag("--max-restarts", need_value(i), 0);
-    } else if (arg == "--watchdog") {
-      opt.watchdog = cli::parse_flag("--watchdog", need_value(i), 0.0);
-    }
-    else if (arg == "--resume-from") opt.resume_from = need_value(i);
-    else if (arg == "--kill-at") {
-      for (const auto& slot : cli::split(need_value(i), ',')) {
-        opt.kill_at.push_back(cli::parse_flag("--kill-at", slot, SimTime{0}));
-      }
-    } else {
-      std::cerr << cli::unknown_flag_message(arg, kKnownFlags) << "\n";
-      usage(2);
-    }
-  }
-  return opt;
-}
-
-ServiceConfig make_service_config(const Options& opt) {
-  ServiceConfig config;
-  config.sim.seed = opt.seed;
-  config.sim.slot_seconds = opt.slot;
-  if (opt.failure_mtbf > 0.0) {
-    config.sim.failures.enabled = true;
-    config.sim.failures.mean_time_to_failure_seconds = opt.failure_mtbf;
-    config.sim.failures.mean_repair_seconds = opt.failure_repair;
-  }
-  config.arrivals.rate_per_second = opt.rate;
-  config.arrivals.diurnal_amplitude = opt.diurnal_amplitude;
-  config.arrivals.diurnal_period_seconds = opt.diurnal_period;
-  config.arrivals.flash_multiplier = opt.flash_multiplier;
-  config.arrivals.flash_start_seconds = opt.flash_start;
-  config.arrivals.flash_duration_seconds = opt.flash_duration;
-  config.arrivals.mean_input_gb = opt.mean_gb;
-  config.arrivals.seed = opt.arrival_seed;
-  config.policy = opt.policy;
-  config.pump_slots = opt.pump;
-  config.checkpoint_interval_seconds = opt.checkpoint_every;
-  config.overload.admission_enabled = opt.admission;
-  config.overload.bucket_rate_per_second = opt.bucket_rate;
-  config.overload.bucket_burst = opt.bucket_burst;
-  config.overload.high_watermark = opt.high_watermark;
-  config.overload.low_watermark = opt.low_watermark;
-  config.overload.shed_fraction = opt.shed_fraction;
-  config.overload.num_tenant_classes = opt.tenant_classes;
-  config.overload.protected_classes = opt.protected_classes;
-  config.overload.governor_enabled = opt.governor;
-  config.overload.slo_target_p99_seconds = opt.slo_p99;
-  config.overload.slo_window_size = opt.slo_window;
-  return config;
-}
+const char* const kAbout =
+    "usage: dollymp_service [flags]\n"
+    "Stream open-loop arrivals through a session to --horizon slots, or drive it\n"
+    "with script commands: run N | status | checkpoint PATH |\n"
+    "fork NAME [policy=P] [quarantine=ID,ID,...] | advance N | compare | quit";
 
 std::string hex64(std::uint64_t v) {
   std::ostringstream os;
@@ -474,21 +223,8 @@ int run_script(Fleet& fleet, std::istream& in, bool interactive) {
 /// print the final progress as one deterministic JSON line.  The JSON is
 /// byte-identical for any --kill-at schedule, which is what the CI recovery
 /// gate compares.
-int run_supervise(const Options& opt, const ServiceConfig& config,
-                  const Cluster& cluster) {
-  if (opt.snapshot_base.empty()) {
-    std::cerr << "--supervise requires --snapshot-base PATH\n";
-    return 2;
-  }
-  SupervisorOptions sup;
-  sup.snapshot_base = opt.snapshot_base;
-  sup.horizon_slots = opt.horizon;
-  sup.checkpoint_stride_slots =
-      opt.snapshot_every > 0 ? opt.snapshot_every : 4 * opt.pump;
-  sup.max_restarts = opt.max_restarts;
-  sup.watchdog_seconds = opt.watchdog;
-  sup.resume_from = opt.resume_from;
-  sup.kill_at_slots = opt.kill_at;
+void run_supervise(const Cluster& cluster, const ServiceConfig& config,
+                   const SupervisorOptions& sup) {
   const SupervisorResult result = run_supervised(cluster, config, sup);
   std::cout << "{\"clock\":" << result.final_clock << ",\"stream_hash\":\""
             << hex64(result.stream_hash)
@@ -499,28 +235,129 @@ int run_supervise(const Options& opt, const ServiceConfig& config,
             << ",\"restarts\":" << result.restarts
             << ",\"snapshots_quarantined\":" << result.snapshots_quarantined
             << "}\n";
-  return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
-  const ServiceConfig config = make_service_config(opt);
-  const Cluster cluster =
-      cli::parse_with("--cluster", [&] { return Cluster::from_spec(opt.cluster); });
-
-  if (opt.supervise) {
-    try {
-      return run_supervise(opt, config, cluster);
-    } catch (const std::exception& e) {
-      std::cerr << "error: " << e.what() << "\n";
-      return 3;
-    }
-  }
+  RunSpec run;
+  run.cluster = "google:100";
+  ServiceConfig config;
+  config.arrivals.rate_per_second = 0.05;
+  SupervisorOptions sup;
+  sup.horizon_slots = 2000;
+  Options opt;
+  // A row writing `config` validates it, so a value the session would
+  // refuse is a usage error naming the flag.
+  const auto service = [&config](auto set) { return cli::validated(config, set); };
+  const auto number = [](const std::string& text) { return cli::parse_number("", text, 0.0); };
+  ArrivalConfig& arrivals = config.arrivals;
+  OverloadConfig& overload = config.overload;
+  std::vector<cli::Flag> flags = run.flags({"--cluster", "--seed", "--slot", "--failures"});
+  flags.insert(flags.end(), {
+      {"--policy", "NAME",
+       "capacity | hopper | drf | tetris | carbyne | srpt | svf | dollymp<K> "
+       "(default dollymp2)",
+       service([&](const std::string& name) { config.policy = name; })},
+      {"--rate", "R", "mean arrivals per second (default 0.05)",
+       service([&](const std::string& text) { arrivals.rate_per_second = number(text); })},
+      {"--diurnal", "AMP[:PERIOD]",
+       "sinusoidal rate modulation, amplitude in [0,1), period seconds (default 86400)",
+       service([&](const std::string& text) {
+         const auto parts = cli::split(text, ':');
+         if (parts.size() > 2) throw std::invalid_argument("'" + text + "' wants AMP[:PERIOD]");
+         arrivals.diurnal_amplitude = number(parts[0]);
+         if (parts.size() == 2) arrivals.diurnal_period_seconds = number(parts[1]);
+       })},
+      {"--flash", "MULT:START:DURATION", "flash-crowd surge (multiplier >= 1)",
+       service([&](const std::string& text) {
+         const auto parts = cli::split_n(text, ':', 3);
+         arrivals.flash_multiplier = number(parts[0]);
+         arrivals.flash_start_seconds = number(parts[1]);
+         arrivals.flash_duration_seconds = number(parts[2]);
+       })},
+      {"--mean-gb", "X", "mean job input size (default 2)",
+       service([&](const std::string& text) { arrivals.mean_input_gb = number(text); })},
+      {"--arrival-seed", "S", "arrival stream seed (default 1)",
+       cli::set_number(arrivals.seed, std::uint64_t{0})},
+      {"--pump", "SLOTS", "arrival pump chunk (default 256)",
+       cli::set_number(config.pump_slots, SimTime{1})},
+      {"--horizon", "SLOTS", "one-shot run length (default 2000)",
+       cli::set_number(sup.horizon_slots, SimTime{0})},
+      {"--checkpoint", "FILE", "write a checkpoint at the horizon",
+       cli::set_text(opt.checkpoint)},
+      {"--checkpoint-every", "SECONDS", "periodic checkpoints to FILE.<n> instead",
+       service([&](const std::string& text) {
+         config.checkpoint_interval_seconds = number(text);
+       })},
+      {"--restore", "FILE", "restore the session from a checkpoint first",
+       cli::set_text(opt.restore)},
+      {"--script", "FILE", "run commands from FILE; stop at the first failing one (exit 3)",
+       cli::set_text(opt.script)},
+      {"--repl", "", "read commands from stdin; report errors and read on",
+       cli::set_true(opt.repl)},
+      {"--json", "", "print the final status as JSON", cli::set_true(opt.json)},
+      {"--admission", "", "enable the admission gate (token bucket, watermark shedding)",
+       cli::set_true(overload.admission_enabled)},
+      {"--bucket", "RATE:BURST", "token-bucket rate cap, jobs/second and burst jobs",
+       service([&](const std::string& text) {
+         const auto parts = cli::split_n(text, ':', 2);
+         overload.bucket_rate_per_second = number(parts[0]);
+         overload.bucket_burst = number(parts[1]);
+       })},
+      {"--watermarks", "HIGH:LOW", "live jobs per live server that start and stop shedding",
+       service([&](const std::string& text) {
+         const auto parts = cli::split_n(text, ':', 2);
+         overload.high_watermark = number(parts[0]);
+         overload.low_watermark = number(parts[1]);
+       })},
+      {"--shed-fraction", "F", "fraction of sheddable arrivals dropped while latched, in [0,1]",
+       service([&](const std::string& text) { overload.shed_fraction = number(text); })},
+      {"--tenants", "N:PROTECTED",
+       "tenant classes (job id % N) and how many top classes ride through shedding",
+       service([&](const std::string& text) {
+         const auto parts = cli::split_n(text, ':', 2);
+         overload.num_tenant_classes = cli::parse_number("", parts[0], 1);
+         overload.protected_classes = cli::parse_number("", parts[1], 0);
+       })},
+      {"--governor", "", "enable the SLO degradation ladder",
+       cli::set_true(overload.governor_enabled)},
+      {"--slo-p99", "SECONDS", "p99 response-time target (0: load only)",
+       service([&](const std::string& text) {
+         overload.slo_target_p99_seconds = number(text);
+       })},
+      {"--slo-window", "N", "sliding-window sample count",
+       cli::set_number(overload.slo_window_size, 1)},
+      {"--supervise", "",
+       "run in a supervised child process, restarted from the newest valid snapshot",
+       cli::set_true(opt.supervise)},
+      {"--snapshot-base", "PATH",
+       "snapshot rotation base (PATH.latest, PATH.prev, PATH.progress)",
+       cli::set_text(sup.snapshot_base)},
+      {"--snapshot-every", "SLOTS", "snapshot stride, a multiple of --pump (default 4 * pump)",
+       cli::set_number(sup.checkpoint_stride_slots, SimTime{0})},
+      {"--max-restarts", "N", "restart budget (default 8)",
+       cli::set_number(sup.max_restarts, 0)},
+      {"--watchdog", "SECONDS", "no-progress watchdog (default 30)",
+       cli::set_number(sup.watchdog_seconds, 0.0)},
+      {"--resume-from", "FILE",
+       "first child resumes from this snapshot (not a quarantined one)",
+       cli::set_text(sup.resume_from)},
+      {"--kill-at", "S1,S2,...", "test hook: child k SIGKILLs itself at slot Sk",
+       cli::set_numbers(sup.kill_at_slots, SimTime{0})},
+  });
+  cli::parse(argc, argv, kAbout, flags);
+  if (sup.checkpoint_stride_slots == 0) sup.checkpoint_stride_slots = 4 * config.pump_slots;
+  if (opt.supervise) cli::parse_with("--supervise", [&] { sup.validate(config.pump_slots); });
+  config.sim = run.config;
+  const Cluster cluster = cli::parse_with("--cluster", [&] { return run.make_cluster(); });
 
   Fleet fleet;
   try {
+    if (opt.supervise) {
+      run_supervise(cluster, config, sup);
+      return 0;
+    }
     if (!opt.restore.empty()) {
       fleet.parent = Session::restore(cluster, config, opt.restore);
       std::cerr << "restored from " << opt.restore << " at clock "
@@ -541,12 +378,12 @@ int main(int argc, char** argv) {
 
     // One-shot: advance to the horizon in pump-sized strides, cutting
     // periodic checkpoints when asked.
+    const double every = config.checkpoint_interval_seconds;
     int checkpoint_index = 0;
-    double next_checkpoint_seconds =
-        opt.checkpoint_every > 0.0 ? opt.checkpoint_every : -1.0;
-    while (fleet.parent->clock() < opt.horizon) {
+    double next_checkpoint_seconds = every > 0.0 ? every : -1.0;
+    while (fleet.parent->clock() < sup.horizon_slots) {
       const SimTime stride =
-          std::min<SimTime>(opt.horizon, fleet.parent->clock() + config.pump_slots);
+          std::min<SimTime>(sup.horizon_slots, fleet.parent->clock() + config.pump_slots);
       fleet.parent->run_until(stride);
       if (next_checkpoint_seconds > 0.0 && !opt.checkpoint.empty() &&
           static_cast<double>(fleet.parent->clock()) * config.sim.slot_seconds >=
@@ -555,10 +392,10 @@ int main(int argc, char** argv) {
             opt.checkpoint + "." + std::to_string(checkpoint_index++);
         fleet.parent->checkpoint(path);
         std::cerr << "wrote checkpoint " << path << "\n";
-        next_checkpoint_seconds += opt.checkpoint_every;
+        next_checkpoint_seconds += every;
       }
     }
-    if (!opt.checkpoint.empty() && opt.checkpoint_every <= 0.0) {
+    if (!opt.checkpoint.empty() && every <= 0.0) {
       fleet.parent->checkpoint(opt.checkpoint);
       std::cerr << "wrote checkpoint " << opt.checkpoint << "\n";
     }
