@@ -19,10 +19,10 @@ int main() {
   // A small heterogeneous cluster: 4 big nodes and 8 small ones.
   Cluster cluster;
   for (int i = 0; i < 4; ++i) {
-    cluster.add_server(ServerSpec{{16, 32}, 1.3, 0, "big"});
+    cluster.add_server(ServerSpec{{16, 32}, 1.3, 0});
   }
   for (int i = 0; i < 8; ++i) {
-    cluster.add_server(ServerSpec{{8, 16}, 1.0, 1, "small"});
+    cluster.add_server(ServerSpec{{8, 16}, 1.0, 1});
   }
 
   // Three jobs.  Job 0: a 20-task single-phase job with straggler-prone

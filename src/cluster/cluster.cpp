@@ -142,13 +142,13 @@ Cluster Cluster::paper30() {
   // (8c/16GB); 2 + 7 + 21 = 30 nodes; 2*24 + 7*16 + 21*8 = 328 cores.
   // Memory for the 7 normal nodes alternates 32/64 GB ("32-64GB").
   std::vector<ServerGroup> groups;
-  groups.push_back({ServerSpec{{24, 48}, 1.6, 0, "power-24c"}, 2});
+  groups.push_back({ServerSpec{{24, 48}, 1.6, 0}, 2});
   for (int i = 0; i < 7; ++i) {
     const double mem = (i % 2 == 0) ? 32.0 : 64.0;
-    groups.push_back({ServerSpec{{16, mem}, 1.25, i < 4 ? 0 : 1, "normal-16c"}, 1});
+    groups.push_back({ServerSpec{{16, mem}, 1.25, i < 4 ? 0 : 1}, 1});
   }
-  groups.push_back({ServerSpec{{8, 16}, 1.0, 1, "small-8c"}, 11});
-  groups.push_back({ServerSpec{{8, 16}, 1.0, 0, "small-8c"}, 10});
+  groups.push_back({ServerSpec{{8, 16}, 1.0, 1}, 11});
+  groups.push_back({ServerSpec{{8, 16}, 1.0, 0}, 10});
   return Cluster(groups);
 }
 
@@ -163,11 +163,11 @@ Cluster Cluster::google_like(std::size_t servers) {
     const int rack = static_cast<int>(i / 40);
     const std::size_t r = i % 10;
     if (r < 5) {
-      cluster.add_server(ServerSpec{{16, 32}, 1.0, rack, "mid-16c"});
+      cluster.add_server(ServerSpec{{16, 32}, 1.0, rack});
     } else if (r < 8) {
-      cluster.add_server(ServerSpec{{32, 64}, 1.3, rack, "big-32c"});
+      cluster.add_server(ServerSpec{{32, 64}, 1.3, rack});
     } else {
-      cluster.add_server(ServerSpec{{8, 16}, 0.8, rack, "small-8c"});
+      cluster.add_server(ServerSpec{{8, 16}, 0.8, rack});
     }
   }
   return cluster;
@@ -188,13 +188,13 @@ Cluster Cluster::google_trace(std::size_t servers) {
     const int rack = static_cast<int>(i / 48);
     const std::size_t r = i % 20;
     if (r < 8) {
-      cluster.add_server(ServerSpec{{12, 48}, 1.0, rack, "std-12c"});
+      cluster.add_server(ServerSpec{{12, 48}, 1.0, rack});
     } else if (r < 14) {
-      cluster.add_server(ServerSpec{{24, 96}, 1.15, rack, "big-24c"});
+      cluster.add_server(ServerSpec{{24, 96}, 1.15, rack});
     } else if (r < 17) {
-      cluster.add_server(ServerSpec{{48, 192}, 1.3, rack, "huge-48c"});
+      cluster.add_server(ServerSpec{{48, 192}, 1.3, rack});
     } else {
-      cluster.add_server(ServerSpec{{8, 24}, 0.85, rack, "small-8c"});
+      cluster.add_server(ServerSpec{{8, 24}, 0.85, rack});
     }
   }
   return cluster;
@@ -212,9 +212,9 @@ Cluster Cluster::gpu_pods(std::size_t servers) {
     const int rack = static_cast<int>(i / 16);
     const std::size_t r = i % 8;
     if (r < 2) {
-      cluster.add_server(ServerSpec{{64.0, 256.0, 8.0}, 1.2, rack, "gpu-8x"});
+      cluster.add_server(ServerSpec{{64.0, 256.0, 8.0}, 1.2, rack});
     } else {
-      cluster.add_server(ServerSpec{{16.0, 64.0}, 1.0, rack, "cpu-16c"});
+      cluster.add_server(ServerSpec{{16.0, 64.0}, 1.0, rack});
     }
   }
   return cluster;
@@ -222,7 +222,7 @@ Cluster Cluster::gpu_pods(std::size_t servers) {
 
 Cluster Cluster::single(Resources capacity, double base_speed) {
   Cluster cluster;
-  cluster.add_server(ServerSpec{capacity, base_speed, 0, "single"});
+  cluster.add_server(ServerSpec{capacity, base_speed, 0});
   return cluster;
 }
 
@@ -230,7 +230,7 @@ Cluster Cluster::uniform(std::size_t servers, Resources capacity, double base_sp
   Cluster cluster;
   cluster.reserve(servers);
   for (std::size_t i = 0; i < servers; ++i) {
-    cluster.add_server(ServerSpec{capacity, base_speed, static_cast<int>(i / 40), "uniform"});
+    cluster.add_server(ServerSpec{capacity, base_speed, static_cast<int>(i / 40)});
   }
   return cluster;
 }

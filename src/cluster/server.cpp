@@ -14,21 +14,7 @@ void ServerTable::reserve(std::size_t servers) {
   slow_factor_.reserve(servers);
   rack_.reserve(servers);
   running_copies_.reserve(servers);
-  model_.reserve(servers);
   flags_.reserve(servers);
-}
-
-std::uint16_t ServerTable::intern_model(const std::string& model) {
-  // Linear scan: inventories use a handful of machine shapes, so this
-  // beats hashing and keeps the table a plain vector.
-  for (std::size_t i = 0; i < model_names_.size(); ++i) {
-    if (model_names_[i] == model) return static_cast<std::uint16_t>(i);
-  }
-  if (model_names_.size() >= 65535) {
-    throw std::length_error("ServerTable: too many distinct server models");
-  }
-  model_names_.push_back(model);
-  return static_cast<std::uint16_t>(model_names_.size() - 1);
 }
 
 ServerId ServerTable::add(const ServerSpec& spec) {
@@ -39,7 +25,6 @@ ServerId ServerTable::add(const ServerSpec& spec) {
   slow_factor_.push_back(1.0);
   rack_.push_back(spec.rack);
   running_copies_.push_back(0);
-  model_.push_back(intern_model(spec.model));
   flags_.push_back(0);
   return id;
 }
@@ -51,10 +36,7 @@ void ServerTable::save_state(StateWriter& w) const {
   w.pod_vec(slow_factor_);
   w.pod_vec(rack_);
   w.pod_vec(running_copies_);
-  w.pod_vec(model_);
   w.pod_vec(flags_);
-  w.u64(model_names_.size());
-  for (const std::string& name : model_names_) w.str(name);
 }
 
 void ServerTable::load_state(StateReader& r) {
@@ -64,16 +46,10 @@ void ServerTable::load_state(StateReader& r) {
   r.pod_vec(slow_factor_);
   r.pod_vec(rack_);
   r.pod_vec(running_copies_);
-  r.pod_vec(model_);
   r.pod_vec(flags_);
-  const std::size_t names = r.count("model name", sizeof(std::uint64_t));
-  model_names_.clear();
-  model_names_.reserve(names);
-  for (std::size_t i = 0; i < names; ++i) model_names_.push_back(r.str());
   const std::size_t n = capacity_.size();
   if (used_.size() != n || base_speed_.size() != n || slow_factor_.size() != n ||
-      rack_.size() != n || running_copies_.size() != n || model_.size() != n ||
-      flags_.size() != n) {
+      rack_.size() != n || running_copies_.size() != n || flags_.size() != n) {
     throw std::runtime_error("snapshot: server-table column length mismatch");
   }
   // Rack ids index per-rack tables (the fault engine's rack member lists)
@@ -84,11 +60,6 @@ void ServerTable::load_state(StateReader& r) {
       throw std::runtime_error("snapshot: server " + std::to_string(i) + " rack " +
                                std::to_string(rack_[i]) + " outside [0, " +
                                std::to_string(n) + ")");
-    }
-    if (model_[i] >= model_names_.size()) {
-      throw std::runtime_error("snapshot: server " + std::to_string(i) + " model " +
-                               std::to_string(model_[i]) + " outside the " +
-                               std::to_string(model_names_.size()) + " model names");
     }
   }
 }

@@ -4,24 +4,9 @@
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 
 namespace dollymp::cli {
-
-std::vector<std::string> normalize_args(int argc, char** argv) {
-  std::vector<std::string> args;
-  args.reserve(static_cast<std::size_t>(argc > 1 ? argc - 1 : 0));
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto eq = arg.find('=');
-    if (arg.rfind("--", 0) == 0 && eq != std::string::npos) {
-      args.push_back(arg.substr(0, eq));
-      args.push_back(arg.substr(eq + 1));
-    } else {
-      args.push_back(arg);
-    }
-  }
-  return args;
-}
 
 std::vector<std::string> split(const std::string& text, char sep) {
   std::vector<std::string> parts;
@@ -114,9 +99,16 @@ std::string help(const std::string& about, const std::vector<Flag>& flags) {
 }
 
 void parse(int argc, char** argv, const std::string& about, const std::vector<Flag>& flags) {
-  const std::vector<std::string> args = normalize_args(argc, argv);
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
+  for (int i = 1; i < argc; ++i) {
+    // `--flag=value`: only the first '=' of a `--` argument splits, so a
+    // value may hold more; a separate value argument is taken whole.
+    std::string arg = argv[i];
+    std::optional<std::string> attached;
+    const auto eq = arg.find('=');
+    if (arg.rfind("--", 0) == 0 && eq != std::string::npos) {
+      attached = arg.substr(eq + 1);
+      arg.resize(eq);
+    }
     if (arg == "--help" || arg == "-h") {
       std::cout << help(about, flags);
       std::exit(0);
@@ -129,9 +121,13 @@ void parse(int argc, char** argv, const std::string& about, const std::vector<Fl
       exit_usage_error(unknown_flag_message(arg, known));
     }
     std::string value;
-    if (!row->value.empty()) {
-      if (i + 1 >= args.size()) exit_usage_error("missing value for " + arg);
-      value = args[++i];
+    if (row->value.empty()) {
+      if (attached) exit_usage_error(arg + ": takes no value");
+    } else if (attached) {
+      value = *attached;
+    } else {
+      if (i + 1 >= argc) exit_usage_error("missing value for " + arg);
+      value = argv[++i];
     }
     try {
       row->set(value);

@@ -118,41 +118,6 @@ const std::vector<double>& Cdf::sorted_samples() const {
   return samples_;
 }
 
-// ------------------------------------------------------------- Histogram ---
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  if (!(hi > lo)) throw std::invalid_argument("Histogram: hi must exceed lo");
-  if (buckets == 0) throw std::invalid_argument("Histogram: needs >= 1 bucket");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long>(std::floor((x - lo_) / width));
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_low(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_high(std::size_t i) const { return bucket_low(i + 1); }
-
-std::string Histogram::render(std::size_t width) const {
-  std::size_t peak = 1;
-  for (const auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bars = counts_[i] * width / peak;
-    os << "[" << bucket_low(i) << ", " << bucket_high(i) << ") "
-       << std::string(bars, '#') << " " << counts_[i] << "\n";
-  }
-  return os.str();
-}
-
 double quantile_of(std::vector<double> samples, double q) {
   return Cdf(std::move(samples)).quantile(q);
 }

@@ -9,14 +9,10 @@
 // Data layout: since the struct-of-arrays overhaul, per-server hot state
 // (capacity, used, speed, flags, counters) lives in contiguous parallel
 // arrays inside ServerTable, and Server is a 16-byte {table, id} view with
-// the same accessor surface the object layout had.  Model labels are
-// interned — one std::string per distinct machine shape, servers hold a
-// 16-bit id — so building a million-server inventory allocates a handful
-// of strings, not a million.
+// the same accessor surface the object layout had.
 #pragma once
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "dollymp/common/debug_check.h"
@@ -30,13 +26,12 @@ class StateReader;
 using ServerId = std::int32_t;
 inline constexpr ServerId kInvalidServer = -1;
 
-/// Immutable description of a server model (construction-time only; the
-/// hot state never stores one).
+/// Immutable description of one server (construction-time only; the hot
+/// state never stores one).
 struct ServerSpec {
   Resources capacity;      ///< (C_i cores, M_i GB) of Eq. (5).
   double base_speed = 1.0; ///< >0; 1.0 is a "normal" node, >1 is a fast node.
   int rack = 0;            ///< rack index for the locality model.
-  std::string model;       ///< human-readable label, e.g. "xeon-24c".
 };
 
 class Server;
@@ -49,36 +44,26 @@ class ServerTable {
 
   void reserve(std::size_t servers);
 
-  /// Append a row; interns the model label.  Returns the new server's id
-  /// (== row index).
+  /// Append a row.  Returns the new server's id (== row index).
   ServerId add(const ServerSpec& spec);
 
   [[nodiscard]] std::size_t size() const { return capacity_.size(); }
 
-  /// Interned model labels: one string per distinct model.
-  [[nodiscard]] std::uint16_t intern_model(const std::string& model);
-  [[nodiscard]] const std::string& model_name(std::uint16_t model_id) const {
-    return model_names_[model_id];
-  }
-  [[nodiscard]] std::size_t distinct_models() const { return model_names_.size(); }
-
   /// Checkpoint/restore: the full table — immutable spec columns (capacity,
-  /// speed, rack, model + interned labels) *and* mutable hot state (used,
-  /// slow factor, copy counters, flags) — so a snapshot is self-contained
-  /// and a fresh process can rebuild the cluster without re-running the
-  /// inventory builder.  load_state overwrites every column.
+  /// speed, rack) *and* mutable hot state (used, slow factor, copy
+  /// counters, flags) — so a snapshot is self-contained and a fresh
+  /// process can rebuild the cluster without re-running the inventory
+  /// builder.  load_state overwrites every column.
   void save_state(StateWriter& w) const;
   void load_state(StateReader& r);
 
-  /// Bytes of hot-state storage (the interned label table is a handful of
-  /// strings and not counted).  Feeds the bytes-per-server scale gate.
+  /// Bytes of hot-state storage.  Feeds the bytes-per-server scale gate.
   [[nodiscard]] std::size_t memory_bytes() const {
     return capacity_.capacity() * sizeof(Resources) + used_.capacity() * sizeof(Resources) +
            base_speed_.capacity() * sizeof(double) +
            slow_factor_.capacity() * sizeof(double) +
            rack_.capacity() * sizeof(std::int32_t) +
            running_copies_.capacity() * sizeof(std::int32_t) +
-           model_.capacity() * sizeof(std::uint16_t) +
            flags_.capacity() * sizeof(std::uint8_t);
   }
 
@@ -94,9 +79,7 @@ class ServerTable {
   std::vector<double> slow_factor_;
   std::vector<std::int32_t> rack_;
   std::vector<std::int32_t> running_copies_;
-  std::vector<std::uint16_t> model_;
   std::vector<std::uint8_t> flags_;
-  std::vector<std::string> model_names_;
 };
 
 /// View over one ServerTable row: the mutable allocation state of a single
@@ -112,10 +95,6 @@ class Server {
   [[nodiscard]] Resources free() const { return (capacity() - used()).clamped(); }
   [[nodiscard]] int rack() const { return table_->rack_[row()]; }
   [[nodiscard]] double base_speed() const { return table_->base_speed_[row()]; }
-  [[nodiscard]] std::uint16_t model_id() const { return table_->model_[row()]; }
-  [[nodiscard]] const std::string& model() const {
-    return table_->model_name(model_id());
-  }
 
   /// Up and not quarantined: the server may take new placements.  This is
   /// can_fit's flag rule and the PlacementIndex's candidacy rule.

@@ -24,11 +24,6 @@
 
 namespace dollymp::cli {
 
-/// argv[1..] with every `--flag=value` expanded into `--flag` `value`, so a
-/// dispatch loop only ever sees the space-separated spelling.  Lone `=`
-/// inside non-flag arguments (file names, cluster specs) is left alone.
-[[nodiscard]] std::vector<std::string> normalize_args(int argc, char** argv);
-
 /// Split on a separator (cluster specs like google:300, fault specs like
 /// MTBF:REPAIR, comma lists), keeping every item: "a,,b" has three items,
 /// "a," two and an empty text one empty item.
@@ -120,9 +115,9 @@ struct Flag {
 [[nodiscard]] std::string help(const std::string& about, const std::vector<Flag>& flags);
 
 /// Apply argv[1..] to `flags` in order.  `--help`/`-h` prints help() to
-/// stdout and exits 0.  An unknown flag, a missing value or a
-/// std::invalid_argument from a setter prints one line naming the flag to
-/// stderr and exits 2.
+/// stdout and exits 0.  An unknown flag, a missing value, a switch given
+/// `=value` or a std::invalid_argument from a setter prints one line naming
+/// the flag to stderr and exits 2.
 void parse(int argc, char** argv, const std::string& about, const std::vector<Flag>& flags);
 
 /// Setter: the switch sets `target`.

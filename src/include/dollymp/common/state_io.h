@@ -4,7 +4,7 @@
 // flight-recorder stream hash has to equal the uninterrupted run's, so a
 // snapshot that silently drops or reorders a field is worse than one that
 // fails loudly.  StateWriter/StateReader therefore wrap every payload in a
-// framed envelope — a 9-byte magic ("DMPCKPT01"), a format version (4), the
+// framed envelope — a 9-byte magic ("DMPCKPT01"), a format version (5), the
 // payload length, and a trailing XXH64 hash (seed 0) over the payload — and
 // the reader rejects truncation, trailing garbage, bit corruption and
 // foreign files with a std::runtime_error naming what went wrong.  The hash
@@ -42,7 +42,7 @@ inline constexpr std::uint64_t kStateHashPrime = 0x100000001b3ULL;
 
 /// The 9-byte format magic + current version.
 inline constexpr char kStateMagic[] = "DMPCKPT01";  // 9 chars + NUL
-inline constexpr std::uint32_t kStateVersion = 4;
+inline constexpr std::uint32_t kStateVersion = 5;
 /// Envelope header: magic, u32 version, u64 payload length.
 inline constexpr std::size_t kStateHeaderBytes = 9 + 4 + 8;
 

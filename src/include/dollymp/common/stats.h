@@ -1,4 +1,4 @@
-// Streaming statistics, empirical CDFs and histograms.
+// Streaming statistics and empirical CDFs.
 //
 // The paper's evaluation reports distributions almost exclusively as CDFs
 // (Figs. 4b, 5, 6, 8, 9, 10, 11) plus aggregate means/sums; this module is
@@ -67,28 +67,6 @@ class Cdf {
   void ensure_sorted() const;
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-/// Fixed-width histogram over [lo, hi); out-of-range samples clamp into the
-/// edge buckets so total mass is preserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  [[nodiscard]] std::size_t count() const { return total_; }
-  [[nodiscard]] std::size_t bucket(std::size_t i) const { return counts_.at(i); }
-  [[nodiscard]] double bucket_low(std::size_t i) const;
-  [[nodiscard]] double bucket_high(std::size_t i) const;
-
-  /// Render a terminal bar chart, one row per bucket.
-  [[nodiscard]] std::string render(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Quantile of an unsorted sample (copies + sorts; convenience for tests).

@@ -187,7 +187,6 @@ struct SimResult {
 
   [[nodiscard]] double total_flowtime() const;
   [[nodiscard]] double mean_flowtime() const;
-  [[nodiscard]] double total_running_time() const;
   [[nodiscard]] double total_resource_seconds() const;
   /// Fraction of tasks that had at least one clone (Fig. 10b).
   [[nodiscard]] double cloned_task_fraction() const;

@@ -34,8 +34,6 @@ struct DollyMPConfig {
   int clone_budget = 2;
   /// Sigma weighting r in e_j^k = theta + r*sigma (Section 6.1: r = 1.5).
   double sigma_factor = 1.5;
-  /// Prefer replica / rack-local servers when placing copies.
-  bool locality_aware = true;
   /// Clone in priority (smallest-job-first) order per Section 4.1; false
   /// reverses the order — the naive-cloning ablation of DESIGN.md.
   bool smallest_first_clones = true;
@@ -115,13 +113,9 @@ class DollyMPScheduler final : public Scheduler {
     bool has_priority;
   };
 
-  /// True when the dense priority store holds a current-epoch entry for
-  /// `id` (see `epoch_` below).
-  [[nodiscard]] bool priority_known(JobId id) const;
-  /// Grow the dense per-job arrays to cover `id`.  Only ever allocates on
-  /// arrival of a job with a new maximum id — never in the steady-state
-  /// schedule() path.
-  void ensure_slot(JobId id);
+  /// True when the priority cache holds a current-epoch entry for `slot`
+  /// (see `epoch_` below).
+  [[nodiscard]] bool priority_known(std::size_t slot) const;
   void rebuild_order(SchedulerContext& ctx);
   int place_new_tasks(SchedulerContext& ctx);
   /// Resilient variant of place_new_tasks: identical placement order but
@@ -137,15 +131,21 @@ class DollyMPScheduler final : public Scheduler {
   [[nodiscard]] ResiliencePolicy* live_resilience(SchedulerContext& ctx);
 
   DollyMPConfig config_;
-  /// Dense per-job priority store, indexed by JobId (ids are small and
-  /// sequential).  An entry is valid iff prio_epoch_[id] == epoch_; each
-  /// recompute (and each reset) bumps epoch_, which invalidates every
-  /// stale entry in O(1) without deallocating or clearing — the hot loop
-  /// never touches a hash map and schedule() stays allocation-free once
-  /// the buffers are warm.
-  std::vector<std::int64_t> prio_epoch_;
-  std::vector<int> prio_value_;
-  std::vector<double> vol_value_;
+  /// One job's cached priority class and remaining volume.
+  struct CachedPriority {
+    std::int64_t epoch = 0;
+    double volume = 0.0;
+    int priority = 0;
+  };
+  /// The priority cache, indexed by the job's runtime slot (JobRuntime::
+  /// slot), so it is bounded by the store's slot count whatever the job
+  /// ids.  An entry is valid iff its epoch == epoch_; each recompute (and
+  /// each reset) bumps epoch_, which invalidates every stale entry in O(1)
+  /// without deallocating or clearing, so schedule() stays allocation-free
+  /// once the cache is warm.  A recycled slot's stale entry is never read:
+  /// its next job is not active before it arrives, and every arrival
+  /// recomputes before schedule() runs.
+  std::vector<CachedPriority> cache_;
   std::int64_t epoch_ = 0;
   /// Reused scratch buffers: cleared, never shrunk, between invocations.
   std::vector<PriorityJobInput> inputs_;

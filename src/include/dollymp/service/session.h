@@ -4,9 +4,8 @@
 // A Session wraps a SimCore in service mode (streaming + job recycling),
 // pumps jobs from an ArrivalSource in bounded chunks as simulated time
 // advances, and keeps resident memory proportional to the number of LIVE
-// jobs rather than total arrivals: job specs are ingested in shared-pointer
-// segments, and a segment is dropped once every job it carries has been
-// recycled by the core.
+// jobs rather than total arrivals: the core owns each pumped chunk of specs
+// and frees it once every job it carries has been recycled.
 //
 // Checkpoints are full-fidelity: the DMPCKPT01 file carries the arrival
 // source position, the session clock and the complete SimCore state
@@ -16,16 +15,15 @@
 // checkpoint points.
 //
 // Forks are the what-if primitive: fork() snapshots the parent in memory
-// and builds a child session that shares the parent's immutable job specs
-// (segment shared_ptrs plus SimCore's shared-spec restore path — no spec
-// bytes are copied) while owning all mutable state.  The child can switch
+// and builds a child session that shares the parent's immutable spec
+// chunks (SimCore::load_state with the parent core — no spec bytes are
+// copied) while owning all mutable state.  The child can switch
 // policy (the scheduler blob is skipped; the new policy starts cold) and
 // quarantine servers at the fork point, then run an alternative future
 // without perturbing the parent.
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
@@ -83,7 +81,7 @@ class Session {
   Session(Cluster cluster, ServiceConfig config);
 
   /// Advance simulated time through `horizon_slots`, pumping arrivals in
-  /// pump_slots-sized chunks and reclaiming drained spec segments.
+  /// pump_slots-sized chunks.
   ///
   /// Determinism contract: the decision stream is a pure function of
   /// (config, the SEQUENCE of run_until horizons).  Chunk boundaries decide
@@ -100,10 +98,9 @@ class Session {
   [[nodiscard]] int live_jobs() const { return core_->jobs_remaining(); }
   [[nodiscard]] std::uint64_t stream_hash() const { return recorder_.hash(); }
   [[nodiscard]] std::uint64_t records_written() const { return recorder_.records_written(); }
-  [[nodiscard]] std::size_t spec_segments() const { return segments_.size(); }
-  /// Job specs currently retained across all segments — the number that
-  /// must stay proportional to live jobs, not total arrivals.
-  [[nodiscard]] std::size_t specs_retained() const;
+  /// Job specs the core still holds (SimCore::specs_retained) — the
+  /// number that must stay proportional to live jobs, not total arrivals.
+  [[nodiscard]] std::size_t specs_retained() const { return core_->specs_retained(); }
   [[nodiscard]] std::size_t store_memory_bytes() const { return core_->store_memory_bytes(); }
   /// Current rung of the degradation ladder (0 unless the governor is on).
   [[nodiscard]] int overload_level() const { return core_->overload_level(); }
@@ -141,29 +138,19 @@ class Session {
 
   // ---- what-if forks -------------------------------------------------------
   /// Copy-on-write fork at the current pause point.  The child shares the
-  /// parent's job-spec storage (and keeps it alive via segment
-  /// shared_ptrs); all mutable simulation state is the child's own.  The
+  /// parent's spec chunks (and keeps them alive through their shared
+  /// pointers); all mutable simulation state is the child's own.  The
   /// parent is not modified and its future stream is unaffected.
   [[nodiscard]] std::unique_ptr<Session> fork(const ForkOptions& options) const;
 
  private:
-  /// One ingest chunk: the specs (shared so forks and the core can outlive
-  /// the pumping session), the ingest seq of its first job, and how many of
-  /// its jobs the core has not recycled yet.
-  struct Segment {
-    std::shared_ptr<std::vector<JobSpec>> specs;
-    std::int64_t first_seq = 0;
-    std::int64_t live = 0;
-  };
-
   void pump_arrivals(SimTime through_slot);
-  void reap_recycled();
   /// Pump-boundary overload work: refresh the load estimate, update the
   /// watermark latch and step the governor ladder (tracing transitions).
   void evaluate_overload();
   void write_payload(StateWriter& w) const;
-  void load_payload(StateReader& r, bool load_scheduler,
-                    const std::vector<const JobSpec*>* shared_specs);
+  /// `parent`: the core the payload was just taken from (a fork).
+  void load_payload(StateReader& r, bool load_scheduler, const SimCore* parent);
 
   ServiceConfig config_;
   Cluster prototype_;  ///< pristine copy for restore/fork core construction
@@ -175,8 +162,6 @@ class Session {
   double last_load_ratio_ = 0.0;
   std::unique_ptr<Scheduler> scheduler_;
   std::unique_ptr<SimCore> core_;
-  std::deque<Segment> segments_;
-  std::vector<RecycledJob> recycled_scratch_;
   SimTime clock_ = 0;  ///< horizon stepped through so far
 };
 

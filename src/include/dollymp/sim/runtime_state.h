@@ -152,13 +152,15 @@ class JobRuntime {
   double resource_seconds = 0.0;  ///< sum over copies: normalized demand x runtime
   int tasks_with_clones = 0;
 
-  // Service-mode bookkeeping.  pending_events counts in-flight heap events
-  // referencing this job slot — recycling waits for the last one to drain,
-  // so no event ever pops against a reused slot.  ingest_seq is the
-  // streaming ingestion sequence number, a stable identity across JobId
-  // reuse.  Both are inert in batch runs.
+  /// The job's runtime slot: its index in RuntimeStore::jobs(), the one
+  /// per-job key (event payloads, the active list's snapshot, schedulers'
+  /// per-job caches).  Set by RuntimeStore::materialize and load_state; a
+  /// streaming core hands a recycled slot to a later job.
+  std::int32_t slot = -1;
+  /// In-flight heap events naming this slot.  A streaming core recycles
+  /// the slot only once the last one has drained, so no event ever pops
+  /// against a reused slot; inert in batch runs.
   std::int32_t pending_events = 0;
-  std::int64_t ingest_seq = 0;
 
   /// Snapshot for the Eq. (16)/(17) recomputation.
   [[nodiscard]] JobProgress progress() const;
@@ -187,7 +189,6 @@ class JobRuntime {
   [[nodiscard]] double max_dominant_share(const Resources& cluster_total) const;
 
   [[nodiscard]] int total_tasks() const { return spec->total_tasks(); }
-  [[nodiscard]] bool has_runnable_work() const;
 
  private:
   // remaining_volume / remaining_length caches, keyed by the call

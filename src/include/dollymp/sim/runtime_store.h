@@ -13,9 +13,11 @@
 //
 // Id spaces:
 //   * JobId (job.h) stays the workload-assigned id; the store ALSO assigns
-//     a dense index — materialization order — which is what the simulator
-//     uses for event payloads (`&job - jobs().data()`), unchanged from the
-//     old vector-of-jobs layout.
+//     each job a dense slot — its index in jobs(), stored as
+//     JobRuntime::slot — which is the simulator's per-job key (event
+//     payloads, the arrival order, the active list) and the key of
+//     schedulers' per-job caches.  A streaming run reuses recycled slots,
+//     so the slot count tracks live jobs whatever the ids.
 //   * Dense PhaseId / TaskId are the positions in phases()/tasks(); code
 //     that needs them derives them by pointer difference, which the
 //     contiguous layout makes valid across a whole run, not just within
@@ -54,7 +56,7 @@ class RuntimeStore {
   /// Build the runtime skeleton for a job: samples the per-phase duration
   /// pools (Pareto fitted to theta/sigma; degenerate to constant when
   /// sigma is 0) and the input-block replica placements.  Returns the
-  /// job's dense index into jobs().  Draw order matches the pre-overhaul
+  /// job's slot, its index into jobs().  Draw order matches the pre-overhaul
   /// materialize_job exactly (pool samples, then per-task blocks, phase by
   /// phase), so seeds reproduce bit-identical runs.
   std::size_t materialize(const JobSpec& spec, double slot_seconds,
@@ -83,9 +85,6 @@ class RuntimeStore {
   /// keeps its finished state until reuse (active-list erase predicates
   /// stay sound); its copy extents must already be released.
   void release_job(std::size_t job_index);
-
-  /// Recyclable slots currently parked (streaming memory accounting).
-  [[nodiscard]] std::size_t free_slot_count() const;
 
   /// Per-slot free/live mask (1 = released), for checkpoint writers that
   /// must not dereference a released slot's nulled spec pointer.

@@ -27,14 +27,20 @@
 //     kIdle when truly nothing is pending.
 //   * a completed job's runtime slot is handed back to the RuntimeStore for
 //     the next materialize of the same shape once its last in-flight heap
-//     event has drained, so resident memory tracks *live* jobs instead of
-//     total arrivals.  Recycled (ingest_seq, JobId) pairs are surfaced via
-//     take_recycled for id reuse upstream.
+//     event has drained, and lets go of its spec chunk, so resident memory
+//     tracks *live* jobs instead of total arrivals.
 //   * the stall throw is off: an open-ended arrival source can always
 //     produce more work.
 //
 // A run is single-threaded; cores are used only by running independent
 // replications side by side (common/experiment.h).
+//
+// The core owns the specs it runs.  One job has one key, its runtime slot
+// (JobRuntime::slot, the RuntimeStore index).  Each ingest call's specs
+// become one immutable shared chunk, and each live slot holds the chunk its
+// spec lives in, so a chunk is freed once its last job is recycled.  A
+// restore owns the specs it parses the same way, and a fork shares its
+// parent's chunks instead of copying their bytes.
 //
 // Pending events live in two queues.  Machine events — crash, rack and
 // fail-slow timers, one or two per server with those faults on — sit in a
@@ -62,7 +68,7 @@
 
 #include <array>
 #include <chrono>
-#include <deque>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -150,16 +156,6 @@ struct StreamTotals {
   long long speculative_launched = 0;
 };
 
-/// A recycled job slot's identity, surfaced so the streaming session can
-/// reuse the JobId (bounding id-indexed scheduler state).  16 bytes with
-/// explicit, zeroed padding: snapshots copy it byte for byte.
-struct RecycledJob {
-  std::int64_t ingest_seq = 0;
-  JobId id = -1;
-  std::uint8_t pad[4] = {};
-};
-static_assert(sizeof(RecycledJob) == 16);
-
 class SimCore final : public SchedulerContext {
  public:
   /// Horizon sentinel: never pause (the legacy batch loop).
@@ -172,11 +168,11 @@ class SimCore final : public SchedulerContext {
   void set_streaming(bool streaming) { streaming_ = streaming; }
 
   /// Materialize jobs into the runtime store and merge them into the
-  /// arrival order.  Callable repeatedly, before or after begin(); specs
-  /// must outlive the core (the streaming session retains its segments).
-  /// A negative job id throws std::invalid_argument: schedulers index
-  /// per-job state by id.
-  void ingest(const std::vector<JobSpec>& specs);
+  /// arrival order.  Callable repeatedly, before or after begin().  The
+  /// specs become one chunk the core owns (see the header comment).  A
+  /// negative job id throws std::invalid_argument: -1 is the "no job"
+  /// value of trace records.
+  void ingest(std::vector<JobSpec> specs);
 
   /// Bind the scheduler, seed the fault timers and arm the loop at slot 0.
   void begin(Scheduler& scheduler);
@@ -194,13 +190,11 @@ class SimCore final : public SchedulerContext {
   // ---- streaming observability -------------------------------------------
   [[nodiscard]] const StreamTotals& totals() const { return totals_; }
   [[nodiscard]] int jobs_remaining() const { return jobs_remaining_; }
-  /// Ingest sequence number the next ingested job will receive — lets the
-  /// session map take_recycled identities back to its spec segments.
-  [[nodiscard]] std::int64_t next_ingest_seq() const { return next_ingest_seq_; }
   [[nodiscard]] const SimStats& stats() const { return result_.stats; }
   [[nodiscard]] std::size_t store_memory_bytes() const { return store_.memory_bytes(); }
-  /// Drain the recycled-slot identities accumulated since the last call.
-  void take_recycled(std::vector<RecycledJob>& out);
+  /// Specs in the distinct chunks the live slots still hold: the specs a
+  /// streaming core keeps resident.
+  [[nodiscard]] std::size_t specs_retained() const;
 
   // ---- overload protection (service mode; inert unless driven) -------------
   /// Observe each completed job's response time into `window` (null
@@ -232,17 +226,10 @@ class SimCore final : public SchedulerContext {
   /// the scheduler blob is skipped and the (freshly reset) scheduler starts
   /// cold — the policy-switch fork path.
   ///
-  /// `shared_specs`, when non-null, is a per-slot spec-pointer table (from
-  /// job_spec_pointers() of the core being forked): non-null entries are
-  /// used directly instead of copying the spec out of the stream, so a fork
-  /// shares its parent's immutable workload data.  The parent (or whatever
-  /// owns those specs) must outlive this core.
-  void load_state(StateReader& r, bool load_scheduler,
-                  const std::vector<const JobSpec*>* shared_specs = nullptr);
-
-  /// Per-slot spec pointers (null for recycled slots), aligned with the
-  /// slot order save_state writes — the `shared_specs` input of a fork.
-  [[nodiscard]] std::vector<const JobSpec*> job_spec_pointers() const;
+  /// `parent`, when set, is the core the snapshot was just taken from (a
+  /// fork): each live slot shares the parent's spec chunk instead of the
+  /// copy parsed from the stream.
+  void load_state(StateReader& r, bool load_scheduler, const SimCore* parent = nullptr);
 
   // ---- SchedulerContext ----------------------------------------------------
   [[nodiscard]] SimTime now() const override { return now_; }
@@ -383,16 +370,13 @@ class SimCore final : public SchedulerContext {
   bool streaming_ = false;
   bool first_visit_ = true;       ///< slot 0 is visited unconditionally
   bool started_ = false;
-  std::int64_t next_ingest_seq_ = 0;
   StreamTotals totals_;
-  std::vector<RecycledJob> recycled_;
   /// Degradation-ladder rung the session governor last applied (0 outside
   /// service mode) and the optional response-time window it feeds.
   int overload_level_ = 0;
   SloWindow* slo_ = nullptr;
-  /// JobSpecs deserialized from a snapshot (restored jobs point here; a
-  /// deque keeps addresses stable as later snapshots or ingests append).
-  std::deque<JobSpec> owned_specs_;
+  /// Per slot, the spec chunk its job's spec lives in (null once recycled).
+  std::vector<std::shared_ptr<const std::vector<JobSpec>>> slot_specs_;
   std::optional<std::chrono::steady_clock::time_point> wall_start_;
 
   SimResult result_;

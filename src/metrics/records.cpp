@@ -14,12 +14,6 @@ double SimResult::mean_flowtime() const {
   return jobs.empty() ? 0.0 : total_flowtime() / static_cast<double>(jobs.size());
 }
 
-double SimResult::total_running_time() const {
-  double total = 0.0;
-  for (const auto& j : jobs) total += j.running_time();
-  return total;
-}
-
 double SimResult::total_resource_seconds() const {
   double total = 0.0;
   for (const auto& j : jobs) total += j.resource_seconds;

@@ -53,18 +53,8 @@ void DollyMPScheduler::on_server_repaired(SchedulerContext& ctx, ServerId server
   if (ResiliencePolicy* res = live_resilience(ctx)) res->on_server_repaired(ctx, server);
 }
 
-bool DollyMPScheduler::priority_known(JobId id) const {
-  const auto slot = static_cast<std::size_t>(id);
-  return epoch_ > 0 && slot < prio_epoch_.size() && prio_epoch_[slot] == epoch_;
-}
-
-void DollyMPScheduler::ensure_slot(JobId id) {
-  const auto need = static_cast<std::size_t>(id) + 1;
-  if (prio_epoch_.size() < need) {
-    prio_epoch_.resize(need, 0);
-    prio_value_.resize(need, 0);
-    vol_value_.resize(need, 0.0);
-  }
+bool DollyMPScheduler::priority_known(std::size_t slot) const {
+  return epoch_ > 0 && slot < cache_.size() && cache_[slot].epoch == epoch_;
 }
 
 void DollyMPScheduler::on_copy_finished(SchedulerContext& ctx, const JobRuntime& /*job*/,
@@ -118,12 +108,11 @@ void DollyMPScheduler::recompute_priorities(SchedulerContext& ctx) {
   // the old hash maps, without the rehash/allocation churn.
   ++epoch_;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
-    const JobId id = jobs[i]->id;
-    ensure_slot(id);
-    const auto slot_i = static_cast<std::size_t>(id);
-    prio_epoch_[slot_i] = epoch_;
-    prio_value_[slot_i] = result.priority[i];
-    vol_value_[slot_i] = inputs_[i].volume;
+    const auto job_slot = static_cast<std::size_t>(jobs[i]->slot);
+    // Grows only when a job lands in a new highest slot, never in the
+    // steady-state schedule() path.
+    if (job_slot >= cache_.size()) cache_.resize(job_slot + 1);
+    cache_[job_slot] = {epoch_, inputs_[i].volume, result.priority[i]};
   }
 }
 
@@ -144,10 +133,10 @@ void DollyMPScheduler::rebuild_order(SchedulerContext& ctx) {
   for (JobRuntime* job : ctx.active_jobs()) {
     JobOrder jo;
     jo.job = job;
-    jo.has_priority = priority_known(job->id);
-    const auto slot = static_cast<std::size_t>(job->id);
-    jo.priority = jo.has_priority ? prio_value_[slot] : 1 << 20;
-    jo.volume = jo.has_priority ? vol_value_[slot] : 0.0;
+    const auto slot = static_cast<std::size_t>(job->slot);
+    jo.has_priority = priority_known(slot);
+    jo.priority = jo.has_priority ? cache_[slot].priority : 1 << 20;
+    jo.volume = jo.has_priority ? cache_[slot].volume : 0.0;
     order_.push_back(jo);
   }
   // The comparator is a strict total order (job ids are unique), so plain
@@ -187,19 +176,17 @@ ServerId DollyMPScheduler::pick_server(SchedulerContext& ctx, const TaskRuntime&
     // The placement index keeps a mirror of the scorer's weights (pushed in
     // on_copy_finished) and maximizes demand.dot(free) x weight (x 1.25 on
     // a replica), ties to the lowest id.
-    const ServerId chosen = ctx.placement_index()->weighted_best_fit(
-        task.demand, config_.locality_aware ? &task.block : nullptr);
+    const ServerId chosen =
+        ctx.placement_index()->weighted_best_fit(task.demand, &task.block);
     if (ctx.recorder() != nullptr) {
       double score = 0.0;
       if (chosen != kInvalidServer) {
         const auto& server = ctx.cluster().server(static_cast<std::size_t>(chosen));
         score = task.demand.dot(server.free()) * scorer_->placement_weight(chosen);
-        if (config_.locality_aware) {
-          for (const auto replica : task.block.replicas) {
-            if (replica == chosen) {
-              score *= 1.25;
-              break;
-            }
+        for (const auto replica : task.block.replicas) {
+          if (replica == chosen) {
+            score *= 1.25;
+            break;
           }
         }
       }
@@ -207,14 +194,12 @@ ServerId DollyMPScheduler::pick_server(SchedulerContext& ctx, const TaskRuntime&
     }
     return chosen;
   }
-  if (config_.locality_aware) {
-    // Node-local first: the first replica holder that fits wins outright.
-    for (const auto replica : task.block.replicas) {
-      const auto& server = ctx.cluster().server(static_cast<std::size_t>(replica));
-      if (server.can_fit(task.demand)) {
-        trace_weighted_pick(ctx, task, replica, task.demand.dot(server.free()));
-        return replica;
-      }
+  // Node-local first: the first replica holder that fits wins outright.
+  for (const auto replica : task.block.replicas) {
+    const auto& server = ctx.cluster().server(static_cast<std::size_t>(replica));
+    if (server.can_fit(task.demand)) {
+      trace_weighted_pick(ctx, task, replica, task.demand.dot(server.free()));
+      return replica;
     }
   }
   return best_fit_server(ctx, task.demand);
@@ -432,21 +417,34 @@ void DollyMPScheduler::schedule(SchedulerContext& ctx) {
   if (res != nullptr) res->finish_invocation(ctx);
 }
 
+namespace {
+
+/// One slot's cached priority in a snapshot.  16 bytes with explicit,
+/// zeroed padding: snapshots copy it byte for byte.
+struct SavedPriority {
+  double volume = 0.0;
+  std::int32_t priority = 0;
+  std::uint8_t valid = 0;
+  std::uint8_t pad[3] = {};
+};
+static_assert(sizeof(SavedPriority) == 16);
+
+}  // namespace
+
 void DollyMPScheduler::save_state(StateWriter& w) const {
-  // Only current-epoch priority entries matter: stale slots are garbage by
-  // construction.  Saved as (id, prio, vol) triples so the restored store
-  // can be any size — ensure_slot regrows it on load.
-  std::uint64_t valid = 0;
-  for (std::size_t id = 0; id < prio_epoch_.size(); ++id) {
-    if (prio_epoch_[id] == epoch_) ++valid;
+  // Only current-epoch entries matter: stale slots are garbage by
+  // construction.  The block ends at the highest current one, so its
+  // length never depends on how far the cache once grew.
+  std::size_t count = cache_.size();
+  while (count > 0 && !priority_known(count - 1)) --count;
+  std::vector<SavedPriority> saved(count);
+  for (std::size_t slot = 0; slot < count; ++slot) {
+    if (!priority_known(slot)) continue;
+    saved[slot].volume = cache_[slot].volume;
+    saved[slot].priority = cache_[slot].priority;
+    saved[slot].valid = 1;
   }
-  w.u64(valid);
-  for (std::size_t id = 0; id < prio_epoch_.size(); ++id) {
-    if (prio_epoch_[id] != epoch_) continue;
-    w.i32(static_cast<std::int32_t>(id));
-    w.i32(prio_value_[id]);
-    w.f64(vol_value_[id]);
-  }
+  w.pod_vec(saved);
   w.b(priorities_dirty_);
   w.b(scorer_.has_value());
   if (scorer_) scorer_->save_state(w);
@@ -456,21 +454,15 @@ void DollyMPScheduler::save_state(StateWriter& w) const {
 
 void DollyMPScheduler::load_state(StateReader& r) {
   // Called on a fresh same-config instance after reset(): write the saved
-  // entries at the current epoch so priority_known sees them again.
-  const std::uint64_t valid = r.u64();
-  for (std::uint64_t i = 0; i < valid; ++i) {
-    const JobId id = r.i32();
-    const int prio = r.i32();
-    const double vol = r.f64();
-    if (id < 0) {
-      throw std::runtime_error("snapshot: DollyMP priority entry for negative job id " +
-                               std::to_string(id));
+  // entries at the current epoch so priority_known sees them again.  The
+  // reader bounds the block by the bytes left.
+  std::vector<SavedPriority> saved;
+  r.pod_vec(saved);
+  cache_.assign(saved.size(), {});
+  for (std::size_t slot = 0; slot < saved.size(); ++slot) {
+    if (saved[slot].valid != 0) {
+      cache_[slot] = {epoch_, saved[slot].volume, saved[slot].priority};
     }
-    ensure_slot(id);
-    const auto slot = static_cast<std::size_t>(id);
-    prio_epoch_[slot] = epoch_;
-    prio_value_[slot] = prio;
-    vol_value_[slot] = vol;
   }
   priorities_dirty_ = r.b();
   if (r.b()) {

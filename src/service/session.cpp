@@ -63,7 +63,6 @@ void Session::run_until(SimTime horizon_slots) {
     if (config_.overload.any_enabled()) evaluate_overload();
     pump_arrivals(chunk_end);
     (void)core_->step_until(chunk_end);
-    reap_recycled();
     clock_ = chunk_end;
   }
 }
@@ -96,19 +95,19 @@ void Session::pump_arrivals(SimTime through_slot) {
   const double horizon_seconds =
       static_cast<double>(through_slot + 1) * config_.sim.slot_seconds;
   if (source_.next_arrival_seconds() >= horizon_seconds) return;
-  auto specs = std::make_shared<std::vector<JobSpec>>();
-  source_.emit_until(horizon_seconds, *specs);
+  std::vector<JobSpec> specs;
+  source_.emit_until(horizon_seconds, specs);
   // Admission gate: filter the chunk's arrivals in place.  A shed job is
   // never ingested — its id simply vanishes from the stream (and lands in
   // the shed accounting), exactly as if the client had been turned away.
   const int level = core_->overload_level();
   if (config_.overload.admission_enabled || level >= 3) {
     std::size_t kept = 0;
-    for (JobSpec& spec : *specs) {
+    for (JobSpec& spec : specs) {
       ShedReason reason{};
       if (gate_.admit(spec, level, &reason)) {
-        if (kept != static_cast<std::size_t>(&spec - specs->data())) {
-          (*specs)[kept] = std::move(spec);
+        if (kept != static_cast<std::size_t>(&spec - specs.data())) {
+          specs[kept] = std::move(spec);
         }
         ++kept;
       } else {
@@ -116,41 +115,9 @@ void Session::pump_arrivals(SimTime through_slot) {
                                  static_cast<int>(reason));
       }
     }
-    specs->resize(kept);
+    specs.resize(kept);
   }
-  if (specs->empty()) return;
-  Segment segment;
-  segment.first_seq = core_->next_ingest_seq();
-  segment.live = static_cast<std::int64_t>(specs->size());
-  segment.specs = std::move(specs);
-  core_->ingest(*segment.specs);
-  segments_.push_back(std::move(segment));
-}
-
-void Session::reap_recycled() {
-  recycled_scratch_.clear();
-  core_->take_recycled(recycled_scratch_);
-  for (const RecycledJob& job : recycled_scratch_) {
-    for (Segment& segment : segments_) {
-      const auto count = static_cast<std::int64_t>(segment.specs->size());
-      if (job.ingest_seq >= segment.first_seq &&
-          job.ingest_seq < segment.first_seq + count) {
-        --segment.live;
-        break;
-      }
-    }
-    // Seqs before the first segment belong to jobs restored from a
-    // checkpoint — the core owns those specs; nothing to reclaim here.
-  }
-  // Only a fully-recycled *prefix* is dropped: segments are consumed
-  // roughly in arrival order, so the retained window tracks live jobs.
-  while (!segments_.empty() && segments_.front().live == 0) segments_.pop_front();
-}
-
-std::size_t Session::specs_retained() const {
-  std::size_t retained = 0;
-  for (const Segment& segment : segments_) retained += segment.specs->size();
-  return retained;
+  core_->ingest(std::move(specs));
 }
 
 void Session::write_payload(StateWriter& w) const {
@@ -171,8 +138,7 @@ void Session::write_payload(StateWriter& w) const {
   w.f64(last_load_ratio_);
 }
 
-void Session::load_payload(StateReader& r, bool load_scheduler,
-                           const std::vector<const JobSpec*>* shared_specs) {
+void Session::load_payload(StateReader& r, bool load_scheduler, const SimCore* parent) {
   const std::string snapshot_policy = r.str();
   if (load_scheduler && snapshot_policy != config_.policy) {
     throw std::runtime_error("snapshot: policy mismatch (snapshot ran " +
@@ -188,7 +154,7 @@ void Session::load_payload(StateReader& r, bool load_scheduler,
   }
   clock_ = r.i64();
   source_.load_state(r);
-  core_->load_state(r, load_scheduler, shared_specs);
+  core_->load_state(r, load_scheduler, parent);
   r.section(0x4F564C44u);  // 'OVLD'
   gate_.load_state(r);
   governor_.load_state(r);
@@ -231,12 +197,9 @@ std::unique_ptr<Session> Session::fork(const ForkOptions& options) const {
   StateReader r(bytes);
 
   auto child = std::make_unique<Session>(prototype_, std::move(child_config));
-  // Share the parent's spec storage: copying the segment deque copies
-  // shared_ptrs, which keep the spec vectors alive for the child even after
-  // the parent drains and drops them.
-  child->segments_ = segments_;
-  const std::vector<const JobSpec*> shared = core_->job_spec_pointers();
-  child->load_payload(r, /*load_scheduler=*/!switch_policy, &shared);
+  // The child's live slots share the parent's spec chunks, which stay alive
+  // for the child even after the parent recycles their jobs.
+  child->load_payload(r, /*load_scheduler=*/!switch_policy, core_.get());
   r.expect_done();
 
   for (const ServerId server : options.quarantine) {

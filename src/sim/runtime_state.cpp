@@ -54,14 +54,4 @@ double JobRuntime::max_dominant_share(const Resources& cluster_total) const {
   return share;
 }
 
-bool JobRuntime::has_runnable_work() const {
-  for (const auto& phase : phases) {
-    if (!phase.runnable()) continue;
-    for (const auto& task : phase.tasks) {
-      if (!task.finished && !task.scheduled()) return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace dollymp

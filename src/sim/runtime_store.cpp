@@ -90,6 +90,7 @@ std::size_t RuntimeStore::materialize(const JobSpec& spec, double slot_seconds,
     JobRuntime& job = jobs_.back();
     job.spec = &spec;
     job.id = spec.id;
+    job.slot = static_cast<std::int32_t>(job_index);
     job.arrival = static_cast<SimTime>(std::llround(spec.arrival_seconds / slot_seconds));
     job.remaining_phases = static_cast<int>(spec.phases.size());
   }
@@ -167,6 +168,7 @@ void RuntimeStore::rematerialize(std::size_t job_index, const JobSpec& spec,
   job = JobRuntime{};  // RtSpan members are plain views; reassign below
   job.spec = &spec;
   job.id = spec.id;
+  job.slot = static_cast<std::int32_t>(job_index);
   job.arrival = static_cast<SimTime>(std::llround(spec.arrival_seconds / slot_seconds));
   job.remaining_phases = static_cast<int>(spec.phases.size());
   job.phases.assign(phases_.data() + job_extent.phase_begin, job_extent.phase_count);
@@ -239,12 +241,6 @@ void RuntimeStore::release_job(std::size_t job_index) {
   free_slots_[shape_scratch_].push_back(static_cast<std::uint32_t>(job_index));
 }
 
-std::size_t RuntimeStore::free_slot_count() const {
-  std::size_t n = 0;
-  for (const auto& [shape, slots] : free_slots_) n += slots.size();
-  return n;
-}
-
 std::vector<std::uint8_t> RuntimeStore::free_mask() const {
   std::vector<std::uint8_t> mask(jobs_.size(), 0);
   for (const auto& [shape, slots] : free_slots_) {
@@ -286,7 +282,6 @@ void RuntimeStore::save_state(StateWriter& w) const {
     w.f64(job.resource_seconds);
     w.i32(job.tasks_with_clones);
     w.i32(job.pending_events);
-    w.i64(job.ingest_seq);
   }
 
   w.u64(phases_.size());
@@ -342,6 +337,7 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
   }
   jobs_.resize(n_jobs);
   for (JobRuntime& job : jobs_) {
+    job.slot = static_cast<std::int32_t>(&job - jobs_.data());
     job.id = r.i32();
     job.arrival = r.i64();
     job.arrived = r.b();
@@ -354,7 +350,6 @@ void RuntimeStore::load_state(StateReader& r, const std::vector<const JobSpec*>&
     job.resource_seconds = r.f64();
     job.tasks_with_clones = r.i32();
     job.pending_events = r.i32();
-    job.ingest_seq = r.i64();
     job.invalidate_remaining_cache();
   }
 

@@ -108,9 +108,10 @@ SimCore::SimCore(Cluster cluster, const SimConfig& config)
 
 // ---- streaming driver ------------------------------------------------------
 
-void SimCore::ingest(const std::vector<JobSpec>& specs) {
+void SimCore::ingest(std::vector<JobSpec> specs) {
   if (!wall_start_) wall_start_ = std::chrono::steady_clock::now();
   if (specs.empty()) return;
+  const auto chunk = std::make_shared<const std::vector<JobSpec>>(std::move(specs));
 
   // The active list holds pointers into jobs_; remember indices in case the
   // flat array relocates (the store rebinds its own spans, not ours).
@@ -121,11 +122,11 @@ void SimCore::ingest(const std::vector<JobSpec>& specs) {
     active_idx.push_back(static_cast<std::size_t>(j - jobs_before));
   }
 
-  store_.reserve_for(specs);
+  store_.reserve_for(*chunk);
   const std::size_t order_before = arrival_order_.size();
-  for (const auto& spec : specs) {
-    // Schedulers index per-job state by id, so a negative one must not
-    // reach them.
+  for (const auto& spec : *chunk) {
+    // -1 is the "no job" value of trace records, so a negative id would
+    // make a job's records read as nobody's.
     if (spec.id < 0) {
       throw std::invalid_argument("SimCore::ingest: job '" + spec.name + "' has negative id " +
                                   std::to_string(spec.id));
@@ -133,9 +134,8 @@ void SimCore::ingest(const std::vector<JobSpec>& specs) {
     validate_placeable(spec);
     const std::size_t index =
         store_.materialize(spec, config_.slot_seconds, locality_, rng_workload_);
-    JobRuntime& job = jobs_[index];
-    job.ingest_seq = next_ingest_seq_++;
-    job.pending_events = 0;
+    if (index >= slot_specs_.size()) slot_specs_.resize(index + 1);
+    slot_specs_[index] = chunk;
     arrival_order_.push_back(static_cast<std::int32_t>(index));
     ++jobs_remaining_;
     ++totals_.jobs_ingested;
@@ -333,13 +333,21 @@ SimResult SimCore::finish() {
 
 void SimCore::maybe_recycle(JobRuntime& job) {
   if (!streaming_ || !job.finished || job.pending_events > 0) return;
-  recycled_.push_back(RecycledJob{.ingest_seq = job.ingest_seq, .id = job.id});
-  store_.release_job(static_cast<std::size_t>(&job - jobs_.data()));
+  const auto slot = static_cast<std::size_t>(job.slot);
+  store_.release_job(slot);
+  slot_specs_[slot].reset();
 }
 
-void SimCore::take_recycled(std::vector<RecycledJob>& out) {
-  out.insert(out.end(), recycled_.begin(), recycled_.end());
-  recycled_.clear();
+std::size_t SimCore::specs_retained() const {
+  std::vector<const std::vector<JobSpec>*> chunks;
+  for (const auto& chunk : slot_specs_) {
+    if (chunk) chunks.push_back(chunk.get());
+  }
+  std::sort(chunks.begin(), chunks.end());
+  chunks.erase(std::unique(chunks.begin(), chunks.end()), chunks.end());
+  std::size_t specs = 0;
+  for (const auto* chunk : chunks) specs += chunk->size();
+  return specs;
 }
 
 // ---- SchedulerContext ------------------------------------------------------
@@ -528,7 +536,7 @@ void SimCore::push_completion(SimTime slot, JobRuntime& job, PhaseIndex phase,
   SimEvent e;
   e.slot = slot;
   e.kind = EvKind::kCompletion;
-  e.job_index = static_cast<std::int32_t>(&job - jobs_.data());
+  e.job_index = job.slot;
   e.phase = phase;
   e.task = task;
   e.copy = copy;
@@ -1123,7 +1131,6 @@ void SimCore::save_state(StateWriter& w) const {
   w.b(arrivals_this_slot_);
   w.u64(pending_timer_count_);
   w.i64(pending_timer_slot_);
-  w.i64(next_ingest_seq_);
   for (const Rng* rng : {&rng_root_, &rng_workload_, &rng_exec_, &rng_policy_,
                          &rng_failure_}) {
     for (const std::uint64_t word : rng->state()) w.u64(word);
@@ -1159,7 +1166,7 @@ void SimCore::save_state(StateWriter& w) const {
   }
   w.u64(active_.size());
   for (const JobRuntime* j : active_) {
-    w.i32(static_cast<std::int32_t>(j - jobs_.data()));
+    w.i32(j->slot);
   }
 
   // The heap array as it stands, then the machine queue's floor and its
@@ -1183,7 +1190,6 @@ void SimCore::save_state(StateWriter& w) const {
   w.i64(result_.total_copies_launched);
   w.i64(result_.total_tasks_completed);
   w.pod(totals_);
-  w.pod_vec(recycled_);
 
   // Length-prefixed scheduler blob so a policy-switch restore can skip it
   // without knowing the writing policy's format.
@@ -1247,15 +1253,7 @@ void SimCore::validate_event(const SimEvent& e,
   }
 }
 
-std::vector<const JobSpec*> SimCore::job_spec_pointers() const {
-  std::vector<const JobSpec*> specs;
-  specs.reserve(jobs_.size());
-  for (const JobRuntime& job : jobs_) specs.push_back(job.spec);
-  return specs;
-}
-
-void SimCore::load_state(StateReader& r, bool load_scheduler,
-                         const std::vector<const JobSpec*>* shared_specs) {
+void SimCore::load_state(StateReader& r, bool load_scheduler, const SimCore* parent) {
   if (!started_) throw std::logic_error("SimCore: load_state() before begin()");
   r.section(kTagCore);
   now_ = r.i64();
@@ -1268,7 +1266,6 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   arrivals_this_slot_ = r.b();
   pending_timer_count_ = static_cast<std::size_t>(r.u64());
   pending_timer_slot_ = r.i64();
-  next_ingest_seq_ = r.i64();
   for (Rng* rng : {&rng_root_, &rng_workload_, &rng_exec_, &rng_policy_, &rng_failure_}) {
     std::array<std::uint64_t, 4> words;
     for (auto& word : words) word = r.u64();
@@ -1287,27 +1284,28 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   r.section(kTagBackground);
   background_.load_state(r);
 
+  // The parsed specs are one chunk, like an ingest's.  A fork's live slots
+  // share the parent's chunks instead: the stream copy only advanced the
+  // reader.
   r.section(kTagSpecs);
   const std::size_t slot_count = r.count("job spec", kMinJobSpecBytes);
-  if (shared_specs != nullptr && shared_specs->size() != slot_count) {
-    throw std::runtime_error("snapshot: shared spec table size mismatch");
-  }
-  std::vector<const JobSpec*> specs;
-  specs.reserve(slot_count);
+  auto parsed = std::make_shared<std::vector<JobSpec>>();
+  parsed->reserve(slot_count);
+  for (std::size_t i = 0; i < slot_count; ++i) parsed->push_back(load_job_spec(r));
+  slot_specs_.assign(slot_count, parsed);
+  std::vector<const JobSpec*> specs(slot_count);
   for (std::size_t i = 0; i < slot_count; ++i) {
-    JobSpec parsed = load_job_spec(r);
-    const JobSpec* external =
-        shared_specs != nullptr ? (*shared_specs)[i] : nullptr;
-    if (external != nullptr) {
-      // Fork path: the stream copy only advanced the reader; the slot binds
-      // to the parent's spec so the workload bytes are shared, not cloned.
-      specs.push_back(external);
-    } else {
-      owned_specs_.push_back(std::move(parsed));
-      specs.push_back(&owned_specs_.back());
+    specs[i] = &(*parsed)[i];
+    if (parent != nullptr && i < parent->slot_specs_.size() && parent->slot_specs_[i]) {
+      slot_specs_[i] = parent->slot_specs_[i];
+      specs[i] = parent->jobs_[i].spec;
     }
   }
   store_.load_state(r, specs);
+  const std::vector<std::uint8_t> free_slots = store_.free_mask();
+  for (std::size_t i = 0; i < slot_count; ++i) {
+    if (free_slots[i] != 0) slot_specs_[i].reset();
+  }
 
   r.section(kTagArrivals);
   const auto job_slot = [&](std::int32_t index, const char* what) {
@@ -1330,7 +1328,6 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   r.section(kTagHeap);
   std::vector<SimEvent> stored;
   r.pod_vec(stored);
-  const std::vector<std::uint8_t> free_slots = store_.free_mask();
   std::size_t timers = 0;
   events_.clear();
   events_.reserve(stored.size());
@@ -1380,7 +1377,6 @@ void SimCore::load_state(StateReader& r, bool load_scheduler,
   result_.total_copies_launched = r.i64();
   result_.total_tasks_completed = r.i64();
   r.pod(totals_);
-  r.pod_vec(recycled_);
 
   // The placement index is derived state: rebuild it from the restored
   // cluster.

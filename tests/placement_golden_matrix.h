@@ -119,12 +119,6 @@ inline void add_equivalence_cases(std::vector<Case>& out) {
   }
   {
     DollyMPConfig config;
-    config.locality_aware = false;
-    add("DollyMPLocalityOff", Cluster::paper30(), base_config(15), straggler_workload(15),
-        dollymp(config));
-  }
-  {
-    DollyMPConfig config;
     config.smallest_first_clones = false;
     add("DollyMPLargestFirstClones", Cluster::paper30(), base_config(16),
         straggler_workload(16), dollymp(config));
@@ -237,7 +231,6 @@ constexpr Pinned kPinned[] = {
     {"equivalence/DollyMPStragglerAware", 0xc6ff2d5542c9faf2ULL, 704ULL},
     {"equivalence/DollyMPStragglerAwareTraceWorkload", 0x263a332a21f3f2b4ULL, 2172ULL},
     {"equivalence/DollyMPCorollaryCloneCounts", 0x0d2d84a73c60e9c8ULL, 1072ULL},
-    {"equivalence/DollyMPLocalityOff", 0xd5643fb10e51641bULL, 705ULL},
     {"equivalence/DollyMPLargestFirstClones", 0x69d6d6ac4edb53dbULL, 704ULL},
     {"equivalence/DollyMPWithLocalityModel", 0x3e0892489a262b8fULL, 8582ULL},
     {"equivalence/Capacity", 0x5df9c81428d4462cULL, 339ULL},

@@ -64,8 +64,8 @@ TEST(CapacityDetails, FirstFitIgnoresPacking) {
   // following memory-heavy task (4,16) then cannot be placed anywhere and
   // must wait, whereas a best-fit packer would have kept A open.
   Cluster cluster;
-  cluster.add_server(ServerSpec{{4, 16}, 1.0, 0, "big-mem"});
-  cluster.add_server(ServerSpec{{4, 4}, 1.0, 0, "small-mem"});
+  cluster.add_server(ServerSpec{{4, 16}, 1.0, 0});
+  cluster.add_server(ServerSpec{{4, 4}, 1.0, 0});
   const std::vector<JobSpec> jobs{
       JobSpec::single_task(0, {4, 4}, 10.0),    // cpu-wide, memory-light
       JobSpec::single_task(1, {4, 16}, 10.0),   // needs the big-mem server

@@ -166,21 +166,6 @@ TEST(CheckpointDecoders, ServerScorerRejectsCountBeyondPayload) {
       "vector count");
 }
 
-TEST(CheckpointDecoders, ServerTableRejectsModelNameCountBeyondPayload) {
-  const Cluster empty;
-  StateWriter w;
-  empty.save_state(w);
-  w.patch_u64(w.size() - 8, kHugeCount);  // the trailing model-name count
-  const auto bytes = w.finish();
-  expect_rejected(
-      [&] {
-        StateReader r(bytes);
-        Cluster cluster;
-        cluster.load_state(r);
-      },
-      "model name count");
-}
-
 TEST(CheckpointDecoders, ResilienceRejectsBackoffCountBeyondPayload) {
   ResilienceConfig config;
   config.enabled = true;
@@ -239,20 +224,19 @@ TEST(CheckpointDecoders, JobSpecRejectsPhaseCountBeyondPayload) {
 
 // ---- indices ---------------------------------------------------------------
 
-TEST(CheckpointDecoders, DollyMPRejectsNegativePriorityJobId) {
+TEST(CheckpointDecoders, DollyMPRejectsPriorityCountBeyondPayload) {
+  // The priority block is one record per job slot: a count past the bytes
+  // left must not size the cache.
+  DollyMPScheduler saved;
+  saved.reset();
   StateWriter w;
-  w.u64(1);  // one priority entry ...
-  w.i32(-1);  // ... for job id -1
-  w.i32(0);
-  w.f64(0.0);
-  w.b(false);  // priorities_dirty
-  w.b(false);  // no scorer
-  w.b(false);  // no resilience
+  saved.save_state(w);
+  w.patch_u64(4, kHugeCount);  // past the u32 record size
   const auto bytes = w.finish();
   DollyMPScheduler policy;
   policy.reset();
   StateReader r(bytes);
-  expect_rejected([&] { policy.load_state(r); }, "negative job id -1");
+  expect_rejected([&] { policy.load_state(r); }, "snapshot: vector count");
 }
 
 TEST(CheckpointDecoders, SimCoreRejectsPendingArrivalIndexOutOfRange) {
@@ -462,15 +446,32 @@ TEST(CheckpointDecoders, SimCoreRejectsCompletionOnARecycledSlot) {
   std::sort(arrivals.begin(), arrivals.end());
   (void)core.step_until(static_cast<SimTime>(arrivals[arrivals.size() / 2] /
                                              fuzz_config().slot_seconds));
-  std::vector<RecycledJob> recycled;
-  core.take_recycled(recycled);
-  ASSERT_FALSE(recycled.empty());
   StateWriter w;
   core.save_state(w);
-  // One ingest call: a job's slot is its ingest sequence number.
-  const auto slot = static_cast<std::int32_t>(recycled.front().ingest_seq);
+  const std::vector<std::uint8_t> snapshot = w.finish();
+  // One ingest call, so slots 0..39 hold the 40 jobs.  A slot that is
+  // neither a pending arrival, nor active, nor named by a queued event
+  // holds a finished job whose last event drained: a recycled slot.
+  const auto payload = payload_of(snapshot);
+  std::vector<bool> in_use(jobs.size(), false);
+  std::size_t at = after_section(payload, kTagArrivals);
+  for (int list = 0; list < 2; ++list) {  // pending arrivals, then active jobs
+    const auto count = read_at<std::uint64_t>(payload, at);
+    for (std::uint64_t i = 0; i < count; ++i) {
+      in_use[static_cast<std::size_t>(read_at<std::int32_t>(payload, at + 8 + 4 * i))] = true;
+    }
+    at += 8 + 4 * count;
+  }
+  const EventBlocks b = event_blocks(payload);
+  for (std::uint64_t i = 0; i < b.heap_count; ++i) {
+    const auto e = read_at<SimEvent>(payload, b.heap + i * sizeof(SimEvent));
+    if (e.kind == EvKind::kCompletion) in_use[static_cast<std::size_t>(e.job_index)] = true;
+  }
+  const auto free_slot = std::find(in_use.begin(), in_use.end(), false);
+  ASSERT_NE(free_slot, in_use.end()) << "no job slot was recycled";
+  const auto slot = static_cast<std::int32_t>(free_slot - in_use.begin());
   const auto bytes = edit_first<SimEvent>(
-      w.finish(), [](const SimEvent& e) { return e.kind == EvKind::kCompletion; },
+      snapshot, [](const SimEvent& e) { return e.kind == EvKind::kCompletion; },
       [&](SimEvent& e) { e.job_index = slot; });
   expect_rejected([&] { load_core(bytes); },
                   "event job index " + std::to_string(slot) + " names a recycled slot");

@@ -26,37 +26,52 @@ auto with_argv(std::vector<std::string> args, Fn fn) {
   return fn(static_cast<int>(argv.size()), argv.data());
 }
 
-std::vector<std::string> normalize(std::vector<std::string> argv_strings) {
-  return with_argv(std::move(argv_strings), normalize_args);
+/// A three-row table over one struct, as a tool builds it.
+struct Sample {
+  int jobs = 0;
+  std::string out;
+  bool quiet = false;
+};
+
+std::vector<Flag> sample_flags(Sample& sample) {
+  return {{"--jobs", "N", "jobs to run", set_number(sample.jobs, 1)},
+          {"--out", "FILE", "where the output goes", set_text(sample.out)},
+          {"--quiet", "", "say less", set_true(sample.quiet)}};
 }
 
+Sample parse_sample(std::vector<std::string> args) {
+  Sample sample;
+  const std::vector<Flag> flags = sample_flags(sample);
+  with_argv(std::move(args),
+            [&](int argc, char** argv) { parse(argc, argv, "usage: tool", flags); });
+  return sample;
+}
+
+// cli::parse reads the `--flag=value` form itself.
+
 TEST(CliNormalize, ExpandsEqualsFormIntoFlagValuePairs) {
-  const auto args = normalize({"--jobs=50", "--scheduler", "drf"});
-  ASSERT_EQ(args.size(), 4u);
-  EXPECT_EQ(args[0], "--jobs");
-  EXPECT_EQ(args[1], "50");
-  EXPECT_EQ(args[2], "--scheduler");
-  EXPECT_EQ(args[3], "drf");
+  const Sample sample = parse_sample({"--jobs=50", "--out", "drf"});
+  EXPECT_EQ(sample.jobs, 50);
+  EXPECT_EQ(sample.out, "drf");
 }
 
 TEST(CliNormalize, LeavesNonFlagArgumentsWithEqualsAlone) {
-  // A value like a file name or key=value payload is not a flag.
-  const auto args = normalize({"--out", "dir/name=weird.csv", "a=b"});
-  ASSERT_EQ(args.size(), 3u);
-  EXPECT_EQ(args[1], "dir/name=weird.csv");
-  EXPECT_EQ(args[2], "a=b");
+  // A value like a file name or key=value payload is not a flag: a value
+  // argument is taken whole, and a stray one is refused as it stands.
+  EXPECT_EQ(parse_sample({"--out", "dir/name=weird.csv"}).out, "dir/name=weird.csv");
+  EXPECT_EXIT((void)parse_sample({"a=b"}), testing::ExitedWithCode(2), "unknown option a=b");
 }
 
 TEST(CliNormalize, KeepsValueWithEmbeddedEqualsIntact) {
-  // Only the FIRST '=' splits: --define=a=b yields value "a=b".
-  const auto args = normalize({"--define=a=b"});
-  ASSERT_EQ(args.size(), 2u);
-  EXPECT_EQ(args[0], "--define");
-  EXPECT_EQ(args[1], "a=b");
+  // Only the FIRST '=' splits: --out=a=b yields value "a=b".
+  EXPECT_EQ(parse_sample({"--out=a=b"}).out, "a=b");
 }
 
 TEST(CliNormalize, EmptyArgvYieldsEmpty) {
-  EXPECT_TRUE(normalize({}).empty());
+  const Sample sample = parse_sample({});
+  EXPECT_EQ(sample.jobs, 0);
+  EXPECT_TRUE(sample.out.empty());
+  EXPECT_FALSE(sample.quiet);
 }
 
 TEST(CliSplit, SplitsOnSeparator) {
@@ -177,27 +192,6 @@ TEST(CliParseNumber, RejectsAnythingButOneWholeNumber) {
   EXPECT_NE(rejection<double>("1e"), "");
 }
 
-/// A three-row table over one struct, as a tool builds it.
-struct Sample {
-  int jobs = 0;
-  std::string out;
-  bool quiet = false;
-};
-
-std::vector<Flag> sample_flags(Sample& sample) {
-  return {{"--jobs", "N", "jobs to run", set_number(sample.jobs, 1)},
-          {"--out", "FILE", "where the output goes", set_text(sample.out)},
-          {"--quiet", "", "say less", set_true(sample.quiet)}};
-}
-
-Sample parse_sample(std::vector<std::string> args) {
-  Sample sample;
-  const std::vector<Flag> flags = sample_flags(sample);
-  with_argv(std::move(args),
-            [&](int argc, char** argv) { parse(argc, argv, "usage: tool", flags); });
-  return sample;
-}
-
 TEST(CliFlags, EqualsFormAndSpaceFormAgree) {
   const Sample spaced = parse_sample({"--jobs", "5", "--out", "a=b.csv", "--quiet"});
   const Sample equals = parse_sample({"--jobs=5", "--out=a=b.csv", "--quiet"});
@@ -216,6 +210,8 @@ TEST(CliFlags, UsageErrorsExitTwoNamingTheFlag) {
               "unknown option --qiuet \\(did you mean --quiet\\?\\)");
   EXPECT_EXIT((void)parse_sample({"--jobs", "abc"}), testing::ExitedWithCode(2),
               "--jobs: 'abc' is not a number");
+  EXPECT_EXIT((void)parse_sample({"--quiet=1"}), testing::ExitedWithCode(2),
+              "--quiet: takes no value");
   Sample sample;
   std::vector<Flag> flags = sample_flags(sample);
   flags.push_back({"--mode", "M", "a mode", [](const std::string& text) {

@@ -19,7 +19,7 @@ Cluster one_server(ServerSpec spec) {
 }
 
 TEST(Server, AllocateRelease) {
-  Cluster c = one_server(ServerSpec{{8, 16}, 1.0, 0, "test"});
+  Cluster c = one_server(ServerSpec{{8, 16}, 1.0, 0});
   Server& s = c.server(0);
   EXPECT_TRUE(s.allocate({4, 8}));
   EXPECT_EQ(s.used(), Resources(4, 8));
@@ -31,14 +31,14 @@ TEST(Server, AllocateRelease) {
 }
 
 TEST(Server, RejectsNegativeDemand) {
-  Cluster c = one_server(ServerSpec{{8, 16}, 1.0, 0, ""});
+  Cluster c = one_server(ServerSpec{{8, 16}, 1.0, 0});
   Server& s = c.server(0);
   EXPECT_THROW(s.allocate({-1, 0}), std::invalid_argument);
   EXPECT_THROW(s.release({0, -1}), std::invalid_argument);
 }
 
 TEST(Server, AllocFailureLeavesStateUnchanged) {
-  Cluster c = one_server(ServerSpec{{4, 4}, 1.0, 0, ""});
+  Cluster c = one_server(ServerSpec{{4, 4}, 1.0, 0});
   Server& s = c.server(0);
   EXPECT_TRUE(s.allocate({3, 3}));
   EXPECT_FALSE(s.allocate({2, 0}));
@@ -46,7 +46,7 @@ TEST(Server, AllocFailureLeavesStateUnchanged) {
 }
 
 TEST(Server, ReleaseClampsFloatNoise) {
-  Cluster c = one_server(ServerSpec{{1, 1}, 1.0, 0, ""});
+  Cluster c = one_server(ServerSpec{{1, 1}, 1.0, 0});
   Server& s = c.server(0);
   ASSERT_TRUE(s.allocate({0.3, 0.3}));
   s.release({0.3, 0.3});
@@ -55,7 +55,7 @@ TEST(Server, ReleaseClampsFloatNoise) {
 }
 
 TEST(Server, CopyCounters) {
-  Cluster c = one_server(ServerSpec{{8, 8}, 1.0, 0, ""});
+  Cluster c = one_server(ServerSpec{{8, 8}, 1.0, 0});
   Server& s = c.server(0);
   s.note_copy_started();
   s.note_copy_started();
@@ -68,8 +68,8 @@ TEST(Server, CopyCounters) {
 }
 
 TEST(Cluster, TotalsFromGroups) {
-  const Cluster c({{ServerSpec{{8, 16}, 1.0, 0, "a"}, 2},
-                   {ServerSpec{{16, 32}, 1.5, 1, "b"}, 1}});
+  const Cluster c({{ServerSpec{{8, 16}, 1.0, 0}, 2},
+                   {ServerSpec{{16, 32}, 1.5, 1}, 1}});
   EXPECT_EQ(c.size(), 3u);
   EXPECT_EQ(c.total_capacity(), Resources(32, 64));
   EXPECT_EQ(c.rack_count(), 2);

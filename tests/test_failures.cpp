@@ -160,7 +160,7 @@ TEST(Failures, SpeculativeBaselineSurvivesFailures) {
 
 TEST(Failures, DownServerRefusesPlacement) {
   Cluster cluster;
-  cluster.add_server(ServerSpec{{8, 16}, 1.0, 0, "s"});
+  cluster.add_server(ServerSpec{{8, 16}, 1.0, 0});
   Server& server = cluster.server(0);
   EXPECT_TRUE(server.can_fit({1, 1}));
   server.set_down(true);

@@ -262,7 +262,7 @@ TEST(GangValidation, SpreadPenaltySlowsSplitGangs) {
 
   Cluster scattered;
   for (int i = 0; i < 16; ++i) {
-    scattered.add_server(ServerSpec{{8.0, 32.0, 1.0}, 1.2, i / 2, "gpu-1x"});
+    scattered.add_server(ServerSpec{{8.0, 32.0, 1.0}, 1.2, i / 2});
   }
   DollyMPScheduler sched_scattered{DollyMPConfig{}};
   const SimResult split = simulate(scattered, config, jobs, sched_scattered);

@@ -90,10 +90,10 @@ Cluster cluster_with_lemon() {
   // One "lemon" running at 1/5 speed, listed first so blind best-fit
   // placement regularly lands work on it, plus three healthy servers.
   Cluster cluster;
-  cluster.add_server(ServerSpec{{8, 16}, 0.2, 0, "lemon"});
-  cluster.add_server(ServerSpec{{8, 16}, 1.0, 0, "good"});
-  cluster.add_server(ServerSpec{{8, 16}, 1.0, 0, "good"});
-  cluster.add_server(ServerSpec{{8, 16}, 1.0, 0, "good"});
+  cluster.add_server(ServerSpec{{8, 16}, 0.2, 0});
+  cluster.add_server(ServerSpec{{8, 16}, 1.0, 0});
+  cluster.add_server(ServerSpec{{8, 16}, 1.0, 0});
+  cluster.add_server(ServerSpec{{8, 16}, 1.0, 0});
   return cluster;
 }
 

@@ -44,10 +44,6 @@ TEST(PlacementEquivalence, DollyMPCorollaryCloneCounts) {
   expect_matches_pinned("equivalence/DollyMPCorollaryCloneCounts");
 }
 
-TEST(PlacementEquivalence, DollyMPLocalityOff) {
-  expect_matches_pinned("equivalence/DollyMPLocalityOff");
-}
-
 TEST(PlacementEquivalence, DollyMPLargestFirstClones) {
   expect_matches_pinned("equivalence/DollyMPLargestFirstClones");
 }

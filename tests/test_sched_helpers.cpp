@@ -9,8 +9,8 @@ namespace {
 
 TEST(BestFit, PicksLargestAlignment) {
   Cluster cluster;
-  cluster.add_server(ServerSpec{{8, 8}, 1.0, 0, "a"});   // free (8,8)
-  cluster.add_server(ServerSpec{{16, 16}, 1.0, 0, "b"}); // free (16,16): bigger dot
+  cluster.add_server(ServerSpec{{8, 8}, 1.0, 0});   // free (8,8)
+  cluster.add_server(ServerSpec{{16, 16}, 1.0, 0}); // free (16,16): bigger dot
   EXPECT_EQ(best_fit_server(cluster, {1, 1}), 1);
   // Fill server b so a wins.
   ASSERT_TRUE(cluster.server(1).allocate({15, 15}));

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "dollymp/common/state_io.h"
+#include "dollymp/common/thread_pool.h"
 #include "dollymp/service/arrival_source.h"
 
 namespace dollymp {
@@ -411,16 +412,53 @@ TEST(ServiceFork, QuarantineOutOfRangeThrows) {
 }
 
 TEST(ServiceFork, ForkSurvivesParentSegmentReaping) {
-  // The child holds the parent's spec segments via shared_ptr, so even after
-  // the parent reaps every drained segment the child's jobs stay valid.
+  // The child holds the parent's spec chunks via shared_ptr, so even after
+  // the parent recycles every job of a chunk the child's jobs stay valid.
   const ServiceConfig config = service_config("dollymp2", false);
   Session parent(Cluster::paper30(), config);
   parent.run_until(kT1);
   auto child = parent.fork({});
-  // Drain the parent far enough that its early segments are reaped.
+  // Drain the parent far enough that its early chunks are freed.
   parent.run_until(kT2 * 4);
   child->run_until(kT2);
   EXPECT_GT(child->totals().jobs_completed, 0);
+}
+
+TEST(ServiceFork, ParentAndForkAdvanceConcurrently) {
+  // A fork shares its parent's spec chunks through atomic reference counts.
+  // Advancing both on two pool workers, as dollymp_service does, must give
+  // each the stream it gets on its own.  The fork comes after the parent
+  // has recycled slots, and the parent frees shared chunks during the run.
+  const ServiceConfig config = service_config("dollymp2", false);
+  constexpr SimTime kFork = kT2 * 4;
+  constexpr SimTime kEnd = kT2 * 8;
+  Session::ForkOptions options;
+  options.policy = "drf";
+
+  std::uint64_t serial_parent = 0;
+  std::uint64_t serial_child = 0;
+  {
+    Session parent(Cluster::paper30(), config);
+    parent.run_until(kFork);
+    auto child = parent.fork(options);
+    parent.run_until(kEnd);
+    child->run_until(kEnd);
+    serial_parent = parent.stream_hash();
+    serial_child = child->stream_hash();
+  }
+
+  Session parent(Cluster::paper30(), config);
+  parent.run_until(kFork);
+  ASSERT_LT(parent.specs_retained(), static_cast<std::size_t>(parent.totals().jobs_ingested))
+      << "no spec chunk was freed before the fork";
+  auto child = parent.fork(options);
+  ThreadPool pool(2);
+  auto parent_run = pool.submit([&parent] { parent.run_until(kEnd); });
+  auto child_run = pool.submit([&child] { child->run_until(kEnd); });
+  parent_run.get();
+  child_run.get();
+  EXPECT_EQ(parent.stream_hash(), serial_parent);
+  EXPECT_EQ(child->stream_hash(), serial_child);
 }
 
 // ---- memory bound -----------------------------------------------------------

@@ -242,7 +242,7 @@ TEST(Simulator, CloningReducesMeanCompletionUnderStragglers) {
 
 TEST(Simulator, FasterServerShortensTasks) {
   Cluster fast;
-  fast.add_server(ServerSpec{{4, 8}, 2.0, 0, "fast"});
+  fast.add_server(ServerSpec{{4, 8}, 2.0, 0});
   const std::vector<JobSpec> jobs{JobSpec::single_task(0, {1, 1}, 10.0)};
   FifoScheduler fifo;
   const SimResult result = simulate(fast, quiet_config(), jobs, fifo);

@@ -145,10 +145,12 @@ TEST(StateIo, PayloadsOfEveryLengthUpTo100RoundTrip) {
 }
 
 TEST(StateIo, RejectsVersionOneEnvelope) {
-  // Version-1 to version-3 files: the current layout with an old version
+  // Version-1 to version-4 files: the current layout with an old version
   // number (version 3 dropped two SimCore streaming flags, version 4 moved
-  // machine events into their own queue).
-  for (const std::uint32_t version : {1u, 2u, 3u}) {
+  // machine events into their own queue, version 5 dropped the server model
+  // labels and the recycled-id channel and keys DollyMP's priorities by job
+  // slot).
+  for (const std::uint32_t version : {1u, 2u, 3u, 4u}) {
     auto bytes = sample_envelope();
     std::memcpy(bytes.data() + 9, &version, sizeof(version));
     try {

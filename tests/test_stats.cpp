@@ -124,35 +124,6 @@ TEST(Cdf, SortedSamples) {
   EXPECT_TRUE(std::is_sorted(sorted.begin(), sorted.end()));
 }
 
-TEST(Histogram, BucketsAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(-1.0);  // clamps into bucket 0
-  h.add(0.5);
-  h.add(9.9);
-  h.add(15.0);  // clamps into last bucket
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.bucket(0), 2u);
-  EXPECT_EQ(h.bucket(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_low(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bucket_high(1), 4.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
-TEST(Histogram, RenderContainsCounts) {
-  Histogram h(0.0, 2.0, 2);
-  h.add(0.5);
-  h.add(1.5);
-  h.add(1.6);
-  const std::string text = h.render(10);
-  EXPECT_NE(text.find("1"), std::string::npos);
-  EXPECT_NE(text.find("2"), std::string::npos);
-  EXPECT_NE(text.find('#'), std::string::npos);
-}
-
 TEST(QuantileOf, Convenience) {
   EXPECT_DOUBLE_EQ(quantile_of({5.0, 1.0, 3.0}, 0.5), 3.0);
   EXPECT_DOUBLE_EQ(quantile_of({5.0}, 0.99), 5.0);

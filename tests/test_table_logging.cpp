@@ -1,6 +1,5 @@
 #include <gtest/gtest.h>
 
-#include "dollymp/common/logging.h"
 #include "dollymp/common/table.h"
 
 namespace dollymp {
@@ -47,32 +46,6 @@ TEST(ConsoleTable, CaptionedRender) {
 
 TEST(Banner, ContainsTitle) {
   EXPECT_NE(banner("Fig 4").find("Fig 4"), std::string::npos);
-}
-
-TEST(Logging, LevelGating) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kError);
-  EXPECT_FALSE(log_enabled(LogLevel::kInfo));
-  EXPECT_TRUE(log_enabled(LogLevel::kError));
-  set_log_level(LogLevel::kTrace);
-  EXPECT_TRUE(log_enabled(LogLevel::kDebug));
-  set_log_level(LogLevel::kOff);
-  EXPECT_FALSE(log_enabled(LogLevel::kError));
-  set_log_level(old);
-}
-
-TEST(Logging, LevelNames) {
-  EXPECT_STREQ(log_level_name(LogLevel::kInfo), "INFO");
-  EXPECT_STREQ(log_level_name(LogLevel::kWarn), "WARN");
-  EXPECT_STREQ(log_level_name(LogLevel::kOff), "OFF");
-}
-
-TEST(Logging, MacroCompilesAndGates) {
-  const LogLevel old = log_level();
-  set_log_level(LogLevel::kOff);
-  // Must not crash or emit; mostly a compile/UB check.
-  DOLLYMP_LOG(kInfo) << "invisible " << 42;
-  set_log_level(old);
 }
 
 }  // namespace

@@ -70,6 +70,9 @@ endforeach()
 expect(SERVICE 2 "--checkpoint-every: ServiceConfig: checkpoint_interval_seconds" --checkpoint-every 0)
 expect(SERVICE 2 "--rate: ArrivalConfig: rate_per_second must be > 0" --rate 0)
 expect(SERVICE 2 "--diurnal: '' is not a number" --diurnal=)
+# A switch takes no value, not even in the --flag=value form.
+expect(SIM 2 "--quiet: takes no value" --quiet=1)
+expect(SERVICE 2 "--json: takes no value" --json=yes)
 expect(SERVICE 2 "--supervise: SupervisorOptions: checkpoint_stride_slots must be a multiple"
        --supervise --snapshot-base ckpt --snapshot-every 100)
 

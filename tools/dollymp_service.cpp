@@ -123,7 +123,7 @@ void print_status(const Fleet& fleet, std::ostream& os) {
     os << name << " [" << s.policy_name() << "] clock=" << s.clock()
        << " live=" << s.live_jobs() << " ingested=" << totals.jobs_ingested
        << " completed=" << totals.jobs_completed
-       << " segments=" << s.spec_segments() << " hash=" << hex64(s.stream_hash())
+       << " specs=" << s.specs_retained() << " hash=" << hex64(s.stream_hash())
        << "\n";
   };
   line("parent", *fleet.parent);
@@ -131,7 +131,7 @@ void print_status(const Fleet& fleet, std::ostream& os) {
 }
 
 /// Advance the parent and every fork to `target` slots, each on its own
-/// pool worker.  Sessions share only immutable spec segments, so the runs
+/// pool worker.  Sessions share only immutable spec chunks, so the runs
 /// are independent; results stay deterministic because each session's
 /// stream depends only on its own state.
 void advance_all(Fleet& fleet, SimTime target, ThreadPool& pool) {
